@@ -63,10 +63,8 @@ from .models import (
     IrfCurve,
     LyapunovEstimate,
     ModelSpec,
-    ShockSequence,
     TimeSeries,
     VarParams,
-    iterate_g,
     lyapunov_exponent,
     model_from_json,
     model_to_json,

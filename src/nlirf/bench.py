@@ -23,7 +23,7 @@ from scipy.stats import norm
 
 from .irf import IrfRequest, irf_direct, irf_lp
 from .kernels import KernelConfig, cond_cdf, cond_quantile
-from .models import CondGaussian, Dar1, GaussianAr1, ModelSpec, simulate, true_irf
+from .models import ModelSpec, simulate, true_irf
 
 __all__ = [
     "IrfTarget",
@@ -123,14 +123,10 @@ def _oracle_value(model: ModelSpec, target: Target) -> float:
 
 
 def _conditional_moments(model: ModelSpec, y: float) -> Tuple[float, float]:
-    if isinstance(model, GaussianAr1):
-        return model.rho * y, model.sigma
-    if isinstance(model, Dar1):
-        p = model.params
-        return p.rho * y, math.sqrt(p.alpha + p.beta * y * y)
-    if isinstance(model, CondGaussian):
-        return float(model.drift(y)), float(model.scale(y))
-    raise ValueError(f"no conditional-law oracle for {type(model).__name__}")
+    """Mean and scale of the Gaussian one-step law at y, read from the model."""
+    if model.dim != 1:
+        raise ValueError(f"no conditional-law oracle for {type(model).__name__}")
+    return float(model.cond_mean(y)), float(model.cond_scale(y))
 
 
 def _cell_seed(master_seed: int, size_index: int, seed_index: int, stream: int) -> int:

@@ -248,18 +248,26 @@ _SERIES_KEYS = {"input", "model", "T", "y0_sim", "sim_seed", "burn_in"}
 def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
     allowed = _SERIES_KEYS | {"y0", "horizons", "deltas", "S", "kernel", "routes"}
     _require_keys(config, allowed, {"y0", "horizons", "deltas"}, "irf")
-    series = _load_series(config, "irf")
-    cfg = _kernel_config(config.get("kernel"))
     routes = config["routes"]
+    # only the estimators read the series: a model with only the true route
+    # simulates nothing (an 'input' is still loaded and checked against 'model')
+    series = _load_series(config, "irf") if set(routes) - {"true"} or "input" in config else None
+    cfg = _kernel_config(config.get("kernel"))
     bad_routes = set(routes) - {"true", "direct", "local_projection"}
     if bad_routes:
         raise ValueError(f"irf: unknown routes {sorted(bad_routes)}")
     model = model_from_json(config["model"]) if "model" in config else None
     if "true" in routes and model is None:
         raise ValueError("irf: the 'true' route needs a 'model'")
+    artifacts: Dict[str, float] = {}
+    for delta in config["deltas"]:
+        name = f"irf_delta_{delta:g}.csv"
+        if name in artifacts:
+            raise ValueError(f"irf: deltas {artifacts[name]!r} and {delta!r} would both write {name}")
+        artifacts[name] = delta
     H = int(config["horizons"])
     S = int(config.get("S", 10_000))
-    for delta in config["deltas"]:
+    for name, delta in artifacts.items():
         rows = []
         for route in routes:
             if route == "true":
@@ -267,8 +275,7 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
                 rejected = [0] * H
             else:
                 req = IrfRequest(
-                    y0=float(config["y0"]), horizons=H, delta=float(delta),
-                    S=S, cfg=cfg, seed=seed, route=route,
+                    y0=float(config["y0"]), horizons=H, delta=float(delta), S=S, cfg=cfg, seed=seed,
                 )
                 curve = (irf_direct if route == "direct" else irf_lp)(series, req)
                 rejected = curve.meta["rejected"]
@@ -277,7 +284,7 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
                     str(h), route, _fmt(delta), _fmt(curve.values[h - 1]),
                     _fmt(curve.mc_se[h - 1]), str(rejected[h - 1]),
                 ])
-        w.csv(f"irf_delta_{delta:g}.csv", "horizon,route,delta,value,mc_se,rejected_reps", rows)
+        w.csv(name, "horizon,route,delta,value,mc_se,rejected_reps", rows)
 
 
 def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:

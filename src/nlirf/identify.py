@@ -44,7 +44,8 @@ _CONDITION_LIMIT = 1e8
 
 
 class DegenerateDynamics(ValueError):
-    """Sources are dynamically indistinguishable (proportional autocovariances)."""
+    """The dynamics are too degenerate to identify: sources with proportional
+    autocovariances, or Markov-test moments with a singular covariance."""
 
 
 @dataclass
@@ -290,7 +291,13 @@ def markov_moment_test(
 
     V = np.cov(boot_means, rowvar=False, ddof=1)
     V = np.atleast_2d(V)
-    stat = float(max(moments @ np.linalg.solve(V, moments), 0.0))
+    try:
+        stat = float(max(moments @ np.linalg.solve(V, moments), 0.0))
+    except np.linalg.LinAlgError:
+        raise DegenerateDynamics(
+            "bootstrap covariance of the moments is singular; some basis triple "
+            "gives a degenerate moment"
+        ) from None
     crit = float(chi2.ppf(1 - level, df=len(basis)))
     return MarkovTestResult(
         moments=moments,

@@ -76,7 +76,6 @@ class IrfRequest:
     S: int = 10_000
     cfg: KernelConfig = field(default_factory=KernelConfig)
     seed: int = 0
-    route: str = "direct"
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.y0):
@@ -87,8 +86,6 @@ class IrfRequest:
             raise ValueError("need at least one replication")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
-        if self.route not in ("direct", "local_projection", "oracle"):
-            raise ValueError(f"unknown route {self.route!r}")
 
 
 @dataclass
@@ -404,18 +401,21 @@ def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> Lis
     Hermite polynomials of the step-one innovations that generated them.
     """
     sim = simulate_paths(series, req)
-    out = []
-    for h in range(1, sim.H + 1):
-        mask = sim.valid_at(h)
-        out.append(decompose_irf(sim.base[mask, h - 1], sim.eps1[mask], req.delta, J=J, h=h))
-    return out
+    masks = [sim.valid_at(h) for h in range(1, sim.H + 1)]
+    _check_rejections(np.array([sim.S - m.sum() for m in masks]), sim.S)
+    return [
+        decompose_irf(sim.base[m, h - 1], sim.eps1[m], req.delta, J=J, h=h)
+        for h, m in enumerate(masks, start=1)
+    ]
 
 
 def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> List[HermiteDecomposition]:
     """Hermite decomposition of the local-projection route, per horizon."""
     _, _, eps1, base1, _, _ = _simulate_step1(series, req)
-    out = [decompose_irf(base1, eps1, req.delta, J=J, h=1)]
-    for h in range(2, req.horizons + 1):
-        vals, ok, _, _ = _nw_batch(series, req.cfg, base1, lag=h - 1)
-        out.append(decompose_irf(vals[ok], eps1[ok], req.delta, J=J, h=h))
-    return out
+    fits = [(base1, np.ones(req.S, dtype=bool))]
+    fits += [_nw_batch(series, req.cfg, base1, lag=h - 1)[:2] for h in range(2, req.horizons + 1)]
+    _check_rejections(np.array([req.S - ok.sum() for _, ok in fits]), req.S)
+    return [
+        decompose_irf(vals[ok], eps1[ok], req.delta, J=J, h=h)
+        for h, (vals, ok) in enumerate(fits, start=1)
+    ]

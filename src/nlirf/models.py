@@ -34,12 +34,10 @@ __all__ = [
     "CondGaussian",
     "ModelSpec",
     "TimeSeries",
-    "ShockSequence",
     "IrfCurve",
     "LyapunovEstimate",
     "simulate",
     "transition_g",
-    "iterate_g",
     "true_irf",
     "lyapunov_exponent",
     "model_to_json",
@@ -100,32 +98,6 @@ class TimeSeries:
 
 
 @dataclass
-class ShockSequence:
-    """A reproducible block of standard-normal innovations, one row per step."""
-
-    draws: np.ndarray
-    seed: int
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.draws, dtype=float)
-        if d.ndim == 1:
-            d = d[:, None]
-        if not np.isfinite(d).all():
-            raise ValueError("shock draws contain non-finite values")
-        self.draws = d
-
-    @classmethod
-    def from_seed(cls, horizon: int, dim: int, seed: int) -> "ShockSequence":
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        rng = np.random.default_rng(seed)
-        return cls(draws=rng.standard_normal((horizon, dim)), seed=seed)
-
-    def __len__(self) -> int:
-        return self.draws.shape[0]
-
-
-@dataclass
 class IrfCurve:
     """Impulse response values for horizons 1..H with Monte Carlo errors.
 
@@ -173,8 +145,21 @@ class DarParams:
             raise ValueError(f"beta must be >= 0, got {self.beta}")
 
 
+class _LocationScale:
+    """Univariate law y_t = cond_mean(y_{t-1}) + cond_scale(y_{t-1}) * eps_t.
+
+    ``step`` is the one-step map g(y; e). It and both moments work
+    elementwise, on Python floats and on arrays alike.
+    """
+
+    dim = 1
+
+    def step(self, y, e):
+        return self.cond_mean(y) + self.cond_scale(y) * e
+
+
 @dataclass(frozen=True)
-class Dar1:
+class Dar1(_LocationScale):
     """y_t = rho*y_{t-1} + sqrt(alpha + beta*y_{t-1}^2) * eps_t."""
 
     params: DarParams
@@ -183,13 +168,15 @@ class Dar1:
     def of(cls, rho: float, alpha: float, beta: float) -> "Dar1":
         return cls(DarParams(rho, alpha, beta))
 
-    @property
-    def dim(self) -> int:
-        return 1
+    def cond_mean(self, y):
+        return self.params.rho * y
+
+    def cond_scale(self, y):
+        return np.sqrt(self.params.alpha + self.params.beta * y * y)
 
 
 @dataclass(frozen=True)
-class GaussianAr1:
+class GaussianAr1(_LocationScale):
     """y_t = rho*y_{t-1} + sigma*eps_t with |rho| < 1."""
 
     rho: float
@@ -201,9 +188,11 @@ class GaussianAr1:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
-    @property
-    def dim(self) -> int:
-        return 1
+    def cond_mean(self, y):
+        return self.rho * y
+
+    def cond_scale(self, y):
+        return self.sigma
 
 
 @dataclass
@@ -239,22 +228,37 @@ class GaussianVar1:
     def dim(self) -> int:
         return self.params.n
 
+    def step(self, y, e):
+        """A y + D e, row-wise on (..., n) arrays."""
+        return y @ self.params.A.T + e @ self.params.D.T
+
 
 @dataclass(frozen=True)
-class CondGaussian:
+class CondGaussian(_LocationScale):
     """y_t = drift(y_{t-1}) + scale(y_{t-1}) * eps_t with caller-supplied functions.
 
-    The drift and scale are treated as black boxes; positivity of the
-    scalar scale is checked pointwise at evaluation (a global check is
-    not possible for arbitrary callables). Intended for univariate use.
+    ``drift`` and ``scale`` must work elementwise: on a Python float and
+    on an array of states, returning a value of the same shape (or one
+    that broadcasts against it, such as a constant). They are treated as
+    black boxes, so finiteness of the drift and positivity of the scale
+    are checked over every state at evaluation (a global check is not
+    possible for arbitrary callables).
     """
 
-    drift: Callable[[float], float]
-    scale: Callable[[float], float]
+    drift: Callable
+    scale: Callable
 
-    @property
-    def dim(self) -> int:
-        return 1
+    def cond_mean(self, y):
+        m = self.drift(y)
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"drift function returned non-finite values at y={y}")
+        return m
+
+    def cond_scale(self, y):
+        s = self.scale(y)
+        if not np.all(np.isfinite(s) & (s > 0)):
+            raise ValueError(f"scale function must be finite and positive, got {s} at y={y}")
+        return s
 
 
 ModelSpec = Union[Dar1, GaussianAr1, GaussianVar1, CondGaussian]
@@ -281,53 +285,31 @@ class LyapunovEstimate:
 # Transition maps
 # ---------------------------------------------------------------------------
 
-def _as_state(model: ModelSpec, y) -> np.ndarray:
+def _as_states(model: ModelSpec, y, what: str = "state") -> np.ndarray:
+    """``y`` as a finite float array of shape (..., n); a scalar counts as (1,)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (model.dim,):
-        raise ValueError(f"state must have shape ({model.dim},), got {y.shape}")
+    if y.shape[-1] != model.dim:
+        raise ValueError(f"{what} must have shape (..., {model.dim}), got {y.shape}")
     if not np.isfinite(y).all():
-        raise ValueError("state contains non-finite values")
+        raise ValueError(f"{what} contains non-finite values")
+    return y
+
+
+def _as_state(model: ModelSpec, y, what: str = "state") -> np.ndarray:
+    y = _as_states(model, y, what)
+    if y.ndim != 1:
+        raise ValueError(f"{what} must have shape ({model.dim},), got {y.shape}")
     return y
 
 
 def transition_g(model: ModelSpec, y_prev, eps) -> np.ndarray:
-    """One-step map g(y_prev; eps) of the model's autoregressive representation."""
-    y = _as_state(model, y_prev)
-    e = np.atleast_1d(np.asarray(eps, dtype=float))
-    if e.shape != (model.dim,):
-        raise ValueError(f"shock must have shape ({model.dim},), got {e.shape}")
-    if not np.isfinite(e).all():
-        raise ValueError("shock contains non-finite values")
+    """One-step map g(y_prev; eps) of the model's autoregressive representation.
 
-    if isinstance(model, Dar1):
-        p = model.params
-        return np.array([p.rho * y[0] + math.sqrt(p.alpha + p.beta * y[0] ** 2) * e[0]])
-    if isinstance(model, GaussianAr1):
-        return np.array([model.rho * y[0] + model.sigma * e[0]])
-    if isinstance(model, GaussianVar1):
-        p = model.params
-        return p.A @ y + p.D @ e
-    if isinstance(model, CondGaussian):
-        s = float(model.scale(y[0]))
-        if not (math.isfinite(s) and s > 0):
-            raise ValueError(f"scale function must be finite and positive, got {s} at y={y[0]}")
-        m = float(model.drift(y[0]))
-        if not math.isfinite(m):
-            raise ValueError(f"drift function returned non-finite value at y={y[0]}")
-        return np.array([m + s * e[0]])
-    raise TypeError(f"unknown model type {type(model).__name__}")
-
-
-def iterate_g(model: ModelSpec, y0, shocks: ShockSequence) -> np.ndarray:
-    """Recursively composed path: path[k] = g(path[k-1]; shocks[k]), path of length H."""
-    if len(shocks) == 0:
-        raise ValueError("shock sequence is empty")
-    y = _as_state(model, y0)
-    path = np.empty((len(shocks), model.dim))
-    for k in range(len(shocks)):
-        y = transition_g(model, y, shocks.draws[k])
-        path[k] = y
-    return path
+    Acts row-wise on state batches: ``y_prev`` and ``eps`` have shape
+    (..., n) with broadcastable leading axes (a scalar is one univariate
+    state), and the result has their broadcast shape.
+    """
+    return model.step(_as_states(model, y_prev), _as_states(model, eps, "shock"))
 
 
 # ---------------------------------------------------------------------------
@@ -380,42 +362,28 @@ def simulate(model: ModelSpec, T: int, y0, seed: int, burn_in: int = 0) -> TimeS
     if isinstance(model, Dar1):
         _check_dar_stationary(model.params)
     y = _as_state(model, y0)
-    n = model.dim
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((T + burn_in, n))
-
-    out = np.empty((T + burn_in, n))
-    if isinstance(model, Dar1):
-        # scalar loop; math ops on floats are much faster than numpy scalars
-        p = model.params
-        yv = float(y[0])
-        e = eps[:, 0].tolist()
-        for t in range(T + burn_in):
-            yv = p.rho * yv + math.sqrt(p.alpha + p.beta * yv * yv) * e[t]
-            out[t, 0] = yv
-    elif isinstance(model, GaussianAr1):
-        yv = float(y[0])
-        e = eps[:, 0].tolist()
-        for t in range(T + burn_in):
-            yv = model.rho * yv + model.sigma * e[t]
-            out[t, 0] = yv
-    else:
-        for t in range(T + burn_in):
-            y = transition_g(model, y, eps[t])
-            out[t] = y
-    return TimeSeries(values=out[burn_in:], origin=f"simulated:{type(model).__name__}:seed={seed}")
+    eps = np.random.default_rng(seed).standard_normal((T + burn_in, model.dim))
+    if model.dim == 1:
+        # a float state steps many times faster than a (1,) array
+        y, eps = float(y[0]), eps[:, 0].tolist()
+    step, path = model.step, []
+    for e in eps:
+        y = step(y, e)
+        path.append(y)
+    values = np.array(path, dtype=float).reshape(T + burn_in, model.dim)[burn_in:]
+    return TimeSeries(values=values, origin=f"simulated:{type(model).__name__}:seed={seed}")
 
 
 # ---------------------------------------------------------------------------
 # True impulse responses
 # ---------------------------------------------------------------------------
 
-def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray):
-    """Exact IRF values where the model admits them, else None per horizon.
+def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray) -> np.ndarray:
+    """Exact IRF values of the leading horizons that admit them, as a (k, n) array.
 
     Gaussian AR/VAR: the shock propagates linearly, giving rho^(h-1)*sigma*delta
-    (resp. A^(h-1) D delta). DAR(1): at horizon 1 the response is
-    delta*sqrt(alpha + beta*y0^2) because the conditional scale is fixed by y0.
+    (resp. A^(h-1) D delta) at every horizon. DAR(1): at horizon 1 the response
+    is delta times the conditional scale sqrt(alpha + beta*y0^2), fixed by y0.
     """
     if isinstance(model, GaussianAr1):
         return np.array([[model.rho ** (k - 1) * model.sigma * delta[0]] for k in range(1, h + 1)])
@@ -427,10 +395,9 @@ def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray
             vals[k] = v
             v = p.A @ v
         return vals
-    if isinstance(model, Dar1) and h == 1:
-        p = model.params
-        return np.array([[delta[0] * math.sqrt(p.alpha + p.beta * y0[0] ** 2)]])
-    return None
+    if isinstance(model, Dar1):
+        return (delta * model.cond_scale(y0))[None]
+    return np.empty((0, model.dim))
 
 
 def true_irf(
@@ -453,51 +420,33 @@ def true_irf(
     if S < 1:
         raise ValueError(f"replication count must be >= 1, got {S}")
     y = _as_state(model, y0)
-    d = np.atleast_1d(np.asarray(delta, dtype=float))
-    if d.shape != (model.dim,):
-        raise ValueError(f"delta must have shape ({model.dim},), got {d.shape}")
-    if not np.isfinite(d).all():
-        raise ValueError("delta contains non-finite values")
+    d = _as_state(model, delta, "delta")
 
     horizons = np.arange(1, h + 1)
     exact = _closed_form_irf(model, y, h, d)
-    if exact is not None:
-        vals = exact if model.dim > 1 else exact[:, 0]
-        return IrfCurve(
-            horizons=horizons,
-            values=vals,
-            mc_se=np.zeros_like(exact[:, 0] if model.dim == 1 else exact),
-            route="oracle",
-            meta={"method": ["closed_form"] * h, "delta": d.tolist(), "y0": y.tolist(), "S": None},
-        )
-
-    rng = np.random.default_rng(seed)
-    diffs = np.empty((S, h, model.dim))
-    method = ["closed_form", *["monte_carlo"] * (h - 1)] if isinstance(model, Dar1) else ["monte_carlo"] * h
-    for s in range(S):
-        eps = rng.standard_normal((h, model.dim))
-        yb = transition_g(model, y, eps[0])
-        ys = transition_g(model, y, eps[0] + d)
-        diffs[s, 0] = ys - yb
-        for k in range(1, h):
-            yb = transition_g(model, yb, eps[k])
-            ys = transition_g(model, ys, eps[k])
-            diffs[s, k] = ys - yb
-    values = diffs.mean(axis=0)
-    se = diffs.std(axis=0, ddof=1) / math.sqrt(S) if S > 1 else np.zeros_like(values)
-    if isinstance(model, Dar1):
-        # horizon 1 admits the exact value; Monte Carlo covers the rest
-        values[0, 0] = d[0] * math.sqrt(model.params.alpha + model.params.beta * y[0] ** 2)
-        se[0, 0] = 0.0
+    k = len(exact)
+    meta = {"method": ["closed_form"] * k + ["monte_carlo"] * (h - k),
+            "delta": d.tolist(), "y0": y.tolist(), "S": None}
+    if k == h:
+        values, se = exact, np.zeros_like(exact)
+    else:
+        # S paired paths at once; one (S, h, n) draw is the same stream as
+        # S successive (h, n) draws
+        eps = np.random.default_rng(seed).standard_normal((S, h, model.dim))
+        diffs = np.empty_like(eps)
+        base = shocked = y
+        for j in range(h):
+            base = transition_g(model, base, eps[:, j])
+            shocked = transition_g(model, shocked, eps[:, j] + d if j == 0 else eps[:, j])
+            diffs[:, j] = shocked - base
+        values = diffs.mean(axis=0)
+        se = diffs.std(axis=0, ddof=1) / math.sqrt(S) if S > 1 else np.zeros_like(values)
+        # leading horizons with an exact value replace their Monte Carlo estimate
+        values[:k], se[:k] = exact, 0.0
+        meta.update(S=S, seed=seed)
     if model.dim == 1:
         values, se = values[:, 0], se[:, 0]
-    return IrfCurve(
-        horizons=horizons,
-        values=values,
-        mc_se=se,
-        route="oracle",
-        meta={"method": method, "delta": d.tolist(), "y0": y.tolist(), "S": S, "seed": seed},
-    )
+    return IrfCurve(horizons=horizons, values=values, mc_se=se, route="oracle", meta=meta)
 
 
 # ---------------------------------------------------------------------------

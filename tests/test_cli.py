@@ -130,6 +130,33 @@ def test_irf_subcommand_four_deltas(tmp_path):
         assert len(lines) == 2 + 3 * 3  # three routes, three horizons
 
 
+def test_irf_true_route_only_simulates_nothing(tmp_path, monkeypatch):
+    # the oracle reads only the model; the series an estimator would use is
+    # never simulated, and the artifacts are the same as when it is
+    config = {"model": DAR_JSON, "T": 800, "y0": 0.2, "horizons": 3, "deltas": [0.5], "S": 300,
+              "routes": ["true"]}
+    first = run("irf", config, tmp_path / "a", master_seed=3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate called for a true-route-only request")
+
+    monkeypatch.setattr("nlirf.cli.simulate", refuse)
+    second = run("irf", config, tmp_path / "b", master_seed=3)
+    assert [p.name for p in first] == [p.name for p in second]
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("deltas", [[0.1234567, 0.1234568], [0.5, 0.5]])
+def test_irf_colliding_delta_names_rejected(tmp_path, deltas):
+    # both deltas would write irf_delta_0.123457.csv (resp. irf_delta_0.5.csv)
+    config = {"model": DAR_JSON, "T": 800, "y0": 0.2, "horizons": 2, "deltas": deltas, "S": 50,
+              "routes": ["true"]}
+    with pytest.raises(ValueError, match="irf_delta_"):
+        run("irf", config, tmp_path, master_seed=3)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decompose_subcommand(tmp_path):
     config = {
         "model": DAR_JSON,

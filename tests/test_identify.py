@@ -189,6 +189,16 @@ def test_markov_test_validates_inputs():
         markov_moment_test(ts, basis=[(bad, idf, idf)])
 
 
+def test_singular_bootstrap_covariance_is_degenerate_dynamics():
+    # c = 0 makes the second moment identically zero, so its bootstrap
+    # variance is zero and the covariance matrix is singular
+    ts = simulate(GaussianAr1(0.5, 1.0), T=500, y0=0.0, seed=9006)
+    idf = lambda x: x
+    zero = lambda x: np.zeros_like(x)
+    with pytest.raises(DegenerateDynamics, match="singular"):
+        markov_moment_test(ts, basis=[(idf, idf, idf), (idf, idf, zero)], B=50)
+
+
 def test_default_basis_shape():
     ts = simulate(GaussianAr1(0.5, 1.0), T=500, y0=0.0, seed=9005)
     basis = default_markov_basis(ts)

@@ -43,8 +43,6 @@ def test_request_validation():
         IrfRequest(y0=0.0, horizons=0, delta=0.5)
     with pytest.raises(ValueError):
         IrfRequest(y0=0.0, horizons=3, delta=0.5, S=0)
-    with pytest.raises(ValueError):
-        IrfRequest(y0=0.0, horizons=3, delta=0.5, route="indirect")
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +176,20 @@ def test_mass_threshold_rejections_counted_or_fatal(dar_series):
     req = IrfRequest(y0=0.2, horizons=4, delta=8.0, S=300, seed=15, cfg=cfg)
     with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
         irf_direct(dar_series, req)
+
+
+def test_decompositions_refuse_to_extrapolate(dar_series):
+    # the same thresholds that abort the plain routes abort their decompositions
+    req = IrfRequest(y0=0.2, horizons=4, delta=8.0, S=300, seed=15, cfg=KernelConfig(min_weight_sum=30.0))
+    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
+        irf_direct(dar_series, req)
+    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
+        decompose_direct_irf(dar_series, req)
+    req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=300, seed=15, cfg=KernelConfig(min_weight_sum=200.0))
+    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
+        irf_lp(dar_series, req)
+    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
+        decompose_lp_irf(dar_series, req)
 
 
 def test_path_simulation_bookkeeping(dar_series):

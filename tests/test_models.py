@@ -11,10 +11,8 @@ from nlirf.models import (
     DarParams,
     GaussianAr1,
     GaussianVar1,
-    ShockSequence,
     TimeSeries,
     VarParams,
-    iterate_g,
     lyapunov_exponent,
     model_from_json,
     model_to_json,
@@ -24,6 +22,13 @@ from nlirf.models import (
 )
 
 DAR = Dar1.of(0.5, 1.0, 0.5)
+# one model of each kind, for the old-vs-new equality tests
+EQUALITY_MODELS = [
+    Dar1.of(0.5, 1.0, 0.3),  # beta not a power of two: (beta*y)*y != beta*(y*y) in general
+    GaussianAr1(0.6, 1.3),
+    CondGaussian(drift=lambda y: 0.5 * y - 0.1 * np.tanh(y), scale=lambda y: np.sqrt(1.0 + 0.3 * y * y)),
+    GaussianVar1(VarParams(A=[[0.5, 0.1], [-0.2, 0.3]], D=[[1.0, 0.0], [0.4, 0.7]])),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -97,37 +102,70 @@ def test_cond_gaussian_scale_checked_pointwise():
         transition_g(m, -1.0, 1.0)
 
 
+def test_cond_gaussian_scale_checked_over_whole_batch():
+    m = CondGaussian(drift=lambda y: 0.5 * y, scale=lambda y: y)
+    with pytest.raises(ValueError):
+        transition_g(m, np.array([[2.0], [1.0], [-1.0]]), np.ones((3, 1)))
+    bad_drift = CondGaussian(drift=lambda y: np.where(y > 0, y, np.inf), scale=lambda y: 1.0)
+    with pytest.raises(ValueError):
+        transition_g(bad_drift, np.array([[2.0], [-1.0]]), np.ones((2, 1)))
+
+
+def test_transition_rejects_wrong_state_width():
+    var = GaussianVar1(VarParams(A=0.5 * np.eye(2), D=np.eye(2)))
+    with pytest.raises(ValueError):
+        transition_g(var, np.zeros((4, 3)), np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        transition_g(DAR, np.zeros((4, 1)), np.zeros((4, 2)))
+
+
 # ---------------------------------------------------------------------------
-# iterated composition
+# batched transition
 # ---------------------------------------------------------------------------
 
-def test_iterate_h1_matches_transition():
-    shocks = ShockSequence.from_seed(1, 1, seed=7)
-    path = iterate_g(DAR, 0.2, shocks)
-    assert path[0, 0] == transition_g(DAR, 0.2, shocks.draws[0])[0]
+@pytest.mark.parametrize("model", EQUALITY_MODELS, ids=lambda m: type(m).__name__)
+def test_transition_batch_equals_rowwise(model):
+    rng = np.random.default_rng(21)
+    y = rng.normal(scale=2.0, size=(500, model.dim))
+    e = rng.standard_normal((500, model.dim))
+    batch = transition_g(model, y, e)
+    rows = np.array([transition_g(model, y[i], e[i]) for i in range(500)])
+    assert batch.shape == (500, model.dim)
+    if model.dim == 1:
+        np.testing.assert_array_equal(batch, rows)
+    else:
+        # a batch runs as one matrix product, rows as matrix-vector products;
+        # BLAS rounds the two differently in the last bits
+        np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-14)
 
 
-def test_iterate_gaussian_unrolls_linearly():
-    # path[h] = rho^h y0 + sigma * sum_k rho^(h-k) eps_k, by unrolling the recursion
+def test_transition_broadcasts_one_state_over_shocks():
+    e = np.random.default_rng(5).standard_normal((50, 1))
+    np.testing.assert_array_equal(transition_g(DAR, 0.2, e), transition_g(DAR, np.full((50, 1), 0.2), e))
+
+
+def test_simulate_first_step_matches_transition():
+    ts = simulate(DAR, T=2, y0=0.2, seed=7)
+    eps = np.random.default_rng(7).standard_normal((2, 1))
+    assert ts.values[0, 0] == transition_g(DAR, 0.2, eps[0])[0]
+
+
+def test_simulate_gaussian_unrolls_linearly():
+    # y_h = rho^h y0 + sigma * sum_k rho^(h-k) eps_k, by unrolling the recursion
     rho, sigma, y0 = 0.6, 1.5, -0.4
-    m = GaussianAr1(rho, sigma)
-    shocks = ShockSequence.from_seed(6, 1, seed=11)
-    path = iterate_g(m, y0, shocks)
-    e = shocks.draws[:, 0]
+    path = simulate(GaussianAr1(rho, sigma), T=6, y0=y0, seed=11).y
+    e = np.random.default_rng(11).standard_normal((6, 1))[:, 0]
     for h in range(1, 7):
         expect = rho**h * y0 + sigma * sum(rho ** (h - k) * e[k - 1] for k in range(1, h + 1))
-        assert path[h - 1, 0] == pytest.approx(expect, abs=1e-12)
+        assert path[h - 1] == pytest.approx(expect, abs=1e-12)
 
 
-def test_iterate_zero_shocks_gives_drift_powers():
-    shocks = ShockSequence(draws=np.zeros((4, 1)), seed=0)
-    path = iterate_g(DAR, 0.8, shocks)
-    np.testing.assert_allclose(path[:, 0], [0.8 * 0.5**h for h in range(1, 5)], rtol=1e-14)
-
-
-def test_iterate_empty_shocks_errors():
-    with pytest.raises(ValueError):
-        iterate_g(DAR, 0.2, ShockSequence(draws=np.zeros((0, 1)), seed=0))
+def test_transition_batch_zero_shocks_gives_drift_powers():
+    y0 = np.array([[0.8], [-0.4], [2.0]])
+    y = y0
+    for h in range(1, 5):
+        y = transition_g(DAR, y, np.zeros((3, 1)))
+        np.testing.assert_allclose(y, y0 * 0.5**h, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +207,37 @@ def test_simulate_burn_in_shifts_stream():
     full = simulate(DAR, T=110, y0=0.2, seed=9)
     tail = simulate(DAR, T=100, y0=0.2, seed=9, burn_in=10)
     np.testing.assert_array_equal(full.values[10:], tail.values)
+
+
+def _reference_path(model, T, y0, seed, burn_in):
+    """Plain scalar recursion of each model law, one innovation row per step."""
+    eps = np.random.default_rng(seed).standard_normal((T + burn_in, model.dim))
+    if isinstance(model, GaussianVar1):
+        A, D = model.params.A, model.params.D
+        y, out = np.asarray(y0, dtype=float), []
+        for e in eps:
+            y = A @ y + D @ e
+            out.append(y)
+        return np.array(out)[burn_in:]
+    y, out = float(y0), []
+    for e in eps[:, 0].tolist():
+        if isinstance(model, Dar1):
+            p = model.params
+            y = p.rho * y + math.sqrt(p.alpha + p.beta * y * y) * e
+        elif isinstance(model, GaussianAr1):
+            y = model.rho * y + model.sigma * e
+        else:
+            y = float(model.drift(y)) + float(model.scale(y)) * e
+        out.append(y)
+    return np.array(out)[burn_in:, None]
+
+
+@pytest.mark.parametrize("burn_in", [0, 50])
+@pytest.mark.parametrize("model", EQUALITY_MODELS, ids=lambda m: type(m).__name__)
+def test_simulate_bitwise_equals_scalar_reference(model, burn_in):
+    y0 = 0.2 if model.dim == 1 else np.array([0.2, -0.1])
+    got = simulate(model, T=3000, y0=y0, seed=17, burn_in=burn_in).values
+    np.testing.assert_array_equal(got, _reference_path(model, 3000, y0, 17, burn_in))
 
 
 def test_simulate_rejects_explosive_dar():
@@ -298,6 +367,64 @@ def test_true_irf_dar_h2_mc_agrees_with_bruteforce():
     curve = true_irf(DAR, y0=y0, h=2, delta=delta, S=20_000, seed=13)
     tol = 3 * math.sqrt(curve.mc_se[1] ** 2 + oracle_se**2)
     assert abs(curve.values[1] - oracle) < tol
+
+
+def test_true_irf_one_draw_equals_successive_draws():
+    # the oracle draws all (S, h, n) innovations at once; that is the same
+    # stream as S successive (h, n) draws, one per replication
+    S, h, n = 40, 5, 2
+    at_once = np.random.default_rng(9).standard_normal((S, h, n))
+    rng = np.random.default_rng(9)
+    for s in range(S):
+        np.testing.assert_array_equal(at_once[s], rng.standard_normal((h, n)))
+
+
+def test_true_irf_dar_matches_replication_loop_values():
+    # values and standard errors of the per-replication scalar loop this
+    # oracle replaced (same seed); they agree to rounding
+    curve = true_irf(DAR, y0=0.2, h=7, delta=0.5, S=10_000, seed=3)
+    loop_values = [0.5049752469181039, 0.2528613215925118, 0.12428824147333357, 0.06071336489914304,
+                   0.029466200036062297, 0.014438727899415475, 0.008149098851961366]
+    loop_se = [0.0, 0.001811898765941545, 0.001819904170861208, 0.0015941535113806042,
+               0.0013341235851667352, 0.0011823347774147486, 0.0010776274495257543]
+    np.testing.assert_allclose(curve.values, loop_values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.mc_se, loop_se, rtol=0, atol=1e-12)
+    assert curve.meta["method"] == ["closed_form"] + ["monte_carlo"] * 6
+
+
+@pytest.mark.parametrize("model", EQUALITY_MODELS[::2], ids=lambda m: type(m).__name__)
+def test_true_irf_equals_replication_loop_reference(model):
+    # per-replication scalar loop: S successive (h, n) draws, one state at a time
+    S, h, y0, delta = 300, 5, 0.4, 0.7
+    rng = np.random.default_rng(23)
+    diffs = np.empty((S, h))
+    for s in range(S):
+        eps = rng.standard_normal((h, 1))
+        yb = transition_g(model, y0, eps[0])
+        ys = transition_g(model, y0, eps[0] + delta)
+        diffs[s, 0] = (ys - yb)[0]
+        for k in range(1, h):
+            yb, ys = transition_g(model, yb, eps[k]), transition_g(model, ys, eps[k])
+            diffs[s, k] = (ys - yb)[0]
+    curve = true_irf(model, y0=y0, h=h, delta=delta, S=S, seed=23)
+    k = curve.meta["method"].count("closed_form")
+    np.testing.assert_allclose(curve.values[k:], diffs.mean(axis=0)[k:], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(curve.mc_se[k:], diffs.std(axis=0, ddof=1)[k:] / math.sqrt(S), rtol=0, atol=1e-12)
+
+
+def test_true_irf_steps_all_replications_per_transition_call(monkeypatch):
+    import nlirf.models as models
+
+    calls = []
+    original = models.transition_g
+
+    def counting(model, y_prev, eps):
+        calls.append(np.shape(eps))
+        return original(model, y_prev, eps)
+
+    monkeypatch.setattr(models, "transition_g", counting)
+    true_irf(DAR, y0=0.2, h=3, delta=0.5, S=100, seed=1)
+    assert calls == [(100, 1)] * 6  # two paired batches per horizon
 
 
 def test_true_irf_validates_inputs():
