@@ -33,9 +33,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_sweep
-from .hermite import HermiteDecomposition
 from .identify import markov_moment_test, recover_mixing
-from .irf import IrfRequest, decompose_direct_irf, decompose_lp_irf, irf_direct, irf_lp
+from .irf import (IrfRequest, _direct_curve, _direct_decomposition, decompose_lp_irf, irf_direct,
+                  irf_lp, simulate_paths)
 from .kernels import KernelConfig, kde, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import GridSpec, qmle_grid_search
@@ -304,11 +304,11 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
         seed=seed,
     )
     J = int(config.get("J", 5))
-    decs: List[HermiteDecomposition] = (
-        decompose_direct_irf(series, req, J=J) if route == "direct"
-        else decompose_lp_irf(series, req, J=J)
-    )
-    estimated = (irf_direct if route == "direct" else irf_lp)(series, req)
+    if route == "direct":
+        sim = simulate_paths(series, req)  # one simulation feeds both reductions
+        decs, estimated = _direct_decomposition(sim, req, J), _direct_curve(sim, req)
+    else:
+        decs, estimated = decompose_lp_irf(series, req, J=J), irf_lp(series, req)
     rows = []
     for dec in decs:
         h = str(dec.horizon)

@@ -27,7 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
-from .kernels import silverman_bandwidth
+from .kernels import _CHUNK_CELLS, _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -205,25 +205,6 @@ class MarkovTestResult:
     block_length: int
 
 
-def _nw_multi(x: np.ndarray, targets: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """NW regression values of several targets sharing one regressor.
-
-    ``targets`` is (q, m): q response vectors over the m pairs; returns a
-    (q, n) matrix of fitted values at ``points``. Evaluation points are
-    sample values, so each row's denominator is bounded below by the
-    point's own kernel weight.
-    """
-    b = silverman_bandwidth(x)
-    m, n = len(x), len(points)
-    out = np.empty((targets.shape[0], n))
-    chunk = max(16, 4_000_000 // m)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        w = np.exp(-0.5 * ((x[None, :] - points[lo:hi, None]) / b) ** 2)
-        out[:, lo:hi] = (targets @ w.T) / w.sum(axis=1)[None, :]
-    return out
-
-
 def markov_moment_test(
     series: TimeSeries,
     basis: Optional[Sequence[BasisTriple]] = None,
@@ -256,21 +237,19 @@ def markov_moment_test(
     # forward regressions E[f(y_t) | y_{t-1}] and backward regressions
     # E[f(y_{t-2}) | y_{t-1}], fitted on all available pairs and evaluated
     # at the conditioning points y_{t-1}, t = 3..T
-    a_funcs = [tr[0] for tr in basis]
-    b_funcs = [tr[1] for tr in basis]
     points = y[1:-1]
-
-    fwd_targets = np.stack([f(y[1:]) for f in a_funcs])
-    bwd_targets = np.stack([f(y[:-1]) for f in b_funcs])
+    fwd_targets = np.column_stack([fa(y[1:]) for fa, _, _ in basis])
+    bwd_targets = np.column_stack([fb(y[:-1]) for _, fb, _ in basis])
     if not (np.isfinite(fwd_targets).all() and np.isfinite(bwd_targets).all()):
         raise ValueError("basis functions produced non-finite values")
-    fwd_fit = _nw_multi(y[:-1], fwd_targets, points)
-    bwd_fit = _nw_multi(y[1:], bwd_targets, points)
+    # points are sample values of both regressors: each weight sum >= the point's own weight
+    fwd_fit = _nw_fit(y[:-1], fwd_targets, points, silverman_bandwidth(y[:-1]), "gaussian")[0]
+    bwd_fit = _nw_fit(y[1:], bwd_targets, points, silverman_bandwidth(y[1:]), "gaussian")[0]
 
     contrib = np.empty((n, len(basis)))
     for i, (fa, fb, fc) in enumerate(basis):
-        ra = fa(y[2:]) - fwd_fit[i]
-        rb = fb(y[:-2]) - bwd_fit[i]
+        ra = fa(y[2:]) - fwd_fit[:, i]
+        rb = fb(y[:-2]) - bwd_fit[:, i]
         cv = fc(y[1:-1])
         if not np.isfinite(cv).all():
             raise ValueError("basis functions produced non-finite values")
@@ -281,7 +260,7 @@ def markov_moment_test(
     rng = np.random.default_rng(seed)
     nblocks = int(math.ceil(n / block_len))
     boot_means = np.empty((B, len(basis)))
-    chunk = max(1, 25_000_000 // (n * contrib.shape[1]))
+    chunk = max(1, _CHUNK_CELLS // (n * contrib.shape[1]))
     offsets = np.arange(block_len)
     for lo in range(0, B, chunk):
         hi = min(lo + chunk, B)

@@ -27,6 +27,7 @@ over unit-norm shocks are also provided for multivariate diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Union
 
@@ -80,10 +81,10 @@ class IrfRequest:
     def __post_init__(self) -> None:
         if not math.isfinite(self.y0):
             raise ValueError("y0 must be finite")
-        if self.horizons < 1:
-            raise ValueError("need at least one horizon")
-        if self.S < 1:
-            raise ValueError("need at least one replication")
+        for name in ("horizons", "S"):  # numpy integers pass, bools and floats do not
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
 
@@ -206,11 +207,14 @@ def _reduce_paired(diffs: np.ndarray, valid: np.ndarray, req: IrfRequest, route:
     )
 
 
-def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
-    """Direct-simulation IRF: mean paired path difference per horizon."""
-    sim = simulate_paths(series, req)
+def _direct_curve(sim: PathSimulation, req: IrfRequest) -> IrfCurve:
     valid = sim.steps_ok[:, None] >= np.arange(1, sim.H + 1)[None, :]
     return _reduce_paired(sim.shock - sim.base, valid, req, route="direct")
+
+
+def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
+    """Direct-simulation IRF: mean paired path difference per horizon."""
+    return _direct_curve(simulate_paths(series, req), req)
 
 
 def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -400,7 +404,10 @@ def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> Lis
     Regresses the baseline simulated states at each horizon on the
     Hermite polynomials of the step-one innovations that generated them.
     """
-    sim = simulate_paths(series, req)
+    return _direct_decomposition(simulate_paths(series, req), req, J)
+
+
+def _direct_decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[HermiteDecomposition]:
     masks = [sim.valid_at(h) for h in range(1, sim.H + 1)]
     _check_rejections(np.array([sim.S - m.sum() for m in masks]), sim.S)
     return [

@@ -4,6 +4,9 @@ Provides the kernel density, conditional CDF, conditional quantile and
 Nadaraya-Watson regression estimators, plus the estimated nonlinear
 autoregressive map ``g_hat(y, eps) = Q_hat(Phi(eps) | y)`` obtained by
 inverting the estimated conditional distribution at a Gaussian rank.
+Every weight comes from one chunked primitive that evaluates (points x T)
+kernel blocks in place, in a buffer allocated per call and bounded by
+``_CHUNK_CELLS`` cells, so concurrent calls share no scratch memory.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
 response ``y_t`` (t = 2..T) and weight observations with a kernel in the
@@ -57,16 +60,39 @@ class ClampedShockWarning(UserWarning):
     """Emitted when a shock is clamped to the invertible range [-6, 6]."""
 
 
-def _gaussian(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+_KERNELS = ("gaussian", "epanechnikov")
 
 
-def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    out = 0.75 * (1.0 - u * u)
-    return np.where(np.abs(u) <= 1.0, out, 0.0)
+def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
+    """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth)``.
+
+    Blocks of at most ``_CHUNK_CELLS`` cells are evaluated in place into one buffer per call,
+    which the next block overwrites, in the operation order of the plain kernel formulas.
+    """
+    m, n = len(x), len(points)
+    chunk = max(1, min(n, max(16, _CHUNK_CELLS // m)))
+    buf = np.empty((chunk, m))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        w = buf[: hi - lo]
+        np.subtract(x[None, :], points[lo:hi, None], out=w)
+        np.divide(w, bandwidth, out=w)
+        np.multiply(w, w, out=w)
+        if kernel == "gaussian":
+            np.multiply(w, -0.5, out=w)
+            np.exp(w, out=w)
+            np.divide(w, math.sqrt(2 * math.pi), out=w)
+        else:
+            # 1 - u u < 0 exactly when |u| > 1; fmax also maps NaN to 0 like where
+            np.subtract(1.0, w, out=w)
+            np.multiply(w, 0.75, out=w)
+            np.fmax(w, 0.0, out=w)
+        yield lo, hi, w
 
 
-_KERNELS = {"gaussian": _gaussian, "epanechnikov": _epanechnikov}
+def _weights_at(x: np.ndarray, point: float, bandwidth: float, kernel: str) -> np.ndarray:
+    """Kernel weights of one conditioning point against all of ``x``."""
+    return next(_weight_blocks(x, np.array([point], dtype=float), bandwidth, kernel))[2][0]
 
 
 @dataclass(frozen=True)
@@ -88,7 +114,7 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "silverman":
                 raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
+        elif self.bandwidth is True or not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
         if self.min_weight_sum is not None and not self.min_weight_sum > 0:
             raise ValueError("min_weight_sum must be positive when given")
@@ -145,8 +171,7 @@ def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) ->
     if x.size < 2:
         raise ValueError("need at least 2 observations")
     b = _resolve_bandwidth(cfg, x)
-    k = _KERNELS[cfg.kernel]
-    return float(np.sum(k((x - at) / b)) / (x.size * b))
+    return float(np.sum(_weights_at(x, at, b, cfg.kernel)) / (x.size * b))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +210,8 @@ class _QuantilePrep:
 
 
 def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -> np.ndarray:
-    if threshold is None:
-        return (max_w > 0) & (sum_w >= _DEFAULT_MASS_MULTIPLE * max_w) & np.isfinite(sum_w)
-    return (max_w > 0) & (sum_w >= threshold) & np.isfinite(sum_w)
+    limit = _DEFAULT_MASS_MULTIPLE * max_w if threshold is None else threshold
+    return (max_w > 0) & (sum_w >= limit) & np.isfinite(sum_w)
 
 
 def _quantile_at_point(prep: _QuantilePrep, y0: float, alphas: np.ndarray):
@@ -196,13 +220,11 @@ def _quantile_at_point(prep: _QuantilePrep, y0: float, alphas: np.ndarray):
     Returns (values, ok, sum_w); when the local mass check fails, ok is
     False and values are NaN.
     """
-    k = _KERNELS[prep.kernel]
-    w = k((prep.x - y0) / prep.bandwidth)
+    w = _weights_at(prep.x, y0, prep.bandwidth, prep.kernel)
     sum_w, max_w = float(w.sum()), float(w.max())
-    ok = bool(_mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum))
-    if not ok:
+    if not _mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
         return np.full(len(alphas), np.nan), np.zeros(len(alphas), bool), sum_w
-    cw = np.cumsum(w)
+    cw = np.cumsum(w, out=w)
     idx = np.searchsorted(cw, np.asarray(alphas) * sum_w, side="left")
     idx = np.minimum(idx, len(cw) - 1)
     return prep.v[idx], np.ones(len(alphas), bool), sum_w
@@ -210,22 +232,16 @@ def _quantile_at_point(prep: _QuantilePrep, y0: float, alphas: np.ndarray):
 
 def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     """Weighted quantiles for paired (conditioning point, level) arrays."""
-    m = len(prep.x)
-    n = len(ys)
-    values = np.full(n, np.nan)
-    ok = np.zeros(n, bool)
-    chunk = max(16, _CHUNK_CELLS // m)
-    k = _KERNELS[prep.kernel]
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        w = k((prep.x[None, :] - ys[lo:hi, None]) / prep.bandwidth)
+    values = np.full(len(ys), np.nan)
+    ok = np.zeros(len(ys), bool)
+    for lo, hi, w in _weight_blocks(prep.x, ys, prep.bandwidth, prep.kernel):
+        # pairwise row sums for the mass rule, then the scan in place
         sum_w = w.sum(axis=1)
-        max_w = w.max(axis=1)
-        good = _mass_ok(sum_w, max_w, prep.min_weight_sum)
-        cw = np.cumsum(w, axis=1)
+        good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
+        cw = np.cumsum(w, axis=1, out=w)
         ge = cw >= (alphas[lo:hi] * sum_w)[:, None]
         idx = ge.argmax(axis=1)
-        idx[~ge[:, -1]] = m - 1
+        idx[~ge[:, -1]] = len(prep.x) - 1
         vals = prep.v[idx]
         vals[~good] = np.nan
         values[lo:hi] = vals
@@ -233,35 +249,32 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     return values, ok
 
 
+def _nw_fit(x: np.ndarray, targets: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
+    """NW fits of ``targets`` (m,) or (m, q) on ``x`` at ``points``, plus weight sums and maxima."""
+    n = len(points)
+    fits = np.empty((n,) + targets.shape[1:])
+    sum_w, max_w = np.empty(n), np.empty(n)
+    for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
+        sum_w[lo:hi] = w.sum(axis=1)
+        max_w[lo:hi] = w.max(axis=1)
+        np.matmul(w, targets, out=fits[lo:hi])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(fits.T, sum_w, out=fits.T)
+    return fits, sum_w, max_w
+
+
 def _nw_batch(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lag: int):
     """Nadaraya-Watson estimates of E[y_{t+lag} | y_t = p] at many points."""
-    y = series.y
-    T = series.T
+    y, T = series.y, series.T
     if lag < 1:
         raise ValueError("lag must be >= 1 (lag 0 is the identity, handled by callers)")
     if T <= lag + 2:
         raise ValueError(f"series too short (T={T}) for lag {lag}")
     x, targets = y[: T - lag], y[lag:]
     b = _resolve_bandwidth(cfg, x)
-    k = _KERNELS[cfg.kernel]
-    m = len(x)
-    n = len(points)
-    values = np.full(n, np.nan)
-    ok = np.zeros(n, bool)
-    weights = np.full(n, np.nan)
-    chunk = max(16, _CHUNK_CELLS // m)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        w = k((x[None, :] - points[lo:hi, None]) / b)
-        sum_w = w.sum(axis=1)
-        max_w = w.max(axis=1)
-        good = _mass_ok(sum_w, max_w, cfg.min_weight_sum)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = (w @ targets) / sum_w
-        vals[~good] = np.nan
-        values[lo:hi] = vals
-        ok[lo:hi] = good
-        weights[lo:hi] = sum_w
+    values, weights, max_w = _nw_fit(x, targets, points, b, cfg.kernel)
+    ok = _mass_ok(weights, max_w, cfg.min_weight_sum)
+    values[~ok] = np.nan
     return values, ok, weights, b
 
 
@@ -278,10 +291,10 @@ def cond_cdf(
     left (right) tail of z, and nondecreasing in z for fixed data.
     """
     prep = _QuantilePrep.from_series(series, cfg)
-    k = _KERNELS[prep.kernel]
-    w = k((prep.x - y) / prep.bandwidth)
-    cw = np.cumsum(w)
-    sum_w, max_w = float(cw[-1]), float(w.max())
+    w = _weights_at(prep.x, y, prep.bandwidth, prep.kernel)
+    max_w = float(w.max())
+    cw = np.cumsum(w, out=w)
+    sum_w = float(cw[-1])
     if not _mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum):
         raise InsufficientLocalData(
             f"kernel mass {sum_w:.3g} at y={y:.6g} is below the local-data threshold"

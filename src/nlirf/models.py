@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass
 class TimeSeries:
-    """Ordered real-valued observations, stored as a (T, n) array.
+    """Ordered real-valued observations, stored as a read-only private (T, n) copy.
 
     ``origin`` records where the data came from (a seed string for
     simulated data, a file path for ingested data).
@@ -61,7 +61,7 @@ class TimeSeries:
     origin: str = ""
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
@@ -70,6 +70,7 @@ class TimeSeries:
             raise ValueError(f"series needs at least 2 observations, got {v.shape[0]}")
         if not np.isfinite(v).all():
             raise ValueError("series contains non-finite values")
+        v.flags.writeable = False
         self.values = v
 
     @property

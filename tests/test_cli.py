@@ -180,6 +180,36 @@ def test_decompose_subcommand(tmp_path):
         assert vals["total"] == pytest.approx(vals["linear"] + vals["nonlinear"], abs=1e-15)
 
 
+def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
+    # one paired-path simulation feeds both the decomposition rows and the
+    # estimated_irf rows, which equal the public functions' results
+    import nlirf.cli
+    import nlirf.irf
+    from nlirf.irf import IrfRequest, decompose_direct_irf, irf_direct
+
+    series = write_series_csv(tmp_path / "s.csv", T=800)
+    config = {"input": str(tmp_path / "s.csv"), "y0": 0.2, "horizons": 2, "delta": 0.5, "S": 300, "J": 3}
+    calls = []
+    original = nlirf.irf.simulate_paths
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (nlirf.irf, nlirf.cli):  # every binding, as a tracer would
+        monkeypatch.setattr(module, "simulate_paths", counting)
+    run("decompose", config, tmp_path / "out", master_seed=4)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    req = IrfRequest(y0=0.2, horizons=2, delta=0.5, S=300, seed=derive_seed(4, "decompose"))
+    body = [ln.split(",") for ln in (tmp_path / "out" / "decompose.csv").read_text().splitlines()[2:]]
+    estimated = [float(row[4]) for row in body if row[2] == "estimated_irf"]
+    assert estimated == irf_direct(series, req).values.tolist()
+    coefficients = [float(row[3]) for row in body if row[2] in ("1", "2", "3")]
+    assert coefficients == [c for d in decompose_direct_irf(series, req, J=3) for c in d.coefficients[1:]]
+
+
 def test_identify_subcommand(tmp_path):
     from nlirf.models import GaussianAr1, TimeSeries
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlirf.identify as identify
 from nlirf.identify import (
     DegenerateDynamics,
     MarkovTestResult,
@@ -10,6 +11,7 @@ from nlirf.identify import (
     recover_mixing,
     recover_mixing_from_acf,
 )
+from nlirf.kernels import _nw_fit, silverman_bandwidth
 from nlirf.models import GaussianAr1, TimeSeries, simulate
 
 A_TRUE = np.array([[1.0, 0.5], [0.3, 1.0]])
@@ -207,3 +209,41 @@ def test_default_basis_shape():
         assert np.isfinite(a(ts.y)).all()
         assert np.isfinite(b(ts.y)).all()
         assert np.isfinite(c(ts.y)).all()
+
+
+def _ref_nw_multi(x, targets, points):
+    """The Markov test's former NW fit: unnormalised Gaussian weights, (q, m) targets."""
+    b = silverman_bandwidth(x)
+    out = np.empty((targets.shape[0], len(points)))
+    chunk = max(16, 4_000_000 // len(x))
+    for lo in range(0, len(points), chunk):
+        hi = min(lo + chunk, len(points))
+        w = np.exp(-0.5 * ((x[None, :] - points[lo:hi, None]) / b) ** 2)
+        out[:, lo:hi] = (targets @ w.T) / w.sum(axis=1)[None, :]
+    return out
+
+
+def test_markov_nw_fits_match_former_unnormalised_fit():
+    # the shared primitive divides by sqrt(2 pi), which cancels in the ratio
+    # up to the last bits
+    ts = simulate(GaussianAr1(0.5, 1.0), T=3000, y0=0.0, seed=9007)
+    y = ts.y
+    for x, resp in ((y[:-1], y[1:]), (y[1:], y[:-1])):
+        targets = np.column_stack([f(resp) for f, _, _ in default_markov_basis(ts)])
+        got = _nw_fit(x, targets, y[1:-1], silverman_bandwidth(x), "gaussian")[0]
+        np.testing.assert_allclose(got.T, _ref_nw_multi(x, targets.T, y[1:-1]), rtol=1e-12, atol=0)
+
+
+def test_bootstrap_does_not_depend_on_gather_chunk(monkeypatch):
+    # n * k = 1998 * 4 cells per replication: the former 25e6-cell chunk holds
+    # all 700 replications, the shared 4e6-cell budget 500 + 200, and a
+    # budget of 9 replications ends on a short chunk
+    ts = simulate(GaussianAr1(0.5, 1.0), T=2000, y0=0.0, seed=9008)
+    assert identify._CHUNK_CELLS // (1998 * 4) == 500
+    results = []
+    for cells in (25_000_000, identify._CHUNK_CELLS, 1998 * 4 * 9):
+        monkeypatch.setattr(identify, "_CHUNK_CELLS", cells)
+        results.append(markov_moment_test(ts, B=700, block_len=5, seed=3))
+    for res in results[1:]:
+        assert res.moments.tobytes() == results[0].moments.tobytes()
+        assert res.statistic == results[0].statistic

@@ -45,6 +45,19 @@ def test_request_validation():
         IrfRequest(y0=0.0, horizons=3, delta=0.5, S=0)
 
 
+@pytest.mark.parametrize("field, bad", [("horizons", 2.5), ("horizons", 3.0), ("horizons", True),
+                                        ("horizons", "3"), ("S", 100.0), ("S", True)])
+def test_request_rejects_non_integer_counts(field, bad):
+    kwargs = {"y0": 0.0, "horizons": 3, "delta": 0.5, "S": 100, field: bad}
+    with pytest.raises(ValueError, match=field):
+        IrfRequest(**kwargs)
+
+
+def test_request_accepts_numpy_integers():
+    req = IrfRequest(y0=0.0, horizons=np.int64(3), delta=0.5, S=np.int32(100))
+    assert req.horizons == 3 and req.S == 100
+
+
 # ---------------------------------------------------------------------------
 # route identities
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+import nlirf.kernels as kernels
 from nlirf.kernels import (
     ClampedShockWarning,
     ConditionalEstimate,
@@ -65,6 +66,10 @@ def test_kernel_config_validation():
         KernelConfig(bandwidth="cv")
     with pytest.raises(ValueError):
         KernelConfig(min_weight_sum=0.0)
+    with pytest.raises(ValueError):
+        KernelConfig(bandwidth=True)
+    assert KernelConfig(bandwidth=np.float64(0.3)).bandwidth == 0.3
+    assert KernelConfig(bandwidth=2).bandwidth == 2
     cfg = KernelConfig()
     assert KernelConfig.from_json_obj(cfg.to_json_obj()) == cfg
     with pytest.raises(ValueError):
@@ -287,3 +292,191 @@ def test_cond_cdf_rmse_rate():
     for a, b, Ta, Tb in [(rmse[0], rmse[1], 2000, 8000), (rmse[1], rmse[2], 8000, 32000)]:
         theory = ((Tb * Tb ** (-0.2)) / (Ta * Ta ** (-0.2))) ** (-0.5)
         assert theory / 2 <= b / a <= theory * 2
+
+
+# ---------------------------------------------------------------------------
+# the chunked in-place weight primitive against the plain expressions
+# ---------------------------------------------------------------------------
+
+def _ref_gaussian(u):
+    return np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+
+
+def _ref_epanechnikov(u):
+    out = 0.75 * (1.0 - u * u)
+    return np.where(np.abs(u) <= 1.0, out, 0.0)
+
+
+REF_KERNELS = {"gaussian": _ref_gaussian, "epanechnikov": _ref_epanechnikov}
+
+
+def _ref_quantile_batch(prep, ys, alphas):
+    m = len(prep.x)
+    n = len(ys)
+    values = np.full(n, np.nan)
+    ok = np.zeros(n, bool)
+    chunk = max(16, kernels._CHUNK_CELLS // m)
+    k = REF_KERNELS[prep.kernel]
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        w = k((prep.x[None, :] - ys[lo:hi, None]) / prep.bandwidth)
+        sum_w = w.sum(axis=1)
+        max_w = w.max(axis=1)
+        good = kernels._mass_ok(sum_w, max_w, prep.min_weight_sum)
+        cw = np.cumsum(w, axis=1)
+        ge = cw >= (alphas[lo:hi] * sum_w)[:, None]
+        idx = ge.argmax(axis=1)
+        idx[~ge[:, -1]] = m - 1
+        vals = prep.v[idx]
+        vals[~good] = np.nan
+        values[lo:hi] = vals
+        ok[lo:hi] = good
+    return values, ok
+
+
+def _ref_nw_batch(series, cfg, points, lag):
+    y, T = series.y, series.T
+    x, targets = y[: T - lag], y[lag:]
+    b = kernels._resolve_bandwidth(cfg, x)
+    k = REF_KERNELS[cfg.kernel]
+    m, n = len(x), len(points)
+    values = np.full(n, np.nan)
+    ok = np.zeros(n, bool)
+    weights = np.full(n, np.nan)
+    chunk = max(16, kernels._CHUNK_CELLS // m)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        w = k((x[None, :] - points[lo:hi, None]) / b)
+        sum_w = w.sum(axis=1)
+        max_w = w.max(axis=1)
+        good = kernels._mass_ok(sum_w, max_w, cfg.min_weight_sum)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = (w @ targets) / sum_w
+        vals[~good] = np.nan
+        values[lo:hi] = vals
+        ok[lo:hi] = good
+        weights[lo:hi] = sum_w
+    return values, ok, weights, b
+
+
+def _ref_cond_cdf(series, z, y, cfg):
+    prep = kernels._QuantilePrep.from_series(series, cfg)
+    w = REF_KERNELS[prep.kernel]((prep.x - y) / prep.bandwidth)
+    cw = np.cumsum(w)
+    sum_w, max_w = float(cw[-1]), float(w.max())
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum):
+        raise InsufficientLocalData("thin")
+    idx = int(np.searchsorted(prep.v, z, side="left"))
+    return 0.0 if idx == 0 else float(cw[idx - 1] / sum_w), sum_w
+
+
+def _ref_cond_quantile(series, alpha, y, cfg):
+    prep = kernels._QuantilePrep.from_series(series, cfg)
+    w = REF_KERNELS[prep.kernel]((prep.x - y) / prep.bandwidth)
+    sum_w, max_w = float(w.sum()), float(w.max())
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
+        raise InsufficientLocalData("thin")
+    cw = np.cumsum(w)
+    idx = min(int(np.searchsorted(cw, alpha * sum_w, side="left")), len(cw) - 1)
+    return float(prep.v[idx]), sum_w
+
+
+def _ref_kde(data, at, cfg):
+    x = np.asarray(data, dtype=float).ravel()
+    b = kernels._resolve_bandwidth(cfg, x)
+    return float(np.sum(REF_KERNELS[cfg.kernel]((x - at) / b)) / (x.size * b))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InsufficientLocalData:
+        return "insufficient"
+
+
+KERNEL_CASES = [(kern, mass) for kern in ("gaussian", "epanechnikov") for mass in (None, 4.0)]
+
+
+@pytest.fixture(scope="module")
+def small_dar():
+    return simulate(DAR, T=600, y0=0.2, seed=104)
+
+
+@pytest.fixture(params=["one_chunk", "short_last_chunk"])
+def chunking(request, monkeypatch):
+    """40 points fit one chunk by default; a tiny budget gives the 16-row floor: 16 + 16 + 8."""
+    if request.param == "short_last_chunk":
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 1)
+    return request.param
+
+
+def _points(n=40):
+    rng = np.random.default_rng(105)
+    return np.concatenate([rng.normal(0.0, 1.5, n - 2), [7.5, -9.0]])  # the last two lack mass
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+def test_weight_blocks_match_plain_expressions(small_dar, chunking, kern):
+    x = small_dar.y[:-1]
+    points = _points()
+    points[3] = np.nan
+    b = silverman_bandwidth(x)
+    blocks = [(lo, hi, w.copy()) for lo, hi, w in kernels._weight_blocks(x, points, b, kern)]
+    sizes = [hi - lo for lo, hi, _ in blocks]
+    assert sizes == ([40] if chunking == "one_chunk" else [16, 16, 8])
+    assert [lo for lo, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+    got = np.concatenate([w for _, _, w in blocks])
+    assert_same_bits(got, REF_KERNELS[kern]((x[None, :] - points[:, None]) / b))
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_quantile_batch_matches_reference(small_dar, chunking, kern, mass):
+    prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
+    alphas = np.random.default_rng(106).uniform(0.01, 0.99, 40)
+    # even rows sit on a cumulative-weight knot, where only the pairwise row
+    # sum of the reference gives the reference's crossing
+    w = REF_KERNELS[kern]((prep.x[None, :] - _points()[:, None]) / prep.bandwidth)
+    with np.errstate(invalid="ignore"):
+        knots = np.cumsum(w, axis=1)[:, 299] / w.sum(axis=1)
+    alphas[::2] = np.where(np.isfinite(knots), knots, 0.5)[::2]
+    got, want = kernels._quantile_batch(prep, _points(), alphas), _ref_quantile_batch(prep, _points(), alphas)
+    assert not got[1].all() and got[1].any()
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+@pytest.mark.parametrize("lag", [1, 3])
+def test_nw_batch_matches_reference(small_dar, chunking, kern, mass, lag):
+    cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
+    got = kernels._nw_batch(small_dar, cfg, _points(), lag)
+    want = _ref_nw_batch(small_dar, cfg, _points(), lag)
+    assert not got[1].all() and got[1].any()
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_point_estimators_match_reference(small_dar, kern, mass):
+    cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
+    outcomes = []
+    for y in (-9.0, -0.8, 0.1, 1.3):
+        for z in (-1.0, 0.3, 2.0):
+            got = _outcome(cond_cdf, small_dar, z, y, cfg)
+            if got != "insufficient":
+                got = (got.value, got.effective_weight)
+            assert_same_bits(got, _outcome(_ref_cond_cdf, small_dar, z, y, cfg))
+        for alpha in (0.1, 0.5, 0.9):
+            got = _outcome(cond_quantile, small_dar, alpha, y, cfg)
+            if got != "insufficient":
+                got = (got.value, got.effective_weight)
+            outcomes.append(got)
+            assert_same_bits(got, _outcome(_ref_cond_quantile, small_dar, alpha, y, cfg))
+        assert_same_bits(kde(small_dar.y, y, cfg), _ref_kde(small_dar.y, y, cfg))
+    assert "insufficient" in outcomes and outcomes != ["insufficient"] * len(outcomes)

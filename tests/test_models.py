@@ -60,6 +60,20 @@ def test_timeseries_validation():
     assert ts.y.shape == (5,)
 
 
+@pytest.mark.parametrize("shape", [(6,), (3, 2)])
+def test_timeseries_values_read_only_without_freezing_caller(shape):
+    raw = np.arange(6.0).reshape(shape)
+    ts = TimeSeries(values=raw)
+    with pytest.raises(ValueError, match="read-only"):
+        ts.values[0, 0] = 99.0
+    if ts.n == 1:
+        with pytest.raises(ValueError, match="read-only"):
+            ts.y[0] = 99.0
+    raw[0] = 42.0  # the caller's array stays writeable and is not shared
+    assert raw.flags.writeable
+    assert ts.values[0, 0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # transition map
 # ---------------------------------------------------------------------------
