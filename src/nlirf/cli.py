@@ -38,7 +38,7 @@ from .irf import (IrfRequest, _direct_curve, _direct_decomposition, decompose_lp
                   irf_lp, simulate_paths)
 from .kernels import KernelConfig, kde, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
-from .qmle import GridSpec, qmle_grid_search
+from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
 
 __all__ = ["main", "run", "ingest_csv", "FORMAT_VERSION", "SUBCOMMAND_STREAM"]
 
@@ -228,7 +228,7 @@ def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
         _require_keys(g, {"lower", "upper", "step"}, {"lower", "upper", "step"}, "qmle.grid")
         grid = GridSpec(lower=tuple(g["lower"]), upper=tuple(g["upper"]), step=g["step"])
     else:
-        grid = GridSpec()
+        grid = DEFAULT_GRID
     res = qmle_grid_search(series, grid)
     w.json(
         "qmle.json",
@@ -266,7 +266,7 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
             raise ValueError(f"irf: deltas {artifacts[name]!r} and {delta!r} would both write {name}")
         artifacts[name] = delta
     H = int(config["horizons"])
-    S = int(config.get("S", 10_000))
+    S = int(config.get("S", IrfRequest.S))
     for name, delta in artifacts.items():
         rows = []
         for route in routes:
@@ -299,7 +299,7 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
         y0=float(config["y0"]),
         horizons=int(config["horizons"]),
         delta=float(config["delta"]),
-        S=int(config.get("S", 10_000)),
+        S=int(config.get("S", IrfRequest.S)),
         cfg=cfg,
         seed=seed,
     )
@@ -373,7 +373,7 @@ def _parse_target(obj: Dict):
         _require_keys(obj, {"kind", "h", "delta", "y0", "S", "routes"}, {"h", "delta", "y0"}, "bench.target")
         return IrfTarget(
             h=int(obj["h"]), delta=float(obj["delta"]), y0=float(obj["y0"]),
-            S=int(obj.get("S", 2000)), routes=tuple(obj.get("routes", ("direct", "local_projection"))),
+            S=int(obj.get("S", IrfTarget.S)), routes=tuple(obj.get("routes", IrfTarget.routes)),
         )
     raise ValueError(f"bench.target: unknown kind {kind!r}")
 
@@ -425,7 +425,7 @@ _RUNNERS = {
     "bench": _run_bench,
 }
 
-_DEFAULT_GRID_JSON = {"lower": [0.01, 0.01, 0.01], "upper": [1.20, 1.20, 1.20], "step": [0.01, 0.01, 0.01]}
+_DEFAULT_GRID_JSON = {k: [float(v) for v in getattr(DEFAULT_GRID, k)] for k in ("lower", "upper", "step")}
 
 
 def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
@@ -442,7 +442,7 @@ def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
     elif subcommand == "qmle":
         cfg.setdefault("grid", dict(_DEFAULT_GRID_JSON))
     elif subcommand == "irf":
-        cfg.setdefault("S", 10_000)
+        cfg.setdefault("S", IrfRequest.S)
         cfg.setdefault("kernel", kernel_default)
         cfg.setdefault("routes", ["true", "direct", "local_projection"] if "model" in cfg
                        else ["direct", "local_projection"])
@@ -451,7 +451,7 @@ def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
             cfg.setdefault("y0_sim", 0.0)
             cfg.setdefault("burn_in", 0)
     elif subcommand == "decompose":
-        cfg.setdefault("S", 10_000)
+        cfg.setdefault("S", IrfRequest.S)
         cfg.setdefault("J", 5)
         cfg.setdefault("route", "direct")
         cfg.setdefault("kernel", kernel_default)
@@ -472,8 +472,8 @@ def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
         cfg.setdefault("y0_sim", 0.0)
         if isinstance(cfg.get("target"), dict) and cfg["target"].get("kind") == "irf":
             target = dict(cfg["target"])
-            target.setdefault("S", 2000)
-            target.setdefault("routes", ["direct", "local_projection"])
+            target.setdefault("S", IrfTarget.S)
+            target.setdefault("routes", list(IrfTarget.routes))
             cfg["target"] = target
     return cfg
 

@@ -9,6 +9,8 @@ y_{t+h} | y_t = y0]:
   differences per horizon;
 * local projection: simulate one step, then difference the estimated
   (h-1)-step conditional-mean predictions of the paired step-one states.
+  Every horizon conditions on the same y_t, as in Jordà (2005), so one
+  bandwidth and one kernel-weight evaluation serve all lags.
 
 Both routes share innovations between the shocked and baseline paths
 (common random numbers), so a zero shock gives an exactly zero curve, and
@@ -39,7 +41,7 @@ from .kernels import (
     EPS_CLAMP,
     InsufficientLocalData,
     KernelConfig,
-    _nw_batch,
+    _nw_lags,
     _QuantilePrep,
     _quantile_at_point,
     _quantile_batch,
@@ -97,7 +99,8 @@ class PathSimulation:
     replication s (NaN once the replication has left the estimable
     region); ``steps_ok[s]`` counts the completed steps, so the
     replication contributes to horizons h <= steps_ok[s]. ``eps1`` holds
-    the step-one innovations shared by both paths before the shock.
+    the step-one innovations shared by both paths before the shock, and
+    ``bandwidth`` the kernel bandwidth of every step.
     """
 
     base: np.ndarray
@@ -105,6 +108,7 @@ class PathSimulation:
     eps1: np.ndarray
     steps_ok: np.ndarray
     clamped: int
+    bandwidth: float
 
     @property
     def S(self) -> int:
@@ -175,10 +179,11 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
         steps_ok[died] = k
         alive[died] = False
 
-    return PathSimulation(base=base, shock=shock, eps1=eps1, steps_ok=steps_ok, clamped=clamped)
+    return PathSimulation(base, shock, eps1, steps_ok, clamped, prep.bandwidth)
 
 
-def _reduce_paired(diffs: np.ndarray, valid: np.ndarray, req: IrfRequest, route: str) -> IrfCurve:
+def _reduce_paired(diffs: np.ndarray, valid: np.ndarray, req: IrfRequest, route: str,
+                   bandwidth: float) -> IrfCurve:
     """Average per-horizon paired differences over the valid replications."""
     S, H = diffs.shape
     values = np.empty(H)
@@ -203,13 +208,14 @@ def _reduce_paired(diffs: np.ndarray, valid: np.ndarray, req: IrfRequest, route:
             "S": req.S,
             "seed": req.seed,
             "rejected": rejected.tolist(),
+            "bandwidth": bandwidth,
         },
     )
 
 
 def _direct_curve(sim: PathSimulation, req: IrfRequest) -> IrfCurve:
     valid = sim.steps_ok[:, None] >= np.arange(1, sim.H + 1)[None, :]
-    return _reduce_paired(sim.shock - sim.base, valid, req, route="direct")
+    return _reduce_paired(sim.shock - sim.base, valid, req, "direct", sim.bandwidth)
 
 
 def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -217,24 +223,35 @@ def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     return _direct_curve(simulate_paths(series, req), req)
 
 
+def _lp_predictions(series: TimeSeries, req: IrfRequest, paired: bool):
+    """(H, points) predictions of y_{t+h-1} given y_t at the step-one states, and their mass flags.
+
+    Points are the baseline states, then the shocked ones if ``paired``; eps1 and the bandwidth follow.
+    """
+    if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
+        raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
+    prep, _, eps1, base1, shock1, _ = _simulate_step1(series, req)
+    points = np.concatenate([base1, shock1]) if paired else base1
+    vals = np.empty((req.horizons, len(points)))
+    ok = np.ones(vals.shape, dtype=bool)
+    vals[0] = points
+    if req.horizons > 1:
+        vals[1:], ok[1:] = _nw_lags(series, req.cfg, points, range(1, req.horizons), prep.bandwidth)[:2]
+    return vals, ok, eps1, prep.bandwidth
+
+
 def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     """Local-projection IRF: difference of (h-1)-step predictions of step-one states.
 
+    Every lag is fitted with the step-one bandwidth (Silverman's rule on
+    y[:-1] by default), so one kernel-weight evaluation serves all horizons.
     Horizon one applies the identity prediction, which makes it coincide
     bitwise with the direct route under a shared seed.
     """
-    _, _, _, base1, shock1, _ = _simulate_step1(series, req)
-    S, H = req.S, req.horizons
-    diffs = np.empty((S, H))
-    valid = np.empty((S, H), dtype=bool)
-    diffs[:, 0] = shock1 - base1
-    valid[:, 0] = True
-    points = np.concatenate([base1, shock1])
-    for h in range(2, H + 1):
-        vals, ok, _, _ = _nw_batch(series, req.cfg, points, lag=h - 1)
-        diffs[:, h - 1] = vals[S:] - vals[:S]
-        valid[:, h - 1] = ok[:S] & ok[S:]
-    return _reduce_paired(diffs, valid, req, route="local_projection")
+    vals, ok, _, bandwidth = _lp_predictions(series, req, paired=True)
+    S = req.S
+    diffs, valid = (vals[:, S:] - vals[:, :S]).T, (ok[:, :S] & ok[:, S:]).T
+    return _reduce_paired(diffs, valid, req, "local_projection", bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +317,8 @@ def irf_transformed(series: TimeSeries, req: IrfRequest, transform: Transform) -
             values=values,
             mc_se=se,
             route="transformed",
-            meta={"transform": f"quantile_level({transform.alpha})", "y0": req.y0,
-                  "delta": req.delta, "S": req.S, "seed": req.seed, "rejected": rejected.tolist()},
+            meta={"transform": f"quantile_level({transform.alpha})", "y0": req.y0, "delta": req.delta,
+                  "S": req.S, "seed": req.seed, "rejected": rejected.tolist(), "bandwidth": sim.bandwidth},
         )
 
     if isinstance(transform, Indicator):
@@ -313,7 +330,7 @@ def irf_transformed(series: TimeSeries, req: IrfRequest, transform: Transform) -
         label = getattr(transform, "__name__", "user_function")
     diffs = np.asarray(a(sim.shock), dtype=float) - np.asarray(a(sim.base), dtype=float)
     with np.errstate(invalid="ignore"):
-        curve = _reduce_paired(diffs, valid, req, route="transformed")
+        curve = _reduce_paired(diffs, valid, req, "transformed", sim.bandwidth)
     curve.meta["transform"] = label
     return curve
 
@@ -333,7 +350,7 @@ def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     diffs = sim.shock * prev_shock - sim.base * prev_base
     valid = sim.steps_ok[:, None] >= np.arange(1, H + 1)[None, :]
     with np.errstate(invalid="ignore"):
-        curve = _reduce_paired(diffs, valid, req, route="dynamic")
+        curve = _reduce_paired(diffs, valid, req, "dynamic", sim.bandwidth)
     return curve
 
 
@@ -342,7 +359,7 @@ def irf_joint(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     sim = simulate_paths(series, req)
     valid = sim.steps_ok[:, None] >= np.arange(1, sim.H + 1)[None, :]
     with np.errstate(invalid="ignore"):
-        curve = _reduce_paired((sim.shock - sim.base) ** 2, valid, req, route="joint")
+        curve = _reduce_paired((sim.shock - sim.base) ** 2, valid, req, "joint", sim.bandwidth)
     return curve
 
 
@@ -418,11 +435,9 @@ def _direct_decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[
 
 def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> List[HermiteDecomposition]:
     """Hermite decomposition of the local-projection route, per horizon."""
-    _, _, eps1, base1, _, _ = _simulate_step1(series, req)
-    fits = [(base1, np.ones(req.S, dtype=bool))]
-    fits += [_nw_batch(series, req.cfg, base1, lag=h - 1)[:2] for h in range(2, req.horizons + 1)]
-    _check_rejections(np.array([req.S - ok.sum() for _, ok in fits]), req.S)
+    vals, ok, eps1, _ = _lp_predictions(series, req, paired=False)
+    _check_rejections(req.S - ok.sum(axis=1), req.S)
     return [
-        decompose_irf(vals[ok], eps1[ok], req.delta, J=J, h=h)
-        for h, (vals, ok) in enumerate(fits, start=1)
+        decompose_irf(vals[h - 1][ok[h - 1]], eps1[ok[h - 1]], req.delta, J=J, h=h)
+        for h in range(1, req.horizons + 1)
     ]

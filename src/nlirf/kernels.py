@@ -263,19 +263,41 @@ def _nw_fit(x: np.ndarray, targets: np.ndarray, points: np.ndarray, bandwidth: f
     return fits, sum_w, max_w
 
 
-def _nw_batch(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lag: int):
-    """Nadaraya-Watson estimates of E[y_{t+lag} | y_t = p] at many points."""
+def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Sequence[int],
+             bandwidth: Optional[float] = None):
+    """Nadaraya-Watson estimates of E[y_{t+L} | y_t = p] at many points for ascending lags L.
+
+    Each weight block is evaluated once, on the shortest lag's regressors ``y[:T-lags[0]]``,
+    and lag L reads its prefix ``w[:, :T-L]``, so every lag shares one bandwidth: ``bandwidth``,
+    or the rule of ``cfg`` on those regressors. Returns (len(lags), points) values (NaN where
+    the mass rule fails), mass flags and weight sums, and the bandwidth.
+    """
     y, T = series.y, series.T
-    if lag < 1:
+    if lags[0] < 1:
         raise ValueError("lag must be >= 1 (lag 0 is the identity, handled by callers)")
-    if T <= lag + 2:
-        raise ValueError(f"series too short (T={T}) for lag {lag}")
-    x, targets = y[: T - lag], y[lag:]
-    b = _resolve_bandwidth(cfg, x)
-    values, weights, max_w = _nw_fit(x, targets, points, b, cfg.kernel)
-    ok = _mass_ok(weights, max_w, cfg.min_weight_sum)
+    if T <= lags[-1] + 2:
+        raise ValueError(f"series too short (T={T}) for lag {lags[-1]}")
+    x = y[: T - lags[0]]
+    b = _resolve_bandwidth(cfg, x) if bandwidth is None else bandwidth
+    shape = (len(lags), len(points))
+    values, sum_w, max_w = np.empty(shape), np.empty(shape), np.empty(shape)
+    for lo, hi, w in _weight_blocks(x, points, b, cfg.kernel):
+        for i, lag in enumerate(lags):
+            wl = w[:, : T - lag]
+            sum_w[i, lo:hi] = wl.sum(axis=1)
+            max_w[i, lo:hi] = wl.max(axis=1)
+            np.matmul(wl, y[lag:], out=values[i, lo:hi])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        np.divide(values, sum_w, out=values)
+    ok = _mass_ok(sum_w, max_w, cfg.min_weight_sum)
     values[~ok] = np.nan
-    return values, ok, weights, b
+    return values, ok, sum_w, b
+
+
+def _nw_batch(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lag: int):
+    """Nadaraya-Watson estimates of E[y_{t+lag} | y_t = p] at many points, bandwidth resolved on y[:T-lag]."""
+    values, ok, weights, b = _nw_lags(series, cfg, points, [lag])
+    return values[0], ok[0], weights[0], b
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import nlirf.cli as cli
 from nlirf.cli import SUBCOMMAND_STREAM, derive_seed, ingest_csv, main, run
 from nlirf.models import Dar1, simulate
 
@@ -208,6 +210,24 @@ def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
     assert estimated == irf_direct(series, req).values.tolist()
     coefficients = [float(row[3]) for row in body if row[2] in ("1", "2", "3")]
     assert coefficients == [c for d in decompose_direct_irf(series, req, J=3) for c in d.coefficients[1:]]
+
+
+# sha256 of manifest.json as written when the CLI restated the library defaults
+# (S=10_000, the bench target's S=2000 and routes, the QMLE grid)
+@pytest.mark.parametrize("subcommand, config, digest", [
+    ("irf", {"model": DAR_JSON, "T": 800, "y0": 0.2, "horizons": 3, "deltas": [0.5]},
+     "19c0664c9a5efe16568ab92bf8d378ec12eb445f28883dc9ea61f8485c5a16d5"),
+    ("decompose", {"input": "series.csv", "y0": 0.2, "horizons": 3, "delta": 0.5},
+     "84af8229cc6d4337218054196395af5d72478962c9ea19a4399622928aad780b"),
+    ("bench", {"model": DAR_JSON, "sample_sizes": [500], "seeds_per_size": 2,
+               "target": {"kind": "irf", "h": 2, "delta": 0.5, "y0": 0.2}},
+     "636240231da5f6b742b7ab5532237899eeebd62f1e9f71fca358a6c8e78f1dde"),
+    ("qmle", {"input": "series.csv"}, "4423296b8ffc037aed554346ece95d3ba770829162dc2cae987241995894db79"),
+])
+def test_resolved_manifests_keep_their_defaults(tmp_path, monkeypatch, subcommand, config, digest):
+    monkeypatch.setattr(cli, "_RUNNERS", {name: lambda config, seed, w: None for name in cli._RUNNERS})
+    run(subcommand, config, tmp_path, master_seed=7)
+    assert hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest() == digest
 
 
 def test_identify_subcommand(tmp_path):

@@ -1,9 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import nlirf.irf as irf_module
+import nlirf.kernels as kernels
 from nlirf.irf import (
     Indicator,
     IrfRequest,
@@ -19,7 +22,7 @@ from nlirf.irf import (
     var_irf,
     var_max_irf,
 )
-from nlirf.kernels import InsufficientLocalData, KernelConfig
+from nlirf.kernels import InsufficientLocalData, KernelConfig, silverman_bandwidth
 from nlirf.models import Dar1, GaussianAr1, VarParams, simulate
 
 DAR = Dar1.of(0.5, 1.0, 0.5)
@@ -91,6 +94,48 @@ def test_identity_transform_reduces_to_direct(dar_series):
     direct = irf_direct(dar_series, req)
     ident = irf_transformed(dar_series, req, lambda u: u)
     np.testing.assert_array_equal(direct.values, ident.values)
+
+
+def test_curves_record_their_bandwidth(dar_series):
+    req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=200, seed=22)
+    curves = [irf_direct(dar_series, req), irf_lp(dar_series, req), irf_joint(dar_series, req),
+              irf_dynamic(dar_series, req), irf_transformed(dar_series, req, Indicator(0.5)),
+              irf_transformed(dar_series, req, QuantileLevel(0.5))]
+    b = silverman_bandwidth(dar_series.y[:-1])
+    assert [c.meta["bandwidth"] for c in curves] == [b] * len(curves)
+    req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=200, seed=22, cfg=KernelConfig(bandwidth=0.4))
+    assert irf_direct(dar_series, req).meta["bandwidth"] == irf_lp(dar_series, req).meta["bandwidth"] == 0.4
+
+
+class _Simulated(Exception):
+    pass
+
+
+@pytest.mark.parametrize("fn", [irf_lp, decompose_lp_irf])
+def test_lp_short_series_rejected_before_simulation(monkeypatch, fn):
+    def simulated(*args):
+        raise _Simulated
+
+    monkeypatch.setattr(irf_module, "_simulate_step1", simulated)
+    req = IrfRequest(y0=0.2, horizons=4, delta=0.5, S=50)
+    with pytest.raises(ValueError, match="series too short"):  # T <= H + 1: lag H - 1 has no data
+        fn(simulate(DAR, T=5, y0=0.2, seed=303), req)
+    with pytest.raises(_Simulated):
+        fn(simulate(DAR, T=6, y0=0.2, seed=303), req)
+
+
+@pytest.mark.parametrize("fn", [irf_lp, decompose_lp_irf])
+def test_lp_resolves_one_bandwidth_and_builds_weights_twice(dar_series, monkeypatch, fn):
+    # one Silverman bandwidth per series, and two weight generators: the y0 row and all lags at once
+    calls = Counter()
+    for name in ("silverman_bandwidth", "_weight_blocks"):
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    fn(dar_series, IrfRequest(y0=0.2, horizons=7, delta=0.5, S=100, seed=23))
+    assert calls == {"silverman_bandwidth": 1, "_weight_blocks": 2}
 
 
 # ---------------------------------------------------------------------------

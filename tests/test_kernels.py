@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
+import nlirf.irf as irf
 import nlirf.kernels as kernels
+from nlirf.hermite import decompose_irf
+from nlirf.irf import IrfRequest, decompose_lp_irf, irf_lp
 from nlirf.kernels import (
     ClampedShockWarning,
     ConditionalEstimate,
@@ -480,3 +484,79 @@ def test_point_estimators_match_reference(small_dar, kern, mass):
             assert_same_bits(got, _outcome(_ref_cond_quantile, small_dar, alpha, y, cfg))
         assert_same_bits(kde(small_dar.y, y, cfg), _ref_kde(small_dar.y, y, cfg))
     assert "insufficient" in outcomes and outcomes != ["insufficient"] * len(outcomes)
+
+
+# ---------------------------------------------------------------------------
+# one bandwidth and one weight block for every local-projection lag
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_nw_lags_match_per_lag_reference(small_dar, chunking, kern, mass):
+    cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
+    b = silverman_bandwidth(small_dar.y[:-1])
+    values, ok, weights, used = kernels._nw_lags(small_dar, cfg, _points(), range(1, 5))
+    assert used == b and values.shape == (4, 40)
+    assert not ok.all() and ok.any()
+    for i, lag in enumerate(range(1, 5)):
+        want = _ref_nw_batch(small_dar, replace(cfg, bandwidth=b), _points(), lag)
+        for g, w in zip((values[i], ok[i], weights[i]), want):
+            assert_same_bits(g, w)
+
+
+def _ref_lp_predictions(series, req, points, bandwidth):
+    """Per-lag NW fits as before the lags shared a bandwidth; None re-derives it from y[:T-lag]."""
+    cfg = req.cfg if bandwidth is None else replace(req.cfg, bandwidth=bandwidth)
+    fits = [(points, np.ones(len(points), bool))]
+    return fits + [_ref_nw_batch(series, cfg, points, lag)[:2] for lag in range(1, req.horizons)]
+
+
+def _ref_irf_lp(series, req, bandwidth=None):
+    _, _, _, base1, shock1, _ = irf._simulate_step1(series, req)
+    S = req.S
+    fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth)
+    diffs = np.column_stack([v[S:] - v[:S] for v, _ in fits])
+    valid = np.column_stack([ok[:S] & ok[S:] for _, ok in fits])
+    return irf._reduce_paired(diffs, valid, req, "local_projection", bandwidth)
+
+
+def _ref_decompose_lp(series, req, bandwidth=None):
+    _, _, eps1, base1, _, _ = irf._simulate_step1(series, req)
+    fits = _ref_lp_predictions(series, req, base1, bandwidth)
+    return [decompose_irf(v[ok], eps1[ok], req.delta, J=4, h=h) for h, (v, ok) in enumerate(fits, start=1)]
+
+
+def _decomposition_bits(decs):
+    return [(d.coefficients, d.contributions, d.reconstructed_total) for d in decs]
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+@pytest.mark.parametrize("bandwidth", ["silverman", 0.35])
+def test_lp_routes_match_per_lag_reference(small_dar, chunking, kern, mass, bandwidth):
+    # S=20: the curve fits 40 points and the decomposition 20, in 16 + 16 + 8 and 16 + 4 rows when chunked
+    req = IrfRequest(y0=0.2, horizons=5, delta=0.5, S=20, seed=107,
+                     cfg=KernelConfig(kernel=kern, bandwidth=bandwidth, min_weight_sum=mass))
+    curve, decs = irf_lp(small_dar, req), decompose_lp_irf(small_dar, req, J=4)
+    b = curve.meta["bandwidth"]
+    assert b == (silverman_bandwidth(small_dar.y[:-1]) if bandwidth == "silverman" else bandwidth)
+    # bitwise at every horizon against per-lag fits at the series bandwidth
+    shared = _ref_irf_lp(small_dar, req, b)
+    assert_same_bits(curve.values, shared.values)
+    assert_same_bits(curve.mc_se, shared.mc_se)
+    for g, w in zip(_decomposition_bits(decs), _decomposition_bits(_ref_decompose_lp(small_dar, req, b))):
+        for gi, wi in zip(g, w):
+            assert_same_bits(gi, wi)
+    # against per-lag bandwidths: horizons 1-2 (identity and lag 1) never change, and an
+    # explicit bandwidth leaves every horizon unchanged; Silverman moves the rest slightly
+    old, old_decs = _ref_irf_lp(small_dar, req), _ref_decompose_lp(small_dar, req)
+    exact = req.horizons if bandwidth != "silverman" else 2
+    assert_same_bits(curve.values[:exact], old.values[:exact])
+    assert_same_bits(curve.mc_se[:exact], old.mc_se[:exact])
+    for g, w in zip(_decomposition_bits(decs[:exact]), _decomposition_bits(old_decs[:exact])):
+        for gi, wi in zip(g, w):
+            assert_same_bits(gi, wi)
+    if bandwidth == "silverman":  # the per-lag bandwidths really differ from the series one
+        assert np.any(curve.values[exact:] != old.values[exact:])
+    assert np.all(np.abs(curve.values - old.values) <= 0.01 * old.mc_se)
+    totals = np.array([d.reconstructed_total for d in decs])
+    old_totals = np.array([d.reconstructed_total for d in old_decs])
+    assert np.all(np.abs(totals - old_totals) <= 0.01 * old.mc_se)
