@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -210,8 +211,7 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
     if series.n == 1:
         y = series.y
         b = silverman_bandwidth(y)
-        npts = int(config.get("density_grid", 201))
-        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, npts)
+        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, int(config["density_grid"]))
         dens = [kde(y, g) for g in grid]
         w.csv(
             "density.csv",
@@ -266,7 +266,7 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
             raise ValueError(f"irf: deltas {artifacts[name]!r} and {delta!r} would both write {name}")
         artifacts[name] = delta
     H = int(config["horizons"])
-    S = int(config.get("S", IrfRequest.S))
+    S = int(config["S"])
     for name, delta in artifacts.items():
         rows = []
         for route in routes:
@@ -299,11 +299,11 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
         y0=float(config["y0"]),
         horizons=int(config["horizons"]),
         delta=float(config["delta"]),
-        S=int(config.get("S", IrfRequest.S)),
+        S=int(config["S"]),
         cfg=cfg,
         seed=seed,
     )
-    J = int(config.get("J", 5))
+    J = int(config["J"])
     if route == "direct":
         sim = simulate_paths(series, req)  # one simulation feeds both reductions
         decs, estimated = _direct_decomposition(sim, req, J), _direct_curve(sim, req)
@@ -325,7 +325,7 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
 def _run_identify(config: Dict, seed: int, w: _Writer) -> None:
     _require_keys(config, {"input", "max_lag"}, {"input"}, "identify")
     series = ingest_csv(config["input"])
-    est = recover_mixing(series, max_lag=int(config.get("max_lag", 5)))
+    est = recover_mixing(series, max_lag=int(config["max_lag"]))
     w.json(
         "identify.json",
         {
@@ -340,25 +340,10 @@ def _run_identify(config: Dict, seed: int, w: _Writer) -> None:
 def _run_markov_test(config: Dict, seed: int, w: _Writer) -> None:
     _require_keys(config, {"input", "block_len", "B", "level"}, {"input"}, "markov-test")
     series = ingest_csv(config["input"])
-    res = markov_moment_test(
-        series,
-        block_len=config.get("block_len"),
-        B=int(config.get("B", 500)),
-        seed=seed,
-        level=float(config.get("level", 0.05)),
-    )
-    w.json(
-        "markov_test.json",
-        {
-            "moments": res.moments.tolist(),
-            "statistic": res.statistic,
-            "critical_value": res.critical_value,
-            "reject": res.reject,
-            "level": res.level,
-            "bootstrap_reps": res.bootstrap_reps,
-            "block_length": res.block_length,
-        },
-    )
+    res = markov_moment_test(series, block_len=config["block_len"], B=config["B"], seed=seed,
+                             level=float(config["level"]))
+    fields = ("statistic", "critical_value", "reject", "level", "bootstrap_reps", "block_length")
+    w.json("markov_test.json", {"moments": res.moments.tolist(), **{k: getattr(res, k) for k in fields}})
 
 
 def _parse_target(obj: Dict):
@@ -425,6 +410,12 @@ _RUNNERS = {
     "bench": _run_bench,
 }
 
+
+def _default(fn, name: str):
+    """The library's default for parameter ``name`` of ``fn``."""
+    return inspect.signature(fn).parameters[name].default
+
+
 _DEFAULT_GRID_JSON = {k: [float(v) for v in getattr(DEFAULT_GRID, k)] for k in ("lower", "upper", "step")}
 
 
@@ -435,40 +426,34 @@ def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
     resolved config and therefore the same manifest hash and artifacts.
     """
     cfg = dict(config)
-    kernel_default = KernelConfig().to_json_obj()
+    if subcommand in ("irf", "decompose", "bench"):
+        cfg.setdefault("kernel", KernelConfig().to_json_obj())
+    if subcommand in ("irf", "decompose"):
+        cfg.setdefault("S", IrfRequest.S)
+        if "model" in cfg:
+            cfg.setdefault("sim_seed", derive_seed(master_seed, subcommand))
+            cfg.setdefault("y0_sim", 0.0)
+            cfg.setdefault("burn_in", 0)
     if subcommand == "simulate":
         cfg.setdefault("burn_in", 0)
         cfg.setdefault("density_grid", 201)
     elif subcommand == "qmle":
         cfg.setdefault("grid", dict(_DEFAULT_GRID_JSON))
     elif subcommand == "irf":
-        cfg.setdefault("S", IrfRequest.S)
-        cfg.setdefault("kernel", kernel_default)
         cfg.setdefault("routes", ["true", "direct", "local_projection"] if "model" in cfg
                        else ["direct", "local_projection"])
-        if "model" in cfg:
-            cfg.setdefault("sim_seed", derive_seed(master_seed, subcommand))
-            cfg.setdefault("y0_sim", 0.0)
-            cfg.setdefault("burn_in", 0)
     elif subcommand == "decompose":
-        cfg.setdefault("S", IrfRequest.S)
-        cfg.setdefault("J", 5)
+        cfg.setdefault("J", _default(decompose_lp_irf, "J"))
         cfg.setdefault("route", "direct")
-        cfg.setdefault("kernel", kernel_default)
-        if "model" in cfg:
-            cfg.setdefault("sim_seed", derive_seed(master_seed, subcommand))
-            cfg.setdefault("y0_sim", 0.0)
-            cfg.setdefault("burn_in", 0)
     elif subcommand == "identify":
-        cfg.setdefault("max_lag", 5)
+        cfg.setdefault("max_lag", _default(recover_mixing, "max_lag"))
     elif subcommand == "markov-test":
-        cfg.setdefault("B", 500)
-        cfg.setdefault("level", 0.05)
+        cfg.setdefault("B", _default(markov_moment_test, "B"))
+        cfg.setdefault("level", _default(markov_moment_test, "level"))
         # block_len defaults to ceil(T^(1/3)), left null here because it
         # depends on the data; the verdict JSON records the value used
         cfg.setdefault("block_len", None)
     elif subcommand == "bench":
-        cfg.setdefault("kernel", kernel_default)
         cfg.setdefault("y0_sim", 0.0)
         if isinstance(cfg.get("target"), dict) and cfg["target"].get("kind") == "irf":
             target = dict(cfg["target"])

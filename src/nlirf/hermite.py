@@ -20,6 +20,8 @@ import numpy as np
 
 __all__ = ["HermiteDecomposition", "hermite", "hermite_design", "decompose_irf"]
 
+DEFAULT_J = 5  # Hermite degrees fitted when the caller names none
+
 
 def hermite(j: int, x):
     """Value of the probabilists' Hermite polynomial He_j at x (scalar or array)."""
@@ -83,7 +85,7 @@ class HermiteDecomposition:
         return np.arange(1, len(self.contributions) + 1)
 
 
-def decompose_irf(sim_outputs, eps_draws, delta: float, J: int = 5, h: int = 1) -> HermiteDecomposition:
+def decompose_irf(sim_outputs, eps_draws, delta: float, J: int = DEFAULT_J, h: int = 1) -> HermiteDecomposition:
     """OLS of simulated h-step outcomes on the Hermite design of their step-one shocks.
 
     ``sim_outputs[s]`` must be the horizon-h outcome of the path whose

@@ -13,21 +13,24 @@ Two tools live here:
 * :func:`markov_moment_test` checks first-order Markov dynamics through
   the conditional-covariance restrictions
   E[Cov(a(y_t), b(y_{t-2}) | y_{t-1}) c(y_{t-1})] = 0. Sample moments use
-  Nadaraya-Watson centered residuals; their covariance is estimated by a
-  circular block bootstrap and combined into a Wald statistic against a
-  chi-square with one degree of freedom per basis triple.
+  Nadaraya-Watson centered residuals from one kernel-weight block at one
+  bandwidth (the forward and backward regressions are two column windows of
+  it); their covariance is estimated by a circular block bootstrap, each
+  replication a sum of precomputed block sums, and combined into a Wald
+  statistic against a chi-square with one degree of freedom per basis triple.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import chi2
 
-from .kernels import _CHUNK_CELLS, _nw_fit, silverman_bandwidth
+from .kernels import _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -203,6 +206,22 @@ class MarkovTestResult:
     level: float
     bootstrap_reps: int
     block_length: int
+    bandwidth: float
+
+
+def _block_bootstrap_means(contrib: np.ndarray, block_len: int, B: int, rng) -> np.ndarray:
+    """Circular-block-bootstrap means (B, k) of the rows of ``contrib`` (n, k), as sums of block sums.
+
+    A replication keeps the first n rows of ``ceil(n / block_len)`` blocks at uniform circular
+    starts: full blocks, then a shorter one. Each block sum adds one window of the wrapped rows.
+    """
+    n = len(contrib)
+    nblocks = int(math.ceil(n / block_len))
+    ext = np.concatenate([contrib, contrib[: block_len - 1]])
+    windows = np.lib.stride_tricks.sliding_window_view(ext, block_len, axis=0)
+    full, last = windows[:n].sum(axis=-1), windows[:n, :, : n - (nblocks - 1) * block_len].sum(axis=-1)
+    starts = rng.integers(0, n, size=(B, nblocks))
+    return (full[starts[:, :-1]].sum(axis=1) + last[starts[:, -1]]) / n
 
 
 def markov_moment_test(
@@ -217,9 +236,12 @@ def markov_moment_test(
 
     For each basis triple (a, b, c), the sample moment averages
     [a(y_t) - E_hat(a | y_{t-1})] [b(y_{t-2}) - E_hat(b | y_{t-1})] c(y_{t-1})
-    over t, which has mean zero under the Markov property. The moment
-    vector is studentized with a circular-block-bootstrap covariance and
-    referred to a chi-square with one degree of freedom per triple.
+    over t, which has mean zero under the Markov property. Both conditional
+    means are Gaussian Nadaraya-Watson fits at the Silverman bandwidth of y,
+    read as two column windows of one kernel-weight block. The moment vector is
+    studentized with a circular-block-bootstrap covariance (``B`` replications,
+    blocks of ``block_len`` < T - 2) and referred to a chi-square with one
+    degree of freedom per triple at size ``level`` in (0, 1).
     """
     if series.T < 100:
         raise ValueError("need at least 100 observations")
@@ -231,45 +253,34 @@ def markov_moment_test(
     n = series.T - 2
     if block_len is None:
         block_len = int(math.ceil(series.T ** (1 / 3)))
-    if block_len < 1 or B < 10:
-        raise ValueError("invalid block length or bootstrap size")
+    # numpy integers pass, bools and floats do not
+    for name, value, low in (("block_len", block_len, 1), ("B", B, 10)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    if block_len >= n:
+        raise ValueError(f"block_len must be below T - 2 = {n}, got {block_len}")
+    if not 0 < level < 1:
+        raise ValueError(f"level must be in (0, 1), got {level!r}")
 
-    # forward regressions E[f(y_t) | y_{t-1}] and backward regressions
-    # E[f(y_{t-2}) | y_{t-1}], fitted on all available pairs and evaluated
-    # at the conditioning points y_{t-1}, t = 3..T
+    # forward fits E[a(y_t) | y_{t-1}] on x = y[:-1] and backward fits E[b(y_{t-2}) | y_{t-1}] on
+    # x = y[1:] at the points y_{t-1}, t = 3..T: columns [:-1] and [1:] of one block against y
     points = y[1:-1]
     fwd_targets = np.column_stack([fa(y[1:]) for fa, _, _ in basis])
     bwd_targets = np.column_stack([fb(y[:-1]) for _, fb, _ in basis])
-    if not (np.isfinite(fwd_targets).all() and np.isfinite(bwd_targets).all()):
+    cvals = np.column_stack([fc(points) for _, _, fc in basis])
+    if not all(np.isfinite(v).all() for v in (fwd_targets, bwd_targets, cvals)):
         raise ValueError("basis functions produced non-finite values")
     # points are sample values of both regressors: each weight sum >= the point's own weight
-    fwd_fit = _nw_fit(y[:-1], fwd_targets, points, silverman_bandwidth(y[:-1]), "gaussian")[0]
-    bwd_fit = _nw_fit(y[1:], bwd_targets, points, silverman_bandwidth(y[1:]), "gaussian")[0]
+    bandwidth = silverman_bandwidth(y)
+    windows = [(slice(None, -1), fwd_targets), (slice(1, None), bwd_targets)]
+    fwd_fit, bwd_fit = _nw_fit(y, points, bandwidth, "gaussian", windows)[0]
 
-    contrib = np.empty((n, len(basis)))
-    for i, (fa, fb, fc) in enumerate(basis):
-        ra = fa(y[2:]) - fwd_fit[:, i]
-        rb = fb(y[:-2]) - bwd_fit[:, i]
-        cv = fc(y[1:-1])
-        if not np.isfinite(cv).all():
-            raise ValueError("basis functions produced non-finite values")
-        contrib[:, i] = ra * rb * cv
-
+    ra = np.column_stack([fa(y[2:]) for fa, _, _ in basis]) - fwd_fit
+    rb = np.column_stack([fb(y[:-2]) for _, fb, _ in basis]) - bwd_fit
+    contrib = ra * rb * cvals
     moments = contrib.mean(axis=0)
-
-    rng = np.random.default_rng(seed)
-    nblocks = int(math.ceil(n / block_len))
-    boot_means = np.empty((B, len(basis)))
-    chunk = max(1, _CHUNK_CELLS // (n * contrib.shape[1]))
-    offsets = np.arange(block_len)
-    for lo in range(0, B, chunk):
-        hi = min(lo + chunk, B)
-        starts = rng.integers(0, n, size=(hi - lo, nblocks))
-        idx = (starts[:, :, None] + offsets[None, None, :]).reshape(hi - lo, -1)[:, :n] % n
-        boot_means[lo:hi] = contrib[idx].mean(axis=1)
-
-    V = np.cov(boot_means, rowvar=False, ddof=1)
-    V = np.atleast_2d(V)
+    boot_means = _block_bootstrap_means(contrib, block_len, B, np.random.default_rng(seed))
+    V = np.atleast_2d(np.cov(boot_means, rowvar=False, ddof=1))
     try:
         stat = float(max(moments @ np.linalg.solve(V, moments), 0.0))
     except np.linalg.LinAlgError:
@@ -286,4 +297,5 @@ def markov_moment_test(
         level=level,
         bootstrap_reps=B,
         block_length=block_len,
+        bandwidth=bandwidth,
     )

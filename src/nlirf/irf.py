@@ -36,7 +36,7 @@ from typing import Callable, List, Union
 import numpy as np
 from scipy.special import ndtr
 
-from .hermite import HermiteDecomposition, decompose_irf
+from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
 from .kernels import (
     EPS_CLAMP,
     InsufficientLocalData,
@@ -415,7 +415,7 @@ def var_max_irf(params: VarParams, a, h: int) -> MaxIrfResult:
 # decomposition pipelines
 # ---------------------------------------------------------------------------
 
-def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> List[HermiteDecomposition]:
+def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
     """Hermite decomposition of the direct-route response, one entry per horizon.
 
     Regresses the baseline simulated states at each horizon on the
@@ -433,7 +433,7 @@ def _direct_decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[
     ]
 
 
-def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = 5) -> List[HermiteDecomposition]:
+def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
     """Hermite decomposition of the local-projection route, per horizon."""
     vals, ok, eps1, _ = _lp_predictions(series, req, paired=False)
     _check_rejections(req.S - ok.sum(axis=1), req.S)

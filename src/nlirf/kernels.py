@@ -249,17 +249,24 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     return values, ok
 
 
-def _nw_fit(x: np.ndarray, targets: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
-    """NW fits of ``targets`` (m,) or (m, q) on ``x`` at ``points``, plus weight sums and maxima."""
-    n = len(points)
-    fits = np.empty((n,) + targets.shape[1:])
-    sum_w, max_w = np.empty(n), np.empty(n)
+def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows):
+    """NW fits at ``points`` for ``windows`` of ``(columns, targets)``: ``targets`` on ``x[columns]``.
+
+    Each weight block is evaluated once on all of ``x`` and window i reads its column slice
+    ``w[:, columns]``. The targets are all (m_i,) or all (m_i, q). Returns the fits
+    (windows, points) or (windows, points, q), and the weight sums and maxima (windows, points).
+    """
+    shape = (len(windows), len(points))
+    fits = np.empty(shape + windows[0][1].shape[1:])
+    sum_w, max_w = np.empty(shape), np.empty(shape)
     for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
-        sum_w[lo:hi] = w.sum(axis=1)
-        max_w[lo:hi] = w.max(axis=1)
-        np.matmul(w, targets, out=fits[lo:hi])
+        for i, (columns, targets) in enumerate(windows):
+            wi = w[:, columns]
+            sum_w[i, lo:hi] = wi.sum(axis=1)
+            max_w[i, lo:hi] = wi.max(axis=1)
+            np.matmul(wi, targets, out=fits[i, lo:hi])
     with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(fits.T, sum_w, out=fits.T)
+        np.divide(fits.T, sum_w.T, out=fits.T)
     return fits, sum_w, max_w
 
 
@@ -279,16 +286,8 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
         raise ValueError(f"series too short (T={T}) for lag {lags[-1]}")
     x = y[: T - lags[0]]
     b = _resolve_bandwidth(cfg, x) if bandwidth is None else bandwidth
-    shape = (len(lags), len(points))
-    values, sum_w, max_w = np.empty(shape), np.empty(shape), np.empty(shape)
-    for lo, hi, w in _weight_blocks(x, points, b, cfg.kernel):
-        for i, lag in enumerate(lags):
-            wl = w[:, : T - lag]
-            sum_w[i, lo:hi] = wl.sum(axis=1)
-            max_w[i, lo:hi] = wl.max(axis=1)
-            np.matmul(wl, y[lag:], out=values[i, lo:hi])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        np.divide(values, sum_w, out=values)
+    windows = [(slice(None, T - lag), y[lag:]) for lag in lags]
+    values, sum_w, max_w = _nw_fit(x, points, b, cfg.kernel, windows)
     ok = _mass_ok(sum_w, max_w, cfg.min_weight_sum)
     values[~ok] = np.nan
     return values, ok, sum_w, b

@@ -213,7 +213,8 @@ def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
 
 
 # sha256 of manifest.json as written when the CLI restated the library defaults
-# (S=10_000, the bench target's S=2000 and routes, the QMLE grid)
+# (S=10_000, the bench target's S=2000 and routes, the QMLE grid, J=5, max_lag=5,
+# B=500, level=0.05, the 201-point density grid)
 @pytest.mark.parametrize("subcommand, config, digest", [
     ("irf", {"model": DAR_JSON, "T": 800, "y0": 0.2, "horizons": 3, "deltas": [0.5]},
      "19c0664c9a5efe16568ab92bf8d378ec12eb445f28883dc9ea61f8485c5a16d5"),
@@ -223,6 +224,12 @@ def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
                "target": {"kind": "irf", "h": 2, "delta": 0.5, "y0": 0.2}},
      "636240231da5f6b742b7ab5532237899eeebd62f1e9f71fca358a6c8e78f1dde"),
     ("qmle", {"input": "series.csv"}, "4423296b8ffc037aed554346ece95d3ba770829162dc2cae987241995894db79"),
+    ("simulate", {"model": DAR_JSON, "T": 800, "y0": 0.2},
+     "18555792aa3b8ccdface976ae34a7e78f595ab1e70a957720ebaad06ac07ab32"),
+    ("identify", {"input": "biv.csv"}, "a68b40a2dc2b42c594d5d6ce5b6e04f5c0f036dea394a30cb4f60d625be1b67e"),
+    ("markov-test", {"input": "series.csv"}, "0c069532da5e85c4ba0b99a9c0624efeecf216d015b7537776dbd2ddf307a289"),
+    ("decompose", {"model": DAR_JSON, "T": 800, "y0": 0.2, "horizons": 3, "delta": 0.5, "route": "local_projection"},
+     "b8bd818fa8a1426c59396b2fa4646e5488d3e449b9782fee98c3dd1788e7016b"),
 ])
 def test_resolved_manifests_keep_their_defaults(tmp_path, monkeypatch, subcommand, config, digest):
     monkeypatch.setattr(cli, "_RUNNERS", {name: lambda config, seed, w: None for name in cli._RUNNERS})
@@ -253,6 +260,13 @@ def test_markov_test_subcommand(tmp_path):
     verdict = json.loads((tmp_path / "markov_test.json").read_text())
     assert set(verdict) >= {"statistic", "critical_value", "reject", "moments", "block_length"}
     assert verdict["statistic"] >= 0.0
+
+
+def test_markov_test_subcommand_passes_b_untruncated(tmp_path):
+    csv = tmp_path / "s.csv"
+    write_series_csv(csv, T=300)
+    with pytest.raises(ValueError, match="B must be an integer"):
+        run("markov-test", {"input": str(csv), "B": 50.5}, tmp_path, master_seed=1)
 
 
 def test_bench_subcommand(tmp_path):

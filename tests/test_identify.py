@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import nlirf.identify as identify
+import nlirf.kernels as kernels
 from nlirf.identify import (
     DegenerateDynamics,
     MarkovTestResult,
@@ -230,20 +233,129 @@ def test_markov_nw_fits_match_former_unnormalised_fit():
     y = ts.y
     for x, resp in ((y[:-1], y[1:]), (y[1:], y[:-1])):
         targets = np.column_stack([f(resp) for f, _, _ in default_markov_basis(ts)])
-        got = _nw_fit(x, targets, y[1:-1], silverman_bandwidth(x), "gaussian")[0]
+        got = _nw_fit(x, y[1:-1], silverman_bandwidth(x), "gaussian", [(slice(None), targets)])[0][0]
         np.testing.assert_allclose(got.T, _ref_nw_multi(x, targets.T, y[1:-1]), rtol=1e-12, atol=0)
 
 
-def test_bootstrap_does_not_depend_on_gather_chunk(monkeypatch):
-    # n * k = 1998 * 4 cells per replication: the former 25e6-cell chunk holds
-    # all 700 replications, the shared 4e6-cell budget 500 + 200, and a
-    # budget of 9 replications ends on a short chunk
+# ---------------------------------------------------------------------------
+# one weight block for both regressions, and the block-sum bootstrap
+# ---------------------------------------------------------------------------
+
+def _ref_window_fit(x, targets, points, b):
+    """A Gaussian NW fit of ``targets`` on ``x`` alone, from its own chunked blocks of the plain expression."""
+    out = np.empty((len(points), targets.shape[1]))
+    chunk = max(16, kernels._CHUNK_CELLS // len(x))
+    for lo in range(0, len(points), chunk):
+        hi = min(lo + chunk, len(points))
+        u = (x[None, :] - points[lo:hi, None]) / b
+        w = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+        out[lo:hi] = (w @ targets) / w.sum(axis=1)[:, None]
+    return out
+
+
+@pytest.mark.parametrize("cells", [None, 1])
+def test_markov_fits_are_column_windows_of_one_block(monkeypatch, cells):
+    # 598 points: one block by default; a one-cell budget gives the 16-row floor, 37 x 16 + 6
+    if cells is not None:
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    recorded_fits = []
+
+    def recording(*args):
+        recorded_fits.append(_nw_fit(*args))
+        return recorded_fits[-1]
+
+    monkeypatch.setattr(identify, "_nw_fit", recording)
+    ts = simulate(GaussianAr1(0.5, 1.0), T=600, y0=0.0, seed=9009)
+    y, b = ts.y, silverman_bandwidth(ts.y)
+    res = markov_moment_test(ts, B=50, seed=2)
+    assert res.bandwidth == b
+    ((fits, _, _),) = recorded_fits
+    basis = default_markov_basis(ts)
+    fwd = _ref_window_fit(y[:-1], np.column_stack([fa(y[1:]) for fa, _, _ in basis]), y[1:-1], b)
+    bwd = _ref_window_fit(y[1:], np.column_stack([fb(y[:-1]) for _, fb, _ in basis]), y[1:-1], b)
+    assert fits.shape == (2, 598, 4)
+    assert fits[0].tobytes() == fwd.tobytes()
+    assert fits[1].tobytes() == bwd.tobytes()
+
+
+def test_markov_test_uses_one_bandwidth_and_one_weight_block(monkeypatch):
+    counts = {"bandwidth": 0, "blocks": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(identify, "silverman_bandwidth", counting("bandwidth", identify.silverman_bandwidth))
+    monkeypatch.setattr(kernels, "silverman_bandwidth", counting("bandwidth", kernels.silverman_bandwidth))
+    monkeypatch.setattr(kernels, "_weight_blocks", counting("blocks", kernels._weight_blocks))
+    ts = simulate(GaussianAr1(0.5, 1.0), T=500, y0=0.0, seed=9010)
+    res = markov_moment_test(ts, B=50)
+    assert counts == {"bandwidth": 1, "blocks": 1}
+    assert res.bandwidth == silverman_bandwidth(ts.y)
+
+
+def _ref_gather_means(contrib, block_len, B, seed):
+    """The former bootstrap: gather every replication's n rows and average them."""
+    n = len(contrib)
+    starts = np.random.default_rng(seed).integers(0, n, size=(B, int(math.ceil(n / block_len))))
+    idx = (starts[:, :, None] + np.arange(block_len)[None, None, :]).reshape(B, -1)[:, :n] % n
+    return contrib[idx].mean(axis=1)
+
+
+@pytest.fixture(scope="module")
+def markov_contrib():
     ts = simulate(GaussianAr1(0.5, 1.0), T=2000, y0=0.0, seed=9008)
-    assert identify._CHUNK_CELLS // (1998 * 4) == 500
-    results = []
-    for cells in (25_000_000, identify._CHUNK_CELLS, 1998 * 4 * 9):
-        monkeypatch.setattr(identify, "_CHUNK_CELLS", cells)
-        results.append(markov_moment_test(ts, B=700, block_len=5, seed=3))
-    for res in results[1:]:
-        assert res.moments.tobytes() == results[0].moments.tobytes()
-        assert res.statistic == results[0].statistic
+    y = ts.y
+    return np.column_stack([(y[2:] - 0.5 * y[1:-1]) * (y[:-2] - 0.4 * y[1:-1]) * f(y[1:-1])
+                            for f in (np.ones_like, lambda x: x, np.abs)])
+
+
+@pytest.mark.parametrize("block_len", [1, 5, 13, 1997])  # 13 = ceil(2000^(1/3)), 1997 = n - 1
+def test_block_sum_bootstrap_matches_former_gather(markov_contrib, block_len):
+    got = identify._block_bootstrap_means(markov_contrib, block_len, 700, np.random.default_rng(3))
+    want = _ref_gather_means(markov_contrib, block_len, 700, seed=3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(markov_contrib).max())
+
+
+def test_one_bootstrap_draw_equals_former_chunked_draws():
+    # n = 1998, nblocks = 154 at block_len 13: the former chunks of 500 + 200 and of 9 replications
+    for chunks in ([500, 200], [9] * 77 + [7]):
+        rng = np.random.default_rng(3)
+        chunked = np.concatenate([rng.integers(0, 1998, size=(c, 154)) for c in chunks])
+        assert np.random.default_rng(3).integers(0, 1998, size=(700, 154)).tobytes() == chunked.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Markov-test input validation
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ar1_500():
+    return simulate(GaussianAr1(0.5, 1.0), T=500, y0=0.0, seed=9011)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"block_len": 2.5}, "block_len must be an integer >= 1"),
+    ({"block_len": True}, "block_len must be an integer >= 1"),
+    ({"block_len": 0}, "block_len must be an integer >= 1"),
+    ({"B": 50.0}, "B must be an integer >= 10"),
+    ({"B": True}, "B must be an integer >= 10"),
+    ({"B": 9}, "B must be an integer >= 10"),
+    ({"block_len": 498}, "block_len must be below T - 2 = 498"),
+    ({"block_len": 800}, "block_len must be below T - 2 = 498"),
+    ({"level": 1.5}, "level must be in"),
+    ({"level": 0}, "level must be in"),
+    ({"level": 1.0}, "level must be in"),
+    ({"level": float("nan")}, "level must be in"),
+])
+def test_markov_test_rejects_bad_arguments(ar1_500, kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        markov_moment_test(ar1_500, **kwargs)
+
+
+def test_markov_test_accepts_numpy_integers_and_longest_block(ar1_500):
+    res = markov_moment_test(ar1_500, block_len=np.int64(497), B=np.int32(50))
+    assert res.block_length == 497 and res.bootstrap_reps == 50
+    assert np.isfinite(res.statistic)

@@ -486,6 +486,35 @@ def test_point_estimators_match_reference(small_dar, kern, mass):
     assert "insufficient" in outcomes and outcomes != ["insufficient"] * len(outcomes)
 
 
+def _ref_window_fit(x, targets, points, b, kern):
+    """An NW fit of ``targets`` on ``x`` alone, each block evaluated by the plain expression."""
+    out = np.empty((len(points),) + targets.shape[1:])
+    sums, maxima = np.empty(len(points)), np.empty(len(points))
+    chunk = max(16, kernels._CHUNK_CELLS // len(x))
+    for lo in range(0, len(points), chunk):
+        hi = min(lo + chunk, len(points))
+        w = REF_KERNELS[kern]((x[None, :] - points[lo:hi, None]) / b)
+        sums[lo:hi], maxima[lo:hi] = w.sum(axis=1), w.max(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[lo:hi] = (w @ targets) / sums[lo:hi].reshape((-1,) + (1,) * (targets.ndim - 1))
+    return out, sums, maxima
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("q", [None, 3])
+def test_nw_fit_windows_match_per_window_reference(small_dar, chunking, kern, q):
+    # the Markov test's windows: forward on columns [:T-1], backward on [1:], at one bandwidth
+    y = small_dar.y
+    b = silverman_bandwidth(y)
+    resp = np.column_stack([y, y * y, np.abs(y)]) if q else y
+    windows = [(slice(None, -1), resp[1:]), (slice(1, None), resp[:-1])]
+    fits, sum_w, max_w = kernels._nw_fit(y, _points(), b, kern, windows)
+    for i, (x, targets) in enumerate(((y[:-1], resp[1:]), (y[1:], resp[:-1]))):
+        want = _ref_window_fit(x, targets, _points(), b, kern)
+        for g, w in zip((fits[i], sum_w[i], max_w[i]), want):
+            assert_same_bits(g, w)
+
+
 # ---------------------------------------------------------------------------
 # one bandwidth and one weight block for every local-projection lag
 # ---------------------------------------------------------------------------
