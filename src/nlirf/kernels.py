@@ -170,6 +170,8 @@ def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) ->
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
+    if math.isnan(at):  # +-inf stay legal and give a zero density
+        raise ValueError("at must not be NaN")
     b = _resolve_bandwidth(cfg, x)
     return float(np.sum(_weights_at(x, at, b, cfg.kernel)) / (x.size * b))
 
@@ -249,21 +251,43 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     return values, ok
 
 
+def _prefix_sums(w: np.ndarray, ends) -> dict:
+    """``{n: w[:, :n].sum(axis=1)}`` for prefix lengths ``ends`` of unit-stride rows, bitwise; see _nw_fit."""
+    groups = {}
+    for n in set(ends):  # by numpy's split point; a row of at most 128 values is a group of its own
+        groups.setdefault(n // 2 - n // 2 % 8 if n > 128 else -n, []).append(n)
+    sums = {ns[0]: w[:, : ns[0]].sum(axis=1) for ns in groups.values() if len(ns) == 1}
+    for n2, ns in groups.items():
+        if len(ns) > 1:
+            left, right = w[:, :n2].sum(axis=1), _prefix_sums(w[:, n2:], [n - n2 for n in ns])
+            sums.update((n, left + right[n - n2]) for n in ns)
+    return sums
+
+
 def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows):
     """NW fits at ``points`` for ``windows`` of ``(columns, targets)``: ``targets`` on ``x[columns]``.
 
     Each weight block is evaluated once on all of ``x`` and window i reads its column slice
     ``w[:, columns]``. The targets are all (m_i,) or all (m_i, q). Returns the fits
     (windows, points) or (windows, points, q), and the weight sums and maxima (windows, points).
+    Prefix windows ``w[:, :n]`` share row reductions, bitwise equal to their own: maxima extend over
+    the extra columns, and sums follow numpy's pairwise rule ``sum(:n) = sum(:n2) + sum(n2:n)`` for
+    n > 128, ``n2 = n//2 - (n//2) % 8``, so prefixes with one n2 sum that left part once.
     """
     shape = (len(windows), len(points))
     fits = np.empty(shape + windows[0][1].shape[1:])
     sum_w, max_w = np.empty(shape), np.empty(shape)
+    spans = [columns.indices(len(x)) for columns, _ in windows]
+    prefix = {i: stop for i, (start, stop, step) in enumerate(spans) if (start, step) == (0, 1)}
+    ends = sorted(set(prefix.values()))
     for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
+        sums = _prefix_sums(w, ends)
+        extra = [w[:, a:b].max(axis=1) for a, b in zip([0] + ends, ends)]  # over each prefix's new columns
+        tops = dict(zip(ends, np.maximum.accumulate(extra)))
         for i, (columns, targets) in enumerate(windows):
             wi = w[:, columns]
-            sum_w[i, lo:hi] = wi.sum(axis=1)
-            max_w[i, lo:hi] = wi.max(axis=1)
+            sum_w[i, lo:hi] = sums[prefix[i]] if i in prefix else wi.sum(axis=1)
+            max_w[i, lo:hi] = tops[prefix[i]] if i in prefix else wi.max(axis=1)
             np.matmul(wi, targets, out=fits[i, lo:hi])
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(fits.T, sum_w.T, out=fits.T)
@@ -293,12 +317,6 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
     return values, ok, sum_w, b
 
 
-def _nw_batch(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lag: int):
-    """Nadaraya-Watson estimates of E[y_{t+lag} | y_t = p] at many points, bandwidth resolved on y[:T-lag]."""
-    values, ok, weights, b = _nw_lags(series, cfg, points, [lag])
-    return values[0], ok[0], weights[0], b
-
-
 # ---------------------------------------------------------------------------
 # public single-point operations
 # ---------------------------------------------------------------------------
@@ -311,6 +329,8 @@ def cond_cdf(
     Weighted share of responses below z; exactly 0 (resp. 1) in the far
     left (right) tail of z, and nondecreasing in z for fixed data.
     """
+    if math.isnan(z):  # +-inf stay legal and give exactly 0 or 1
+        raise ValueError("z must not be NaN")
     prep = _QuantilePrep.from_series(series, cfg)
     w = _weights_at(prep.x, y, prep.bandwidth, prep.kernel)
     max_w = float(w.max())
@@ -371,10 +391,12 @@ def g_hat(
 def nadaraya_watson(
     series: TimeSeries, h: int, y: float, cfg: KernelConfig = KernelConfig()
 ) -> ConditionalEstimate:
-    """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y]."""
-    values, ok, weights, b = _nw_batch(series, cfg, np.array([float(y)]), lag=h)
-    if not ok[0]:
+    """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y], bandwidth from y[:T-h]."""
+    if isinstance(h, bool) or not isinstance(h, (int, np.integer)):  # numpy integers pass
+        raise ValueError(f"h must be an integer, got {h!r}")
+    values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
+    if not ok.item():
         raise InsufficientLocalData(
-            f"kernel mass {weights[0]:.3g} at y={y:.6g} is below the local-data threshold"
+            f"kernel mass {weights.item():.3g} at y={y:.6g} is below the local-data threshold"
         )
-    return ConditionalEstimate(value=float(values[0]), effective_weight=float(weights[0]), bandwidth_used=b)
+    return ConditionalEstimate(value=values.item(), effective_weight=weights.item(), bandwidth_used=b)

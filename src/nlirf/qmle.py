@@ -97,13 +97,12 @@ def qmle_grid_search(series: TimeSeries, grid: GridSpec = DEFAULT_GRID) -> QmleR
     r = rhos[:, None]  # (n_rho, 1) against (1, n_beta) blocks
 
     candidates = []  # (loglik, rho_idx, alpha_idx, beta_idx), one per alpha slice
+    bx2 = betas[:, None] * x2[None, :]  # (n_beta, T-1); each slice reuses two buffers of this shape
+    v, lv = np.empty_like(bx2), np.empty_like(bx2)
     for ia, a in enumerate(alphas):
-        v = a + betas[:, None] * x2[None, :]  # (n_beta, T-1)
-        logdet = np.log(v).sum(axis=1)
-        inv = 1.0 / v
-        syy = inv @ y2
-        sxy = inv @ xy
-        sxx = inv @ x2
+        logdet = np.log(np.add(a, bx2, out=v), out=lv).sum(axis=1)
+        inv = np.divide(1.0, v, out=v)
+        syy, sxy, sxx = inv @ y2, inv @ xy, inv @ x2
         # quadratic in rho: sum (y - rho x)^2 / v = syy - 2 rho sxy + rho^2 sxx
         ll = -0.5 * (logdet[None, :] + syy[None, :] - 2.0 * r * sxy[None, :] + r * r * sxx[None, :])
         flat = int(np.argmax(ll))  # C order: first max is smallest (rho, beta)

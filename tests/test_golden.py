@@ -1,7 +1,10 @@
-"""Golden digests: the sha256 of every artifact of small runs of all seven CLI subcommands.
+"""Golden digests: the sha256 of every artifact of small runs of all seven CLI subcommands, and
+of the value bytes of the library curves.
 
 The runs cover both IRF routes, both kernels, an explicit and a Silverman bandwidth, both
-``decompose`` routes and the sweep. A change that is meant to keep outputs bitwise must leave
+``decompose`` routes and the sweep. The library pins cover the local projection and its
+decomposition at seven horizons under both kernels, the transformed, dynamic and joint
+responses and the direct decomposition. A change that is meant to keep outputs bitwise must leave
 every digest as it is; a stated numerical change updates the digests it moves, together with
 a CHANGES.md entry naming them and the reason.
 
@@ -10,6 +13,7 @@ recorded in ``ENVIRONMENT``, and the test skips, naming the mismatch, under any 
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +21,10 @@ import pytest
 import scipy
 
 from nlirf.cli import run
-from nlirf.models import GaussianAr1, TimeSeries, simulate
+from nlirf.irf import (IrfRequest, Indicator, QuantileLevel, decompose_direct_irf, decompose_lp_irf, irf_dynamic,
+                       irf_joint, irf_lp, irf_transformed)
+from nlirf.kernels import KernelConfig
+from nlirf.models import Dar1, GaussianAr1, TimeSeries, simulate
 
 
 def _blas() -> str:
@@ -88,11 +95,65 @@ def run_all(root):
     return digests
 
 
-def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
+def _square(u):
+    return u * u
+
+
+# recorded under ENVIRONMENT: sha256 of the curve's values then mc_se bytes, or of the
+# horizons' Hermite coefficients in order
+CURVE_GOLDEN = {
+    "irf_lp/gaussian": "88e172b35668ac77fcdc29d9dda7a8e7aaca477b243cab27f1ea36c55f6f4cdc",
+    "decompose_lp_irf/gaussian": "b9b92bec6f83774be65ff7f513ad916340a94f1e679fec4f450d15b313ea6cef",
+    "irf_lp/epanechnikov": "930f1bea82f7f93d8e9dd0dbf595c8f0930965d3155652bbcef5a71cb274656c",
+    "decompose_lp_irf/epanechnikov": "7c5072419f3644603c108a78fbc0f891373ecc312b4ae2844aecd74d839e1a9f",
+    "irf_transformed/indicator": "cec9d042de92142f9d1cf43b2c0d0cc2f4987845dc3861ea179d04221b6a2bd4",
+    "irf_transformed/quantile_level": "ffb99caff7b99e29de6587807698ac716a87a1526b3c4908566ded021e0b7308",
+    "irf_transformed/callable": "5cafca0e243c848e71fc09b861f959672850d8cd01199990081d5c6d4359b3d7",
+    "irf_dynamic": "f84a28a6cf98ab2390a0f6f8a5d3e32994d64a027c21db57019fb643e7f4cc5c",
+    "irf_joint": "bdae786562a80416e68d3f610f0fbd196d133cfa1fcc4748ccbd13a8ddec0a12",
+    "decompose_direct_irf": "cf051281c049eb0276350ba6a6bff276b8bb3c84f94162783962e5de3093cf05",
+}
+
+
+def _digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
+
+
+def curve_digests():
+    """Digest every pinned library curve on the DAR(1) series at T=800 with S=300."""
+    series = simulate(Dar1.of(0.5, 1.0, 0.5), T=800, y0=0.2, seed=3)
+    req = IrfRequest(y0=0.2, horizons=7, delta=0.5, S=300, seed=5)
+    out = {}
+    for label, cfg in (("gaussian", KernelConfig()), ("epanechnikov", KernelConfig("epanechnikov", 0.6))):
+        lp_req = replace(req, cfg=cfg)
+        curve = irf_lp(series, lp_req)
+        out[f"irf_lp/{label}"] = _digest(curve.values, curve.mc_se)
+        out[f"decompose_lp_irf/{label}"] = _digest(*(d.coefficients for d in decompose_lp_irf(series, lp_req)))
+    for label, transform in (("indicator", Indicator(0.5)), ("quantile_level", QuantileLevel(0.25)),
+                             ("callable", _square)):
+        curve = irf_transformed(series, req, transform)
+        out[f"irf_transformed/{label}"] = _digest(curve.values, curve.mc_se)
+    for name, fn in (("irf_dynamic", irf_dynamic), ("irf_joint", irf_joint)):
+        curve = fn(series, req)
+        out[name] = _digest(curve.values, curve.mc_se)
+    out["decompose_direct_irf"] = _digest(*(d.coefficients for d in decompose_direct_irf(series, req)))
+    return out
+
+
+def _require_recorded_stack():
     found = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas()}
     mismatch = {k: (found[k], v) for k, v in ENVIRONMENT.items() if found[k] != v}
     if mismatch:
         pytest.skip("golden digests were recorded under another numeric stack: " + ", ".join(
             f"{k} {got} here, {want} recorded" for k, (got, want) in mismatch.items()))
+
+
+def test_library_curves_match_golden_digests():
+    _require_recorded_stack()
+    assert curve_digests() == CURVE_GOLDEN
+
+
+def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    _require_recorded_stack()
     monkeypatch.chdir(tmp_path)  # relative inputs keep the manifests, and so every digest, path-free
     assert run_all(Path(".")) == GOLDEN

@@ -105,6 +105,15 @@ def test_kde_integrates_to_one():
     assert (dens >= 0).all()
 
 
+def test_kde_rejects_nan_point():
+    data = np.random.default_rng(5).normal(size=500)
+    with pytest.raises(ValueError, match="at must not be NaN"):
+        kde(data, math.nan)
+    for kern in ("gaussian", "epanechnikov"):  # infinite points stay legal: no mass there
+        cfg = KernelConfig(kernel=kern)
+        assert kde(data, math.inf, cfg) == 0.0 and kde(data, -math.inf, cfg) == 0.0
+
+
 def test_kde_epanechnikov():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(20_000)
@@ -141,6 +150,12 @@ def test_cond_cdf_monotone_in_z_and_bounded(ar1_series):
 def test_cond_cdf_outside_data_cloud_errors(ar1_series):
     with pytest.raises(InsufficientLocalData):
         cond_cdf(ar1_series, 0.0, 50.0)
+
+
+def test_cond_cdf_rejects_nan_z(ar1_series):
+    # searchsorted places NaN past every response, which read as a CDF of exactly 1
+    with pytest.raises(ValueError, match="z must not be NaN"):
+        cond_cdf(ar1_series, math.nan, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +278,17 @@ def test_nw_ar1_two_step_oracle():
 def test_nw_rejects_lag_zero(ar1_series):
     with pytest.raises(ValueError):
         nadaraya_watson(ar1_series, h=0, y=0.0)
+
+
+@pytest.mark.parametrize("h", [True, 2.5, 1.0, "1"])
+def test_nw_rejects_non_integer_h(ar1_series, h):
+    # True was fitted as lag 1 and 2.5 failed in slicing with a bare TypeError
+    with pytest.raises(ValueError, match="h must be an integer"):
+        nadaraya_watson(ar1_series, h=h, y=0.0)
+
+
+def test_nw_accepts_numpy_integer_h(ar1_series):
+    assert nadaraya_watson(ar1_series, h=np.int64(2), y=0.5) == nadaraya_watson(ar1_series, h=2, y=0.5)
 
 
 def test_nw_outside_cloud_errors(ar1_series):
@@ -459,7 +485,8 @@ def test_quantile_batch_matches_reference(small_dar, chunking, kern, mass):
 @pytest.mark.parametrize("lag", [1, 3])
 def test_nw_batch_matches_reference(small_dar, chunking, kern, mass, lag):
     cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
-    got = kernels._nw_batch(small_dar, cfg, _points(), lag)
+    values, ok, weights, b = kernels._nw_lags(small_dar, cfg, _points(), [lag])
+    got = values[0], ok[0], weights[0], b
     want = _ref_nw_batch(small_dar, cfg, _points(), lag)
     assert not got[1].all() and got[1].any()
     for g, w in zip(got, want):
@@ -513,6 +540,71 @@ def test_nw_fit_windows_match_per_window_reference(small_dar, chunking, kern, q)
         want = _ref_window_fit(x, targets, _points(), b, kern)
         for g, w in zip((fits[i], sum_w[i], max_w[i]), want):
             assert_same_bits(g, w)
+
+
+# ---------------------------------------------------------------------------
+# prefix windows share their row reductions
+# ---------------------------------------------------------------------------
+
+SUM_LENGTHS = [1, 7, 8, 128, 129, 136, 599, 4999, 8192, 8200, 20001]
+
+
+def _positive_block(rows, cols, seed):
+    return np.exp(-2.0 * np.random.default_rng(seed).normal(size=(rows, cols)) ** 2)
+
+
+def test_prefix_sums_match_numpy_row_sums():
+    w = _positive_block(3, 20001, 110)
+    sums = kernels._prefix_sums(w, SUM_LENGTHS)
+    assert sorted(sums) == SUM_LENGTHS
+    for n in SUM_LENGTHS:
+        assert_same_bits(sums[n], w[:, :n].sum(axis=1))
+
+
+@pytest.mark.parametrize("ends", [
+    list(range(4993, 4999)),  # the local projection's lags at T=5000: one left part per level
+    [4000, 4008, 4016, 4017, 9000, 9001, 9010],  # splits at 2000, 2000, 2008, 2008, 4496, ...
+    list(range(120, 140)),  # leaves, single splits and pairs around the 128-value block
+    [200, 263, 264, 271, 272, 8199, 8200, 8201],
+])
+def test_prefix_sums_match_for_diverging_splits(ends):
+    w = _positive_block(4, 9100, 111)
+    sums = kernels._prefix_sums(w, ends)
+    for n in ends:
+        assert_same_bits(sums[n], w[:, :n].sum(axis=1))
+
+
+@pytest.mark.parametrize("view", ["columns_offset", "every_other_row", "short_buffer_rows"])
+def test_prefix_sums_match_on_row_strided_views(view):
+    # weight blocks are rows of a C-ordered buffer, so columns always have unit stride
+    base = _positive_block(6, 9200, 112)
+    w = {"columns_offset": base[:, 7:], "every_other_row": base[::2, 3:], "short_buffer_rows": base[2:5]}[view]
+    ends = [1, 129, 600, 601, 607, 608, 8192, 8193, 8200, 9000, 9001]
+    sums = kernels._prefix_sums(w, ends)
+    for n in ends:
+        assert_same_bits(sums[n], w[:, :n].sum(axis=1))
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+def test_nw_fit_prefix_reductions_match_plain_reductions(chunking, kern):
+    # a NaN point gives a Gaussian NaN row and an Epanechnikov zero row, and the far
+    # Epanechnikov points rows of exact zeros
+    x = np.random.default_rng(113).normal(size=1300)
+    points = _points()
+    points[5] = np.nan
+    b = 0.4
+    lengths = [1300, 1299, 1297, 1294, 700, 129, 128, 9]
+    windows = [(slice(None, n), np.sin(np.arange(n))) for n in lengths]
+    windows.append((slice(2, None), np.ones(1298)))  # not a prefix: reduces its own slice
+    fits, sum_w, max_w = kernels._nw_fit(x, points, b, kern, windows)
+    w = np.concatenate([blk.copy() for _, _, blk in kernels._weight_blocks(x, points, b, kern)])
+    if kern == "gaussian":
+        assert np.isnan(max_w[:, 5]).all() and np.isnan(sum_w[:, 5]).all()
+    else:
+        assert (max_w[:, [5, -2, -1]] == 0.0).all()
+    for i, (columns, _) in enumerate(windows):
+        assert_same_bits(sum_w[i], w[:, columns].sum(axis=1))
+        assert_same_bits(max_w[i], w[:, columns].max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nlirf.qmle as qmle
 from nlirf.models import Dar1, DarParams, GaussianAr1, TimeSeries, simulate
 from nlirf.qmle import DEFAULT_GRID, GridSpec, QmleResult, dar_quasi_loglik, qmle_grid_search
 
@@ -110,3 +111,58 @@ def test_boundary_flag():
     grid = GridSpec(lower=(0.05, 0.5, 0.05), upper=(0.5, 1.5, 0.5), step=0.05)
     res = qmle_grid_search(series, grid)
     assert res.grid_argmax_on_boundary  # true rho 0.95 sits beyond the rho axis
+
+
+def _former_grid_search(series, grid):
+    """The grid search as it was, allocating every alpha slice anew: its ll slices and best candidate."""
+    y = series.y
+    x, yy = y[:-1], y[1:]
+    x2, y2, xy = x * x, yy * yy, x * yy
+    rhos, alphas, betas = grid.axis(0), grid.axis(1), grid.axis(2)
+    r = rhos[:, None]
+    slices, candidates = [], []
+    for ia, a in enumerate(alphas):
+        v = a + betas[:, None] * x2[None, :]
+        logdet = np.log(v).sum(axis=1)
+        inv = 1.0 / v
+        syy, sxy, sxx = inv @ y2, inv @ xy, inv @ x2
+        ll = -0.5 * (logdet[None, :] + syy[None, :] - 2.0 * r * sxy[None, :] + r * r * sxx[None, :])
+        ir, ib = divmod(int(np.argmax(ll)), len(betas))
+        slices.append(ll)
+        candidates.append((float(ll[ir, ib]), ir, ia, ib))
+    return slices, max(candidates, key=lambda c: (c[0], -c[1], -c[2], -c[3]))
+
+
+class _ArgmaxRecorder:
+    """Stands in for numpy inside ``qmle`` and keeps every array handed to ``argmax``."""
+
+    def __init__(self):
+        self.seen = []
+
+    def argmax(self, a, *args, **kwargs):
+        self.seen.append(np.array(a))
+        return np.argmax(a, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("seed, T, grid", [
+    (31, 2000, DEFAULT_GRID),
+    (32, 800, GridSpec(lower=(0.2, 0.5, 0.2), upper=(0.8, 1.5, 0.8), step=0.02)),
+])
+def test_grid_search_matches_former_slice_allocation(monkeypatch, seed, T, grid):
+    # the slices now reuse two buffers; the ops and their order are the same, so every ll
+    # slice, the argmax and the log-likelihood are bitwise the former ones
+    series = simulate(DAR, T=T, y0=0.0, seed=seed)
+    slices, (ll, ir, ia, ib) = _former_grid_search(series, grid)
+    recorder = _ArgmaxRecorder()
+    monkeypatch.setattr(qmle, "np", recorder)
+    res = qmle_grid_search(series, grid)
+    monkeypatch.undo()
+    assert len(recorder.seen) == len(slices) == len(grid.axis(1))
+    for got, want in zip(recorder.seen, slices):
+        assert got.tobytes() == want.tobytes()
+    former = DarParams(rho=float(grid.axis(0)[ir]), alpha=float(grid.axis(1)[ia]), beta=float(grid.axis(2)[ib]))
+    assert res.params == former
+    assert res.loglik == dar_quasi_loglik(former, series)
