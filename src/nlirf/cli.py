@@ -35,8 +35,8 @@ import numpy as np
 
 from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_sweep
 from .identify import markov_moment_test, recover_mixing
-from .irf import (IrfRequest, _direct_curve, _direct_decomposition, decompose_lp_irf, irf_direct,
-                  irf_lp, simulate_paths)
+from .irf import (IrfRequest, _decomposition, _lp_paths, _mean, _reduce, decompose_lp_irf, irf_direct, irf_lp,
+                  simulate_paths)
 from .kernels import KernelConfig, kde, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
@@ -304,11 +304,9 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
         seed=seed,
     )
     J = int(config["J"])
-    if route == "direct":
-        sim = simulate_paths(series, req)  # one simulation feeds both reductions
-        decs, estimated = _direct_decomposition(sim, req, J), _direct_curve(sim, req)
-    else:
-        decs, estimated = decompose_lp_irf(series, req, J=J), irf_lp(series, req)
+    # one simulation, and on the local projection one fit, feeds both reductions
+    sim = (simulate_paths if route == "direct" else _lp_paths)(series, req)
+    decs, estimated = _decomposition(sim, req, J), _reduce(sim, req, route, _mean(sim.shock - sim.base))
     rows = []
     for dec in decs:
         h = str(dec.horizon)

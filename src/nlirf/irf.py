@@ -12,15 +12,15 @@ y_{t+h} | y_t = y0]:
   Every horizon conditions on the same y_t, as in Jordà (2005), so one
   bandwidth and one kernel-weight evaluation serve all lags.
 
-Both routes share innovations between the shocked and baseline paths
-(common random numbers), so a zero shock gives an exactly zero curve, and
-they coincide bitwise at horizon one, where the local projection applies
-the identity prediction to the very same simulated states.
-
-Replications whose simulated state leaves the estimable region (kernel
-mass below threshold) are rejected and counted per horizon rather than
-extrapolated; estimation aborts when more than 10% of replications are
-rejected at some horizon.
+Both routes produce one PathSimulation of paired outcomes, and every
+response and the Hermite decomposition reduce it. The paths share
+innovations (common random numbers), so a zero shock gives an exactly zero
+curve, and the routes coincide bitwise at horizon one, where the local
+projection applies the identity prediction to the very same simulated
+states. An outcome that leaves the estimable region (kernel mass below
+threshold) is NaN, and its replication is rejected at that horizon rather
+than extrapolated; estimation aborts when more than 10% of replications
+are rejected at some horizon.
 
 Closed-form linear-VAR responses and the identifiable maximal response
 over unit-norm shocks are also provided for multivariate diagnostics.
@@ -93,20 +93,17 @@ class IrfRequest:
 
 @dataclass
 class PathSimulation:
-    """Paired simulated paths through the estimated one-step map.
+    """Paired (baseline, shocked) outcomes of S replications at horizons 1..H, from either route.
 
-    ``base[s, k-1]`` and ``shock[s, k-1]`` are the step-k states of
-    replication s (NaN once the replication has left the estimable
-    region); ``steps_ok[s]`` counts the completed steps, so the
-    replication contributes to horizons h <= steps_ok[s]. ``eps1`` holds
-    the step-one innovations shared by both paths before the shock, and
-    ``bandwidth`` the kernel bandwidth of every step.
+    ``base[s, h-1]`` and ``shock[s, h-1]`` are the horizon-h outcomes of replication s, NaN
+    exactly where it has left the estimable region; ``valid`` marks the pairs with both.
+    ``eps1`` holds the step-one innovations shared by both paths before the shock, ``clamped``
+    counts the clamped step-one shocks, and ``bandwidth`` is the kernel bandwidth.
     """
 
     base: np.ndarray
     shock: np.ndarray
     eps1: np.ndarray
-    steps_ok: np.ndarray
     clamped: int
     bandwidth: float
 
@@ -118,8 +115,9 @@ class PathSimulation:
     def H(self) -> int:
         return self.base.shape[1]
 
-    def valid_at(self, h: int) -> np.ndarray:
-        return self.steps_ok >= h
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.base) & np.isfinite(self.shock)
 
 
 def _rank(eps: np.ndarray) -> np.ndarray:
@@ -160,14 +158,10 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     shock = np.full((S, H), np.nan)
     base[:, 0] = base1
     shock[:, 0] = shock1
-    steps_ok = np.full(S, H, dtype=int)
-    alive = np.ones(S, dtype=bool)
 
     for k in range(1, H):
         eps_k = rng.standard_normal(S)
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
+        idx = np.flatnonzero(np.isfinite(base[:, k - 1]))  # a pair leaves together, so base alone tells
         points = np.concatenate([base[idx, k - 1], shock[idx, k - 1]])
         alphas = np.tile(_rank(eps_k[idx]), 2)
         vals, ok = _quantile_batch(prep, points, alphas)
@@ -175,69 +169,61 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
         good = idx[ok_pair]
         base[good, k] = vals[: idx.size][ok_pair]
         shock[good, k] = vals[idx.size :][ok_pair]
-        died = idx[~ok_pair]
-        steps_ok[died] = k
-        alive[died] = False
 
-    return PathSimulation(base, shock, eps1, steps_ok, clamped, prep.bandwidth)
+    return PathSimulation(base, shock, eps1, clamped, prep.bandwidth)
 
 
-def _reduce_paired(diffs: np.ndarray, valid: np.ndarray, req: IrfRequest, route: str,
-                   bandwidth: float) -> IrfCurve:
-    """Average per-horizon paired differences over the valid replications."""
-    S, H = diffs.shape
-    values = np.empty(H)
-    se = np.empty(H)
-    rejected = np.empty(H, dtype=int)
-    for h in range(H):
-        mask = valid[:, h]
-        n = int(mask.sum())
-        rejected[h] = S - n
-        d = diffs[mask, h]
-        values[h] = float(np.mean(d)) if n else np.nan
-        se[h] = float(np.std(d, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    _check_rejections(rejected, S)
+def _lp_paths(series: TimeSeries, req: IrfRequest, paired: bool = True) -> PathSimulation:
+    """The local projection's outcomes: the step-one states, then their (h-1)-step predictions.
+
+    The baseline states are fitted, then the shocked ones if ``paired``; otherwise ``shock``
+    is ``base``. A prediction that fails the mass rule is NaN.
+    """
+    if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
+        raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
+    prep, _, eps1, base1, shock1, clamped = _simulate_step1(series, req)
+    points = np.concatenate([base1, shock1]) if paired else base1
+    vals = np.empty((req.horizons, len(points)))
+    vals[0] = points
+    if req.horizons > 1:
+        vals[1:] = _nw_lags(series, req.cfg, points, range(1, req.horizons), prep.bandwidth)[0]
+    base = vals[:, : req.S].T
+    return PathSimulation(base, vals[:, req.S :].T if paired else base, eps1, clamped, prep.bandwidth)
+
+
+def _reduce(sim: PathSimulation, req: IrfRequest, route: str, stat, **meta) -> IrfCurve:
+    """The curve of ``stat(mask, h) -> (value, mc_se)`` over each horizon's valid replications.
+
+    Too many rejected replications at any horizon abort before a statistic is computed.
+    """
+    valid = sim.valid
+    rejected = sim.S - valid.sum(axis=0)
+    _check_rejections(rejected, sim.S)
+    values, se = map(np.array, zip(*(stat(valid[:, h], h) for h in range(sim.H))))
     return IrfCurve(
-        horizons=np.arange(1, H + 1),
+        horizons=np.arange(1, sim.H + 1),
         values=values,
         mc_se=se,
         route=route,
-        meta={
-            "y0": req.y0,
-            "delta": req.delta,
-            "S": req.S,
-            "seed": req.seed,
-            "rejected": rejected.tolist(),
-            "bandwidth": bandwidth,
-        },
+        meta={"y0": req.y0, "delta": req.delta, "S": req.S, "seed": req.seed, "rejected": rejected.tolist(),
+              "bandwidth": sim.bandwidth, **meta},
     )
 
 
-def _direct_curve(sim: PathSimulation, req: IrfRequest) -> IrfCurve:
-    valid = sim.steps_ok[:, None] >= np.arange(1, sim.H + 1)[None, :]
-    return _reduce_paired(sim.shock - sim.base, valid, req, "direct", sim.bandwidth)
+def _mean(diffs: np.ndarray):
+    """The statistic of a mean paired difference and its Monte Carlo standard error."""
+    def stat(mask: np.ndarray, h: int):
+        d = diffs[mask, h]
+        se = float(np.std(d, ddof=1) / math.sqrt(d.size)) if d.size > 1 else 0.0
+        return float(np.mean(d)), se
+
+    return stat
 
 
 def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     """Direct-simulation IRF: mean paired path difference per horizon."""
-    return _direct_curve(simulate_paths(series, req), req)
-
-
-def _lp_predictions(series: TimeSeries, req: IrfRequest, paired: bool):
-    """(H, points) predictions of y_{t+h-1} given y_t at the step-one states, and their mass flags.
-
-    Points are the baseline states, then the shocked ones if ``paired``; eps1 and the bandwidth follow.
-    """
-    if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
-        raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
-    prep, _, eps1, base1, shock1, _ = _simulate_step1(series, req)
-    points = np.concatenate([base1, shock1]) if paired else base1
-    vals = np.empty((req.horizons, len(points)))
-    ok = np.ones(vals.shape, dtype=bool)
-    vals[0] = points
-    if req.horizons > 1:
-        vals[1:], ok[1:] = _nw_lags(series, req.cfg, points, range(1, req.horizons), prep.bandwidth)[:2]
-    return vals, ok, eps1, prep.bandwidth
+    sim = simulate_paths(series, req)
+    return _reduce(sim, req, "direct", _mean(sim.shock - sim.base))
 
 
 def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -248,10 +234,8 @@ def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     Horizon one applies the identity prediction, which makes it coincide
     bitwise with the direct route under a shared seed.
     """
-    vals, ok, _, bandwidth = _lp_predictions(series, req, paired=True)
-    S = req.S
-    diffs, valid = (vals[:, S:] - vals[:, :S]).T, (ok[:, :S] & ok[:, S:]).T
-    return _reduce_paired(diffs, valid, req, "local_projection", bandwidth)
+    sim = _lp_paths(series, req)
+    return _reduce(sim, req, "local_projection", _mean(sim.shock - sim.base))
 
 
 # ---------------------------------------------------------------------------
@@ -289,37 +273,20 @@ def irf_transformed(series: TimeSeries, req: IrfRequest, transform: Transform) -
     bootstrap).
     """
     sim = simulate_paths(series, req)
-    S, H = sim.S, sim.H
-    valid = sim.steps_ok[:, None] >= np.arange(1, H + 1)[None, :]
-
     if isinstance(transform, QuantileLevel):
-        values = np.empty(H)
-        se = np.empty(H)
-        rejected = np.empty(H, dtype=int)
+        q = transform.alpha
         boot_rng = np.random.default_rng(req.seed + 0x5EED)
-        for h in range(H):
-            mask = valid[:, h]
-            n = int(mask.sum())
-            rejected[h] = S - n
+
+        def stat(mask: np.ndarray, h: int):
             b, s = sim.base[mask, h], sim.shock[mask, h]
-            values[h] = float(np.quantile(s, transform.alpha) - np.quantile(b, transform.alpha))
-            if n > 1:
-                idx = boot_rng.integers(0, n, size=(200, n))
-                reps = np.quantile(s[idx], transform.alpha, axis=1) - np.quantile(
-                    b[idx], transform.alpha, axis=1
-                )
-                se[h] = float(np.std(reps, ddof=1))
-            else:
-                se[h] = 0.0
-        _check_rejections(rejected, S)
-        return IrfCurve(
-            horizons=np.arange(1, H + 1),
-            values=values,
-            mc_se=se,
-            route="transformed",
-            meta={"transform": f"quantile_level({transform.alpha})", "y0": req.y0, "delta": req.delta,
-                  "S": req.S, "seed": req.seed, "rejected": rejected.tolist(), "bandwidth": sim.bandwidth},
-        )
+            value = float(np.quantile(s, q) - np.quantile(b, q))
+            if b.size < 2:
+                return value, 0.0
+            idx = boot_rng.integers(0, b.size, size=(200, b.size))
+            reps = np.quantile(s[idx], q, axis=1) - np.quantile(b[idx], q, axis=1)
+            return value, float(np.std(reps, ddof=1))
+
+        return _reduce(sim, req, "transformed", stat, transform=f"quantile_level({q})")
 
     if isinstance(transform, Indicator):
         thr = transform.threshold
@@ -329,10 +296,7 @@ def irf_transformed(series: TimeSeries, req: IrfRequest, transform: Transform) -
         a = transform
         label = getattr(transform, "__name__", "user_function")
     diffs = np.asarray(a(sim.shock), dtype=float) - np.asarray(a(sim.base), dtype=float)
-    with np.errstate(invalid="ignore"):
-        curve = _reduce_paired(diffs, valid, req, "transformed", sim.bandwidth)
-    curve.meta["transform"] = label
-    return curve
+    return _reduce(sim, req, "transformed", _mean(diffs), transform=label)
 
 
 def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -347,20 +311,13 @@ def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     H = sim.H
     prev_base = np.column_stack([np.full(sim.S, req.y0), sim.base[:, : H - 1]])
     prev_shock = np.column_stack([np.full(sim.S, req.y0), sim.shock[:, : H - 1]])
-    diffs = sim.shock * prev_shock - sim.base * prev_base
-    valid = sim.steps_ok[:, None] >= np.arange(1, H + 1)[None, :]
-    with np.errstate(invalid="ignore"):
-        curve = _reduce_paired(diffs, valid, req, "dynamic", sim.bandwidth)
-    return curve
+    return _reduce(sim, req, "dynamic", _mean(sim.shock * prev_shock - sim.base * prev_base))
 
 
 def irf_joint(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     """Mean squared paired path difference per horizon; nonnegative."""
     sim = simulate_paths(series, req)
-    valid = sim.steps_ok[:, None] >= np.arange(1, sim.H + 1)[None, :]
-    with np.errstate(invalid="ignore"):
-        curve = _reduce_paired((sim.shock - sim.base) ** 2, valid, req, "joint", sim.bandwidth)
-    return curve
+    return _reduce(sim, req, "joint", _mean((sim.shock - sim.base) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -415,29 +372,23 @@ def var_max_irf(params: VarParams, a, h: int) -> MaxIrfResult:
 # decomposition pipelines
 # ---------------------------------------------------------------------------
 
-def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
-    """Hermite decomposition of the direct-route response, one entry per horizon.
+def _decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[HermiteDecomposition]:
+    """Regress each horizon's baseline outcomes on the Hermite polynomials of their step-one innovations.
 
-    Regresses the baseline simulated states at each horizon on the
-    Hermite polynomials of the step-one innovations that generated them.
+    Replications are selected by the baseline outcome alone: requiring the shocked one too
+    would select on eps1 and bias the fit.
     """
-    return _direct_decomposition(simulate_paths(series, req), req, J)
+    kept = np.isfinite(sim.base)
+    _check_rejections(sim.S - kept.sum(axis=0), sim.S)
+    return [decompose_irf(sim.base[m, h - 1], sim.eps1[m], req.delta, J=J, h=h)
+            for h, m in enumerate(kept.T, start=1)]
 
 
-def _direct_decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[HermiteDecomposition]:
-    masks = [sim.valid_at(h) for h in range(1, sim.H + 1)]
-    _check_rejections(np.array([sim.S - m.sum() for m in masks]), sim.S)
-    return [
-        decompose_irf(sim.base[m, h - 1], sim.eps1[m], req.delta, J=J, h=h)
-        for h, m in enumerate(masks, start=1)
-    ]
+def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
+    """Hermite decomposition of the direct-route response, one entry per horizon."""
+    return _decomposition(simulate_paths(series, req), req, J)
 
 
 def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
-    """Hermite decomposition of the local-projection route, per horizon."""
-    vals, ok, eps1, _ = _lp_predictions(series, req, paired=False)
-    _check_rejections(req.S - ok.sum(axis=1), req.S)
-    return [
-        decompose_irf(vals[h - 1][ok[h - 1]], eps1[ok[h - 1]], req.delta, J=J, h=h)
-        for h in range(1, req.horizons + 1)
-    ]
+    """Hermite decomposition of the local-projection route, per horizon; fits the baseline states only."""
+    return _decomposition(_lp_paths(series, req, paired=False), req, J)

@@ -331,6 +331,8 @@ def cond_cdf(
     """
     if math.isnan(z):  # +-inf stay legal and give exactly 0 or 1
         raise ValueError("z must not be NaN")
+    if math.isnan(y):  # +-inf stay legal and have no local data
+        raise ValueError("y must not be NaN")
     prep = _QuantilePrep.from_series(series, cfg)
     w = _weights_at(prep.x, y, prep.bandwidth, prep.kernel)
     max_w = float(w.max())
@@ -358,6 +360,8 @@ def cond_quantile(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if math.isnan(y):
+        raise ValueError("y must not be NaN")
     prep = _QuantilePrep.from_series(series, cfg)
     vals, ok, sum_w = _quantile_at_point(prep, y, np.array([alpha]))
     if not ok[0]:
@@ -394,6 +398,8 @@ def nadaraya_watson(
     """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y], bandwidth from y[:T-h]."""
     if isinstance(h, bool) or not isinstance(h, (int, np.integer)):  # numpy integers pass
         raise ValueError(f"h must be an integer, got {h!r}")
+    if math.isnan(y):
+        raise ValueError("y must not be NaN")
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
     if not ok.item():
         raise InsufficientLocalData(

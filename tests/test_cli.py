@@ -212,6 +212,35 @@ def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
     assert coefficients == [c for d in decompose_direct_irf(series, req, J=3) for c in d.coefficients[1:]]
 
 
+def test_decompose_lp_fits_once(tmp_path, monkeypatch):
+    # one step-one simulation and one NW fit of both paths' states feed the decomposition rows,
+    # from the baseline predictions, and the estimated_irf rows
+    import nlirf.irf
+    import nlirf.kernels
+    from nlirf.irf import IrfRequest, decompose_lp_irf, irf_lp
+
+    series = write_series_csv(tmp_path / "s.csv", T=800)
+    config = {"input": str(tmp_path / "s.csv"), "y0": 0.2, "horizons": 3, "delta": 0.5, "S": 300, "J": 3,
+              "route": "local_projection"}
+    calls = {"_simulate_step1": 0, "_weight_blocks": 0}
+    for module, name in ((nlirf.irf, "_simulate_step1"), (nlirf.kernels, "_weight_blocks")):
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run("decompose", config, tmp_path / "out", master_seed=4)
+    assert calls == {"_simulate_step1": 1, "_weight_blocks": 2}  # the y0 row, then every lag at once
+    monkeypatch.undo()
+
+    req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=300, seed=derive_seed(4, "decompose"))
+    body = [ln.split(",") for ln in (tmp_path / "out" / "decompose.csv").read_text().splitlines()[2:]]
+    estimated = [float(row[4]) for row in body if row[2] == "estimated_irf"]
+    assert estimated == irf_lp(series, req).values.tolist()
+    coefficients = [float(row[3]) for row in body if row[2] in ("1", "2", "3")]
+    assert coefficients == [c for d in decompose_lp_irf(series, req, J=3) for c in d.coefficients[1:]]
+
+
 # sha256 of manifest.json as written when the CLI restated the library defaults
 # (S=10_000, the bench target's S=2000 and routes, the QMLE grid, J=5, max_lag=5,
 # B=500, level=0.05, the 201-point density grid)

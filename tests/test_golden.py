@@ -4,9 +4,11 @@ of the value bytes of the library curves.
 The runs cover both IRF routes, both kernels, an explicit and a Silverman bandwidth, both
 ``decompose`` routes and the sweep. The library pins cover the local projection and its
 decomposition at seven horizons under both kernels, the transformed, dynamic and joint
-responses and the direct decomposition. A change that is meant to keep outputs bitwise must leave
-every digest as it is; a stated numerical change updates the digests it moves, together with
-a CHANGES.md entry naming them and the reason.
+responses and the direct decomposition. The rejection pins repeat most of them, with a CLI
+local-projection ``decompose`` run, under a mass threshold that rejects replications without
+aborting. A change that is meant to keep outputs bitwise must leave every digest as it is; a
+stated numerical change updates the digests it moves, together with a CHANGES.md entry naming
+them and the reason.
 
 Bitwise outputs depend on the numeric stack, so the digests hold for the numpy, scipy and BLAS
 recorded in ``ENVIRONMENT``, and the test skips, naming the mismatch, under any other.
@@ -21,8 +23,8 @@ import pytest
 import scipy
 
 from nlirf.cli import run
-from nlirf.irf import (IrfRequest, Indicator, QuantileLevel, decompose_direct_irf, decompose_lp_irf, irf_dynamic,
-                       irf_joint, irf_lp, irf_transformed)
+from nlirf.irf import (IrfRequest, Indicator, QuantileLevel, decompose_direct_irf, decompose_lp_irf, irf_direct,
+                       irf_dynamic, irf_joint, irf_lp, irf_transformed)
 from nlirf.kernels import KernelConfig
 from nlirf.models import Dar1, GaussianAr1, TimeSeries, simulate
 
@@ -119,9 +121,13 @@ def _digest(*arrays) -> str:
     return hashlib.sha256(b"".join(np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
 
 
+def _dar_series():
+    return simulate(Dar1.of(0.5, 1.0, 0.5), T=800, y0=0.2, seed=3)
+
+
 def curve_digests():
     """Digest every pinned library curve on the DAR(1) series at T=800 with S=300."""
-    series = simulate(Dar1.of(0.5, 1.0, 0.5), T=800, y0=0.2, seed=3)
+    series = _dar_series()
     req = IrfRequest(y0=0.2, horizons=7, delta=0.5, S=300, seed=5)
     out = {}
     for label, cfg in (("gaussian", KernelConfig()), ("epanechnikov", KernelConfig("epanechnikov", 0.6))):
@@ -138,6 +144,50 @@ def curve_digests():
         out[name] = _digest(curve.values, curve.mc_se)
     out["decompose_direct_irf"] = _digest(*(d.coefficients for d in decompose_direct_irf(series, req)))
     return out
+
+
+# an absolute mass threshold that rejects replications without aborting: the direct route loses
+# 27 of 300 by horizon 7 at delta=0.5, the local projection 3 shocked step-one states at delta=1.5
+# (none on the baseline side), and the CLI's decompose, at its derived seed, 8 shocked ones
+REJECTING = KernelConfig(min_weight_sum=5.0)
+REJECTED = {"direct": [0, 0, 3, 11, 18, 24, 27], "local_projection": [0, 3, 3, 3, 3, 3, 3]}
+
+# recorded under ENVIRONMENT, as CURVE_GOLDEN and GOLDEN, on the code before every response
+# came to reduce one PathSimulation
+REJECTION_GOLDEN = {
+    "irf_direct": "8354f8d7eecc76c383469f89504b96622881dba7cdaaa4e74ad20585e9fb9571",
+    "irf_joint": "0235c28b979d1b540ef683a25ae3b2fa40914e0326d2d11c5b3038947aa4a24c",
+    "irf_dynamic": "e3f4646069fcb2dc188ab3e54b1d7db2d3d12291a9e9c70f1e549e013afc2f5a",
+    "irf_transformed/indicator": "48d8a82c8c04d2126c607f297a4e16665db5245f27ae816a09bc3dda0ac8dd5e",
+    "irf_transformed/quantile_level": "875e584d6008c4bb297ce14f1ab397e24dcbd02a53070a608c6eaaf070932838",
+    "irf_lp": "e246fd98141a01215b92dd70bee37eabb9fb841961f3d1409aecb208dc4159b4",
+    "decompose_direct_irf": "f7ec10ff3ca120b80d3423b4382681a9d70df0c98a1960e226d116f4c562e569",
+    "decompose_lp_irf": "b9b92bec6f83774be65ff7f513ad916340a94f1e679fec4f450d15b313ea6cef",
+    "decompose_lp/decompose.csv": "2067c3e1438ff42406bce19249eb1e816325032f62824151f074dfe46104bc04",
+    "decompose_lp/manifest.json": "59fc66df972469915a9cedbf06a3dc8a698f2d522c8e8b392e88d13c21ca27b5",
+}
+
+
+def rejection_digests(root):
+    """Digest the pinned responses, and a CLI ``decompose`` run, under the rejecting threshold; return the
+    digests and each curve's rejected counts."""
+    series = _dar_series()
+    req = IrfRequest(y0=0.2, horizons=7, delta=0.5, S=300, seed=5, cfg=REJECTING)
+    lp_req = replace(req, delta=1.5)
+    curves = {"irf_direct": irf_direct(series, req), "irf_joint": irf_joint(series, req),
+              "irf_dynamic": irf_dynamic(series, req),
+              "irf_transformed/indicator": irf_transformed(series, req, Indicator(0.5)),
+              "irf_transformed/quantile_level": irf_transformed(series, req, QuantileLevel(0.25)),
+              "irf_lp": irf_lp(series, lp_req)}
+    out = {name: _digest(c.values, c.mc_se) for name, c in curves.items()}
+    out["decompose_direct_irf"] = _digest(*(d.coefficients for d in decompose_direct_irf(series, req)))
+    out["decompose_lp_irf"] = _digest(*(d.coefficients for d in decompose_lp_irf(series, lp_req)))
+    series.to_csv(root / "dar.csv")
+    config = {"input": "dar.csv", "y0": 0.2, "horizons": 7, "delta": 1.5, "S": 300, "J": 3,
+              "route": "local_projection", "kernel": REJECTING.to_json_obj()}
+    for path in run("decompose", config, root / "decompose_lp", master_seed=3):
+        out[f"decompose_lp/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out, {name: c.meta["rejected"] for name, c in curves.items()}
 
 
 def _require_recorded_stack():
@@ -157,3 +207,11 @@ def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
     _require_recorded_stack()
     monkeypatch.chdir(tmp_path)  # relative inputs keep the manifests, and so every digest, path-free
     assert run_all(Path(".")) == GOLDEN
+
+
+def test_rejecting_responses_match_golden_digests(tmp_path, monkeypatch):
+    _require_recorded_stack()
+    monkeypatch.chdir(tmp_path)
+    digests, rejected = rejection_digests(Path("."))
+    assert rejected == {name: REJECTED["local_projection" if name == "irf_lp" else "direct"] for name in rejected}
+    assert digests == REJECTION_GOLDEN

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 import nlirf.irf as irf_module
 import nlirf.kernels as kernels
+from nlirf.hermite import decompose_irf
 from nlirf.irf import (
     Indicator,
     IrfRequest,
@@ -251,14 +252,15 @@ def test_decompositions_refuse_to_extrapolate(dar_series):
 
 
 def test_path_simulation_bookkeeping(dar_series):
-    req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=200, seed=16)
+    # a threshold that loses some replications; the simulation itself never aborts
+    req = IrfRequest(y0=0.2, horizons=5, delta=2.0, S=200, seed=16, cfg=KernelConfig(min_weight_sum=30.0))
     sim = simulate_paths(dar_series, req)
-    assert sim.base.shape == (200, 3)
-    assert np.all(sim.steps_ok >= 1)
-    for h in (1, 2, 3):
-        mask = sim.valid_at(h)
-        assert np.isfinite(sim.base[mask, h - 1]).all()
-        assert np.isfinite(sim.shock[mask, h - 1]).all()
+    assert sim.base.shape == sim.shock.shape == sim.valid.shape == (200, 5)
+    # a pair leaves the estimable region together, and its outcomes are NaN exactly from then on
+    np.testing.assert_array_equal(sim.valid, np.isfinite(sim.base))
+    np.testing.assert_array_equal(sim.valid, np.isfinite(sim.shock))
+    assert sim.valid[:, 0].all() and 0 < sim.valid[:, -1].sum() < sim.S
+    assert np.all(sim.valid[:, 1:] <= sim.valid[:, :-1])  # each row is a prefix: once invalid, always
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +360,18 @@ def test_decompose_lp_matches_direct_at_h1(dar_series):
     d = decompose_direct_irf(dar_series, req, J=4)
     lp = decompose_lp_irf(dar_series, req, J=4)
     assert d[0].reconstructed_total == lp[0].reconstructed_total  # same step-1 states
+
+
+def test_decomposition_selects_on_the_baseline_alone():
+    # at delta=1.5 three shocked step-one states leave the estimable region and no baseline one
+    # does; the decomposition keeps those replications, since dropping them selects on eps1
+    series = simulate(DAR, T=800, y0=0.2, seed=3)
+    req = IrfRequest(y0=0.2, horizons=3, delta=1.5, S=300, seed=5, cfg=KernelConfig(min_weight_sum=5.0))
+    sim = irf_module._lp_paths(series, req)
+    assert np.isfinite(sim.base).all() and (~sim.valid).sum(axis=0).tolist() == [0, 3, 3]
+    decs = irf_module._decomposition(sim, req, J=3)
+    for h, dec in enumerate(decs, start=1):
+        kept = decompose_irf(sim.base[:, h - 1], sim.eps1, req.delta, J=3, h=h)
+        np.testing.assert_array_equal(dec.coefficients, kept.coefficients)
+    for dec, unpaired in zip(decs, decompose_lp_irf(series, req, J=3)):  # the S-point fit agrees
+        np.testing.assert_allclose(dec.coefficients, unpaired.coefficients, rtol=1e-12, atol=1e-14)

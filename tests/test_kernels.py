@@ -158,6 +158,20 @@ def test_cond_cdf_rejects_nan_z(ar1_series):
         cond_cdf(ar1_series, math.nan, 0.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, y: cond_cdf(s, 0.0, y), lambda s, y: cond_quantile(s, 0.5, y), lambda s, y: g_hat(s, y, 0.3),
+    lambda s, y: nadaraya_watson(s, 1, y),
+], ids=["cond_cdf", "cond_quantile", "g_hat", "nadaraya_watson"])
+def test_nan_conditioning_value_is_a_bad_argument(ar1_series, call):
+    # a NaN y is a bad argument, not thin local data; an infinite y still is thin local data
+    with pytest.raises(ValueError, match="y must not be NaN") as err:
+        call(ar1_series, math.nan)
+    assert not isinstance(err.value, InsufficientLocalData)
+    for y in (math.inf, -math.inf):
+        with pytest.raises(InsufficientLocalData):
+            call(ar1_series, y)
+
+
 # ---------------------------------------------------------------------------
 # conditional quantile
 # ---------------------------------------------------------------------------
@@ -632,12 +646,11 @@ def _ref_lp_predictions(series, req, points, bandwidth):
 
 
 def _ref_irf_lp(series, req, bandwidth=None):
-    _, _, _, base1, shock1, _ = irf._simulate_step1(series, req)
-    S = req.S
+    _, _, eps1, base1, shock1, clamped = irf._simulate_step1(series, req)
     fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth)
-    diffs = np.column_stack([v[S:] - v[:S] for v, _ in fits])
-    valid = np.column_stack([ok[:S] & ok[S:] for _, ok in fits])
-    return irf._reduce_paired(diffs, valid, req, "local_projection", bandwidth)
+    outcomes = np.column_stack([np.where(ok, v, np.nan) for v, ok in fits])  # NaN where a fit fails
+    sim = irf.PathSimulation(outcomes[: req.S], outcomes[req.S :], eps1, clamped, bandwidth)
+    return irf._reduce(sim, req, "local_projection", irf._mean(sim.shock - sim.base))
 
 
 def _ref_decompose_lp(series, req, bandwidth=None):
