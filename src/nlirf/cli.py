@@ -37,7 +37,7 @@ from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_
 from .identify import markov_moment_test, recover_mixing
 from .irf import (IrfRequest, _decomposition, _lp_paths, _mean, _reduce, decompose_lp_irf, irf_direct, irf_lp,
                   simulate_paths)
-from .kernels import KernelConfig, kde, silverman_bandwidth
+from .kernels import KernelConfig, _weight_blocks, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
 
@@ -212,7 +212,9 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
         y = series.y
         b = silverman_bandwidth(y)
         grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, int(config["density_grid"]))
-        dens = [kde(y, g) for g in grid]
+        dens = np.empty(len(grid))  # the kde of y at each grid point, from one chunked pass
+        for lo, hi, wts in _weight_blocks(y, grid, b, "gaussian"):
+            dens[lo:hi] = wts.sum(axis=1) / (y.size * b)
         w.csv(
             "density.csv",
             "y,density",

@@ -83,10 +83,10 @@ class IrfRequest:
     def __post_init__(self) -> None:
         if not math.isfinite(self.y0):
             raise ValueError("y0 must be finite")
-        for name in ("horizons", "S"):  # numpy integers pass, bools and floats do not
+        for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):  # numpy integers pass, bools and floats do not
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
 

@@ -6,7 +6,8 @@ autoregressive map ``g_hat(y, eps) = Q_hat(Phi(eps) | y)`` obtained by
 inverting the estimated conditional distribution at a Gaussian rank.
 Every weight comes from one chunked primitive that evaluates (points x T)
 kernel blocks in place, in a buffer allocated per call and bounded by
-``_CHUNK_CELLS`` cells, so concurrent calls share no scratch memory.
+``_CHUNK_CELLS`` cells (8 MB), so concurrent calls share no scratch memory;
+batch scans and fits evaluate one row per distinct conditioning point.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
 response ``y_t`` (t = 2..T) and weight observations with a kernel in the
@@ -20,6 +21,7 @@ largest single weight, i.e. roughly five effective neighbours.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -49,7 +51,7 @@ EPS_CLAMP = 6.0
 # in units of the largest single kernel weight at the conditioning point
 _DEFAULT_MASS_MULTIPLE = 5.0
 
-_CHUNK_CELLS = 4_000_000  # max weight-matrix cells held at once
+_CHUNK_CELLS = 1_000_000  # max weight-matrix cells held at once: 8 MB of float64
 
 
 class InsufficientLocalData(ValueError):
@@ -66,8 +68,9 @@ _KERNELS = ("gaussian", "epanechnikov")
 def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
     """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth)``.
 
-    Blocks of at most ``_CHUNK_CELLS`` cells are evaluated in place into one buffer per call,
-    which the next block overwrites, in the operation order of the plain kernel formulas.
+    Blocks of at most ``_CHUNK_CELLS`` cells (8 MB) are evaluated in place into one buffer per
+    call, which the next block overwrites, in the operation order of the plain kernel formulas.
+    A row costs T cells whether or not its point repeats, so callers pass distinct points.
     """
     m, n = len(x), len(points)
     chunk = max(1, min(n, max(16, _CHUNK_CELLS // m)))
@@ -95,6 +98,11 @@ def _weights_at(x: np.ndarray, point: float, bandwidth: float, kernel: str) -> n
     return next(_weight_blocks(x, np.array([point], dtype=float), bandwidth, kernel))[2][0]
 
 
+def _positive_finite(value) -> bool:
+    """A positive finite real number: numpy numbers pass, bools and strings do not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel family, bandwidth (explicit or ``"silverman"``), and mass threshold.
@@ -114,10 +122,10 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "silverman":
                 raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif self.bandwidth is True or not (isinstance(self.bandwidth, (int, float)) and self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
-        if self.min_weight_sum is not None and not self.min_weight_sum > 0:
-            raise ValueError("min_weight_sum must be positive when given")
+        elif not _positive_finite(self.bandwidth):
+            raise ValueError(f"bandwidth must be a positive finite number, got {self.bandwidth!r}")
+        if self.min_weight_sum is not None and not _positive_finite(self.min_weight_sum):
+            raise ValueError(f"min_weight_sum must be a positive finite number, got {self.min_weight_sum!r}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -233,21 +241,29 @@ def _quantile_at_point(prep: _QuantilePrep, y0: float, alphas: np.ndarray):
 
 
 def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
-    """Weighted quantiles for paired (conditioning point, level) arrays."""
+    """Weighted quantiles for paired (conditioning point, level) arrays, one weight row per distinct point.
+
+    A cumsum of nonnegative weights never decreases, so bisection finds each level's first index
+    with ``cw >= alpha * sum_w``, as a left ``searchsorted`` would, clamped to the last response.
+    """
+    distinct, inverse = np.unique(ys, return_inverse=True)
     values = np.full(len(ys), np.nan)
     ok = np.zeros(len(ys), bool)
-    for lo, hi, w in _weight_blocks(prep.x, ys, prep.bandwidth, prep.kernel):
+    m = len(prep.x)
+    for lo, hi, w in _weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel):
         # pairwise row sums for the mass rule, then the scan in place
         sum_w = w.sum(axis=1)
         good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
-        cw = np.cumsum(w, axis=1, out=w)
-        ge = cw >= (alphas[lo:hi] * sum_w)[:, None]
-        idx = ge.argmax(axis=1)
-        idx[~ge[:, -1]] = len(prep.x) - 1
-        vals = prep.v[idx]
-        vals[~good] = np.nan
-        values[lo:hi] = vals
-        ok[lo:hi] = good
+        cw = np.cumsum(w, axis=1, out=w).ravel()
+        at = np.flatnonzero((inverse >= lo) & (inverse < hi))  # the pairs of this block's rows
+        row = inverse[at] - lo
+        at, row = at[good[row]], row[good[row]]
+        target, idx = alphas[at] * sum_w[row], np.zeros(len(at), np.intp)
+        for step in (1 << k for k in reversed(range(m.bit_length()))):  # idx: entries below target
+            probe = np.minimum(idx + step, m)
+            idx = np.where(cw[row * m + probe - 1] < target, probe, idx)
+        values[at] = prep.v[np.minimum(idx, m - 1)]
+        ok[at] = True
     return values, ok
 
 
@@ -311,7 +327,8 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
     x = y[: T - lags[0]]
     b = _resolve_bandwidth(cfg, x) if bandwidth is None else bandwidth
     windows = [(slice(None, T - lag), y[lag:]) for lag in lags]
-    values, sum_w, max_w = _nw_fit(x, points, b, cfg.kernel, windows)
+    distinct, inverse = np.unique(points, return_inverse=True)  # fit each distinct point once
+    values, sum_w, max_w = (a[:, inverse] for a in _nw_fit(x, distinct, b, cfg.kernel, windows))
     ok = _mass_ok(sum_w, max_w, cfg.min_weight_sum)
     values[~ok] = np.nan
     return values, ok, sum_w, b

@@ -50,7 +50,8 @@ def test_request_validation():
 
 
 @pytest.mark.parametrize("field, bad", [("horizons", 2.5), ("horizons", 3.0), ("horizons", True),
-                                        ("horizons", "3"), ("S", 100.0), ("S", True)])
+                                        ("horizons", "3"), ("S", 100.0), ("S", True), ("seed", 1.5),
+                                        ("seed", "3"), ("seed", True), ("seed", -1)])
 def test_request_rejects_non_integer_counts(field, bad):
     kwargs = {"y0": 0.0, "horizons": 3, "delta": 0.5, "S": 100, field: bad}
     with pytest.raises(ValueError, match=field):
@@ -58,8 +59,9 @@ def test_request_rejects_non_integer_counts(field, bad):
 
 
 def test_request_accepts_numpy_integers():
-    req = IrfRequest(y0=0.0, horizons=np.int64(3), delta=0.5, S=np.int32(100))
-    assert req.horizons == 3 and req.S == 100
+    req = IrfRequest(y0=0.0, horizons=np.int64(3), delta=0.5, S=np.int32(100), seed=np.uint32(7))
+    assert req.horizons == 3 and req.S == 100 and req.seed == 7
+    assert IrfRequest(y0=0.0, horizons=3, delta=0.5, seed=0).seed == 0
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,19 @@ def test_kernel_config_validation():
         KernelConfig.from_json_obj({"kernel": "gaussian", "shape": 2})
 
 
+@pytest.mark.parametrize("field, bad", [("min_weight_sum", True), ("min_weight_sum", math.inf),
+                                        ("min_weight_sum", "1"), ("min_weight_sum", math.nan),
+                                        ("bandwidth", math.inf), ("bandwidth", math.nan), ("bandwidth", False)])
+def test_kernel_config_rejects_by_type(field, bad):
+    with pytest.raises(ValueError, match=field):
+        KernelConfig(**{field: bad})
+
+
+def test_kernel_config_accepts_numpy_numbers():
+    cfg = KernelConfig(bandwidth=np.float32(0.5), min_weight_sum=np.int64(4))
+    assert cfg.bandwidth == 0.5 and cfg.min_weight_sum == 4
+
+
 # ---------------------------------------------------------------------------
 # kde
 # ---------------------------------------------------------------------------
@@ -495,6 +508,74 @@ def test_quantile_batch_matches_reference(small_dar, chunking, kern, mass):
         assert_same_bits(g, w)
 
 
+# ---------------------------------------------------------------------------
+# one weight row per distinct conditioning point
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_quantile_batch_with_repeated_points_matches_reference(small_dar, chunking, kern, mass):
+    # 21 distinct points (two massless, one NaN), five levels each, shuffled over 105 pairs; chunked,
+    # the reference's blocks of pairs and the deduplicated blocks of rows both split the repeats
+    prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
+    distinct = np.append(_points(20), np.nan)
+    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
+    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        knots = cw[:, [0, 299, -1]] / sum_w[:, None]
+    near_one = np.nextafter(1.0, 0.0)  # its target passes the last cumulative weight on some rows
+    levels = np.column_stack([np.where(np.isfinite(knots), knots, 0.5), np.full(21, near_one),
+                              np.random.default_rng(114).uniform(0.01, 0.99, 21)])
+    order = np.random.default_rng(115).permutation(105)
+    ys, alphas = np.repeat(distinct, 5)[order], levels.ravel()[order]
+    got, want = kernels._quantile_batch(prep, ys, alphas), _ref_quantile_batch(prep, ys, alphas)
+    for g, r in zip(got, want):
+        assert_same_bits(g, r)
+    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    assert not good.all() and good.sum() >= 15 and not good[-1]
+    assert np.any(near_one * sum_w[good] > cw[good, -1])
+
+
+def _recording(monkeypatch, module, name, record):
+    original = getattr(module, name)
+
+    def recorded(*args):
+        record.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+def test_simulated_steps_evaluate_one_row_per_distinct_state(small_dar, monkeypatch):
+    blocks, steps = [], []
+    _recording(monkeypatch, kernels, "_weight_blocks", blocks)
+    _recording(monkeypatch, irf, "_quantile_batch", steps)
+    sim = irf.simulate_paths(small_dar, IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=116))
+    assert len(blocks) == 1 + len(steps) == 5 and len(blocks[0][1]) == 1  # step one: y0 alone
+    for (_, ys, _), (_, points, _, _) in zip(steps, blocks[1:]):
+        assert_same_bits(points, np.unique(ys))
+    assert all(len(points) < len(ys) for (_, ys, _), (_, points, _, _) in zip(steps, blocks[1:]))
+    assert np.isfinite(sim.base[:, -1]).any()
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_nw_lags_fit_each_distinct_point_once(small_dar, chunking, kern, mass, monkeypatch):
+    cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
+    p = _points()
+    points = np.concatenate([p, p[::-1], p[:7], [np.nan, np.nan]])
+    blocks = []
+    _recording(monkeypatch, kernels, "_weight_blocks", blocks)
+    values, ok, weights, _ = kernels._nw_lags(small_dar, cfg, points, range(1, 5))
+    assert len(blocks) == 1 and len(blocks[0][1]) == 41  # 40 points and one NaN
+    # equal points get identical bits, those of a fit at the distinct points alone
+    want = kernels._nw_lags(small_dar, cfg, np.append(p, np.nan), range(1, 5))
+    for g, w in zip((values, ok, weights), want):
+        assert_same_bits(g[:, :40], w[:, :40])
+        assert_same_bits(g[:, 40:80], w[:, 39::-1])
+        assert_same_bits(g[:, 80:87], w[:, :7])
+        assert_same_bits(g[:, 87:], w[:, [40, 40]])
+    assert not ok.all() and ok.any()
+
+
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)
 @pytest.mark.parametrize("lag", [1, 3])
 def test_nw_batch_matches_reference(small_dar, chunking, kern, mass, lag):
@@ -638,24 +719,30 @@ def test_nw_lags_match_per_lag_reference(small_dar, chunking, kern, mass):
             assert_same_bits(g, w)
 
 
-def _ref_lp_predictions(series, req, points, bandwidth):
-    """Per-lag NW fits as before the lags shared a bandwidth; None re-derives it from y[:T-lag]."""
+def _ref_lp_predictions(series, req, points, bandwidth, distinct):
+    """Per-lag NW fits as before the lags shared a bandwidth; None re-derives it from y[:T-lag].
+
+    ``distinct`` fits each distinct point once and gathers the fits, as ``_nw_lags`` does;
+    otherwise every point gets its own row.
+    """
     cfg = req.cfg if bandwidth is None else replace(req.cfg, bandwidth=bandwidth)
+    fitted, inverse = np.unique(points, return_inverse=True) if distinct else (points, slice(None))
     fits = [(points, np.ones(len(points), bool))]
-    return fits + [_ref_nw_batch(series, cfg, points, lag)[:2] for lag in range(1, req.horizons)]
+    return fits + [tuple(a[inverse] for a in _ref_nw_batch(series, cfg, fitted, lag)[:2])
+                   for lag in range(1, req.horizons)]
 
 
-def _ref_irf_lp(series, req, bandwidth=None):
+def _ref_irf_lp(series, req, bandwidth=None, distinct=True):
     _, _, eps1, base1, shock1, clamped = irf._simulate_step1(series, req)
-    fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth)
+    fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth, distinct)
     outcomes = np.column_stack([np.where(ok, v, np.nan) for v, ok in fits])  # NaN where a fit fails
     sim = irf.PathSimulation(outcomes[: req.S], outcomes[req.S :], eps1, clamped, bandwidth)
     return irf._reduce(sim, req, "local_projection", irf._mean(sim.shock - sim.base))
 
 
-def _ref_decompose_lp(series, req, bandwidth=None):
+def _ref_decompose_lp(series, req, bandwidth=None, distinct=True):
     _, _, eps1, base1, _, _ = irf._simulate_step1(series, req)
-    fits = _ref_lp_predictions(series, req, base1, bandwidth)
+    fits = _ref_lp_predictions(series, req, base1, bandwidth, distinct)
     return [decompose_irf(v[ok], eps1[ok], req.delta, J=4, h=h) for h, (v, ok) in enumerate(fits, start=1)]
 
 
@@ -672,7 +759,9 @@ def test_lp_routes_match_per_lag_reference(small_dar, chunking, kern, mass, band
     curve, decs = irf_lp(small_dar, req), decompose_lp_irf(small_dar, req, J=4)
     b = curve.meta["bandwidth"]
     assert b == (silverman_bandwidth(small_dar.y[:-1]) if bandwidth == "silverman" else bandwidth)
-    # bitwise at every horizon against per-lag fits at the series bandwidth
+    _, _, _, base1, shock1, _ = irf._simulate_step1(small_dar, req)
+    assert len(np.unique(np.concatenate([base1, shock1]))) < 2 * req.S  # the curve's fit has repeats
+    # bitwise at every horizon against per-lag fits of the distinct points at the series bandwidth
     shared = _ref_irf_lp(small_dar, req, b)
     assert_same_bits(curve.values, shared.values)
     assert_same_bits(curve.mc_se, shared.mc_se)
@@ -690,7 +779,16 @@ def test_lp_routes_match_per_lag_reference(small_dar, chunking, kern, mass, band
             assert_same_bits(gi, wi)
     if bandwidth == "silverman":  # the per-lag bandwidths really differ from the series one
         assert np.any(curve.values[exact:] != old.values[exact:])
-    assert np.all(np.abs(curve.values - old.values) <= 0.01 * old.mc_se)
+    # against a row per point, as before the fits were deduplicated: per-lag bandwidths move
+    # values by at most 1% of a Monte Carlo standard error, and the matvec's row count only
+    # their last bits
+    per_point = _ref_irf_lp(small_dar, req, distinct=False)
+    per_point_decs = _ref_decompose_lp(small_dar, req, distinct=False)
+    assert np.all(np.abs(curve.values - per_point.values) <= 0.01 * per_point.mc_se)
     totals = np.array([d.reconstructed_total for d in decs])
-    old_totals = np.array([d.reconstructed_total for d in old_decs])
-    assert np.all(np.abs(totals - old_totals) <= 0.01 * old.mc_se)
+    per_point_totals = np.array([d.reconstructed_total for d in per_point_decs])
+    assert np.all(np.abs(totals - per_point_totals) <= 0.01 * per_point.mc_se)
+    same_bandwidth = _ref_irf_lp(small_dar, req, b, distinct=False)
+    same_bandwidth_totals = [d.reconstructed_total for d in _ref_decompose_lp(small_dar, req, b, distinct=False)]
+    np.testing.assert_allclose(curve.values, same_bandwidth.values, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(totals, same_bandwidth_totals, rtol=1e-12, atol=0)
