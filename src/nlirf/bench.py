@@ -22,7 +22,7 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from .irf import IrfRequest, irf_direct, irf_lp
-from .kernels import KernelConfig, cond_cdf, cond_quantile
+from .kernels import KernelConfig, _integer, cond_cdf, cond_quantile
 from .models import ModelSpec, simulate, true_irf
 
 __all__ = [
@@ -45,6 +45,12 @@ class IrfTarget:
     y0: float
     S: int = 2000
     routes: Tuple[str, ...] = ("direct", "local_projection")
+
+    def __post_init__(self) -> None:
+        _integer("h", self.h, 1)
+        _integer("S", self.S, 1)
+        if not isinstance(self.routes, tuple) or not self.routes or not set(self.routes) <= set(IrfTarget.routes):
+            raise ValueError(f"routes must be a nonempty tuple drawn from {IrfTarget.routes}, got {self.routes!r}")
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,6 @@ class SweepSpec:
     target: Target
     cfg: KernelConfig = field(default_factory=KernelConfig)
     y0_sim: float = 0.0
-    oracle_smoke: bool = False  # replace estimates by the oracle (self-check)
 
     def __post_init__(self) -> None:
         if len(self.sample_sizes) < 2:
@@ -155,9 +160,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
             series = simulate(spec.model, T=T, y0=spec.y0_sim, seed=data_seed)
             for route in _routes(spec.target):
                 try:
-                    if spec.oracle_smoke:
-                        est = oracle
-                    elif isinstance(spec.target, CondCdfTarget):
+                    if isinstance(spec.target, CondCdfTarget):
                         est = cond_cdf(series, spec.target.z, spec.target.y, spec.cfg).value
                     elif isinstance(spec.target, CondQuantileTarget):
                         est = cond_quantile(series, spec.target.alpha, spec.target.y, spec.cfg).value

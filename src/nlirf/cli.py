@@ -37,7 +37,7 @@ from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_
 from .identify import markov_moment_test, recover_mixing
 from .irf import (IrfRequest, _decomposition, _lp_paths, _mean, _reduce, decompose_lp_irf, irf_direct, irf_lp,
                   simulate_paths)
-from .kernels import KernelConfig, _weight_blocks, silverman_bandwidth
+from .kernels import KernelConfig, _density, _integer, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
 
@@ -180,10 +180,10 @@ def _load_series(config: Dict, where: str) -> TimeSeries:
         model = model_from_json(config["model"])
         return simulate(
             model,
-            T=int(config["T"]),
+            T=_integer("T", config["T"]),
             y0=config.get("y0_sim", 0.0),
-            seed=int(config["sim_seed"]),
-            burn_in=int(config.get("burn_in", 0)),
+            seed=_integer("sim_seed", config["sim_seed"]),
+            burn_in=_integer("burn_in", config.get("burn_in", 0)),
         )
     raise ValueError(f"{where}: needs an 'input' CSV or a 'model' to simulate")
 
@@ -197,10 +197,10 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
     model = model_from_json(config["model"])
     series = simulate(
         model,
-        T=int(config["T"]),
+        T=_integer("T", config["T"]),
         y0=config["y0"],
         seed=seed,
-        burn_in=int(config.get("burn_in", 0)),
+        burn_in=_integer("burn_in", config.get("burn_in", 0)),
     )
     cols = ",".join(f"y{i + 1}" for i in range(series.n))
     w.csv(
@@ -211,15 +211,9 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
     if series.n == 1:
         y = series.y
         b = silverman_bandwidth(y)
-        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, int(config["density_grid"]))
-        dens = np.empty(len(grid))  # the kde of y at each grid point, from one chunked pass
-        for lo, hi, wts in _weight_blocks(y, grid, b, "gaussian"):
-            dens[lo:hi] = wts.sum(axis=1) / (y.size * b)
-        w.csv(
-            "density.csv",
-            "y,density",
-            ([_fmt(g), _fmt(d)] for g, d in zip(grid, dens)),
-        )
+        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, _integer("density_grid", config["density_grid"]))
+        dens = _density(y, grid, b, "gaussian")  # the kde of y at each grid point
+        w.csv("density.csv", "y,density", ([_fmt(g), _fmt(d)] for g, d in zip(grid, dens)))
 
 
 def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
@@ -267,8 +261,8 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
         if name in artifacts:
             raise ValueError(f"irf: deltas {artifacts[name]!r} and {delta!r} would both write {name}")
         artifacts[name] = delta
-    H = int(config["horizons"])
-    S = int(config["S"])
+    H = _integer("horizons", config["horizons"])
+    S = _integer("S", config["S"])
     for name, delta in artifacts.items():
         rows = []
         for route in routes:
@@ -297,15 +291,15 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
     route = config["route"]
     if route not in ("direct", "local_projection"):
         raise ValueError(f"decompose: unknown route {route!r}")
-    req = IrfRequest(
+    req = IrfRequest(  # checks that horizons and S are integers
         y0=float(config["y0"]),
-        horizons=int(config["horizons"]),
+        horizons=config["horizons"],
         delta=float(config["delta"]),
-        S=int(config["S"]),
+        S=config["S"],
         cfg=cfg,
         seed=seed,
     )
-    J = int(config["J"])
+    J = _integer("J", config["J"])
     # one simulation, and on the local projection one fit, feeds both reductions
     sim = (simulate_paths if route == "direct" else _lp_paths)(series, req)
     decs, estimated = _decomposition(sim, req, J), _reduce(sim, req, route, _mean(sim.shock - sim.base))
@@ -325,7 +319,7 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
 def _run_identify(config: Dict, seed: int, w: _Writer) -> None:
     _require_keys(config, {"input", "max_lag"}, {"input"}, "identify")
     series = ingest_csv(config["input"])
-    est = recover_mixing(series, max_lag=int(config["max_lag"]))
+    est = recover_mixing(series, max_lag=_integer("max_lag", config["max_lag"]))
     w.json(
         "identify.json",
         {
@@ -356,9 +350,9 @@ def _parse_target(obj: Dict):
         return CondQuantileTarget(alpha=float(obj["alpha"]), y=float(obj["y"]))
     if kind == "irf":
         _require_keys(obj, {"kind", "h", "delta", "y0", "S", "routes"}, {"h", "delta", "y0"}, "bench.target")
-        return IrfTarget(
-            h=int(obj["h"]), delta=float(obj["delta"]), y0=float(obj["y0"]),
-            S=int(obj.get("S", IrfTarget.S)), routes=tuple(obj.get("routes", IrfTarget.routes)),
+        return IrfTarget(  # checks that h and S are integers
+            h=obj["h"], delta=float(obj["delta"]), y0=float(obj["y0"]),
+            S=obj.get("S", IrfTarget.S), routes=tuple(obj.get("routes", IrfTarget.routes)),
         )
     raise ValueError(f"bench.target: unknown kind {kind!r}")
 
@@ -372,8 +366,8 @@ def _run_bench(config: Dict, seed: int, w: _Writer) -> None:
     )
     spec = SweepSpec(
         model=model_from_json(config["model"]),
-        sample_sizes=tuple(int(t) for t in config["sample_sizes"]),
-        seeds_per_size=int(config["seeds_per_size"]),
+        sample_sizes=tuple(_integer("sample_sizes", t) for t in config["sample_sizes"]),
+        seeds_per_size=_integer("seeds_per_size", config["seeds_per_size"]),
         target=_parse_target(config["target"]),
         cfg=_kernel_config(config.get("kernel")),
         y0_sim=float(config.get("y0_sim", 0.0)),
@@ -524,7 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config, seed_hint = _load_config(args.config, args.subcommand)
         seed = args.seed if args.seed is not None else (seed_hint if seed_hint is not None else 0)
-        paths = run(args.subcommand, config, args.out, int(seed))
+        paths = run(args.subcommand, config, args.out, _integer("seed", seed))
     except Exception as exc:  # single-line machine-parsable failure
         msg = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {msg}", file=sys.stderr)

@@ -23,14 +23,13 @@ Two tools live here:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.stats import chi2
 
-from .kernels import _nw_fit, silverman_bandwidth
+from .kernels import _integer, _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -253,10 +252,8 @@ def markov_moment_test(
     n = series.T - 2
     if block_len is None:
         block_len = int(math.ceil(series.T ** (1 / 3)))
-    # numpy integers pass, bools and floats do not
-    for name, value, low in (("block_len", block_len, 1), ("B", B, 10)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    _integer("block_len", block_len, 1)
+    _integer("B", B, 10)
     if block_len >= n:
         raise ValueError(f"block_len must be below T - 2 = {n}, got {block_len}")
     if not 0 < level < 1:

@@ -29,7 +29,6 @@ over unit-norm shocks are also provided for multivariate diagnostics.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, List, Union
 
@@ -42,9 +41,10 @@ from .kernels import (
     InsufficientLocalData,
     KernelConfig,
     _nw_lags,
+    _integer,
     _QuantilePrep,
-    _quantile_at_point,
     _quantile_batch,
+    _real,
 )
 from .models import IrfCurve, TimeSeries, VarParams
 
@@ -81,14 +81,12 @@ class IrfRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.y0):
-            raise ValueError("y0 must be finite")
-        for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):  # numpy integers pass, bools and floats do not
+        for name in ("y0", "delta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not math.isfinite(self.delta):
-            raise ValueError("delta must be finite")
+            if not (_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):
+            _integer(name, getattr(self, name), least)
 
 
 @dataclass
@@ -136,13 +134,13 @@ def _check_rejections(rejected: np.ndarray, S: int) -> None:
 
 
 def _simulate_step1(series: TimeSeries, req: IrfRequest):
-    """Step-one states for both paths, from weights computed once at y0."""
+    """Step-one states for both paths, from one weight row at y0."""
     prep = _QuantilePrep.from_series(series, req.cfg)
     rng = np.random.default_rng(req.seed)
     eps1 = rng.standard_normal(req.S)
     clamped = int(np.sum(np.abs(eps1) > EPS_CLAMP) + np.sum(np.abs(eps1 + req.delta) > EPS_CLAMP))
     alphas = np.concatenate([_rank(eps1), _rank(eps1 + req.delta)])
-    vals, ok, _ = _quantile_at_point(prep, req.y0, alphas)
+    vals, ok, _ = _quantile_batch(prep, np.full(2 * req.S, req.y0, dtype=float), alphas)
     if not ok.all():
         raise InsufficientLocalData(
             f"conditioning state y0={req.y0:.6g} has insufficient kernel mass"
@@ -164,7 +162,7 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
         idx = np.flatnonzero(np.isfinite(base[:, k - 1]))  # a pair leaves together, so base alone tells
         points = np.concatenate([base[idx, k - 1], shock[idx, k - 1]])
         alphas = np.tile(_rank(eps_k[idx]), 2)
-        vals, ok = _quantile_batch(prep, points, alphas)
+        vals, ok, _ = _quantile_batch(prep, points, alphas)
         ok_pair = ok[: idx.size] & ok[idx.size :]
         good = idx[ok_pair]
         base[good, k] = vals[: idx.size][ok_pair]

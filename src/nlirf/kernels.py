@@ -6,8 +6,11 @@ autoregressive map ``g_hat(y, eps) = Q_hat(Phi(eps) | y)`` obtained by
 inverting the estimated conditional distribution at a Gaussian rank.
 Every weight comes from one chunked primitive that evaluates (points x T)
 kernel blocks in place, in a buffer allocated per call and bounded by
-``_CHUNK_CELLS`` cells (8 MB), so concurrent calls share no scratch memory;
-batch scans and fits evaluate one row per distinct conditioning point.
+``_CHUNK_CELLS`` cells (8 MB), so concurrent calls share no scratch memory.
+Every weight block is evaluated here, by three batch passes (density,
+weighted-quantile scan, NW fit); the scan and the fit take one row per
+distinct conditioning point. Single-point estimators are one-row calls of
+these passes, but the conditional CDF reads its one row itself.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
 response ``y_t`` (t = 2..T) and weight observations with a kernel in the
@@ -93,14 +96,31 @@ def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: 
         yield lo, hi, w
 
 
-def _weights_at(x: np.ndarray, point: float, bandwidth: float, kernel: str) -> np.ndarray:
-    """Kernel weights of one conditioning point against all of ``x``."""
-    return next(_weight_blocks(x, np.array([point], dtype=float), bandwidth, kernel))[2][0]
+def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
+    """Kernel density ``(1/(T*b)) * sum_t K((x_t - p)/b)`` at each of ``points``, in one chunked pass."""
+    dens = np.empty(len(points))
+    for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
+        dens[lo:hi] = w.sum(axis=1) / (x.size * bandwidth)
+    return dens
+
+
+def _real(value) -> bool:
+    """A real number: numpy numbers pass, bools and strings do not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
 def _positive_finite(value) -> bool:
-    """A positive finite real number: numpy numbers pass, bools and strings do not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and 0 < value < math.inf
+    return _real(value) and 0 < value < math.inf
+
+
+def _integer(name: str, value, least: Optional[int] = None):
+    """``value``, if it is an integer (numpy integers pass; bools, floats and strings do not) >= ``least``.
+
+    Otherwise raises a ValueError that names ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or least is not None and value < least:
+        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -181,7 +201,7 @@ def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) ->
     if math.isnan(at):  # +-inf stay legal and give a zero density
         raise ValueError("at must not be NaN")
     b = _resolve_bandwidth(cfg, x)
-    return float(np.sum(_weights_at(x, at, b, cfg.kernel)) / (x.size * b))
+    return float(_density(x, np.array([at], dtype=float), b, cfg.kernel)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,47 +244,35 @@ def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -
     return (max_w > 0) & (sum_w >= limit) & np.isfinite(sum_w)
 
 
-def _quantile_at_point(prep: _QuantilePrep, y0: float, alphas: np.ndarray):
-    """Weighted quantiles at one conditioning point for many levels.
-
-    Returns (values, ok, sum_w); when the local mass check fails, ok is
-    False and values are NaN.
-    """
-    w = _weights_at(prep.x, y0, prep.bandwidth, prep.kernel)
-    sum_w, max_w = float(w.sum()), float(w.max())
-    if not _mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
-        return np.full(len(alphas), np.nan), np.zeros(len(alphas), bool), sum_w
-    cw = np.cumsum(w, out=w)
-    idx = np.searchsorted(cw, np.asarray(alphas) * sum_w, side="left")
-    idx = np.minimum(idx, len(cw) - 1)
-    return prep.v[idx], np.ones(len(alphas), bool), sum_w
-
-
 def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     """Weighted quantiles for paired (conditioning point, level) arrays, one weight row per distinct point.
 
-    A cumsum of nonnegative weights never decreases, so bisection finds each level's first index
-    with ``cw >= alpha * sum_w``, as a left ``searchsorted`` would, clamped to the last response.
+    Returns (values, ok, sum_w) per pair: the quantile, NaN where the mass rule fails (ok False),
+    and the kernel weight sum at the pair's point. A cumsum of nonnegative weights never decreases,
+    so bisection finds each level's first index with ``cw >= alpha * sum_w``, as a left
+    ``searchsorted`` would, clamped to the last response.
     """
     distinct, inverse = np.unique(ys, return_inverse=True)
     values = np.full(len(ys), np.nan)
     ok = np.zeros(len(ys), bool)
+    row_sums = np.empty(len(distinct))
     m = len(prep.x)
     for lo, hi, w in _weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel):
         # pairwise row sums for the mass rule, then the scan in place
-        sum_w = w.sum(axis=1)
+        sum_w = row_sums[lo:hi] = w.sum(axis=1)
         good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
         cw = np.cumsum(w, axis=1, out=w).ravel()
         at = np.flatnonzero((inverse >= lo) & (inverse < hi))  # the pairs of this block's rows
         row = inverse[at] - lo
         at, row = at[good[row]], row[good[row]]
         target, idx = alphas[at] * sum_w[row], np.zeros(len(at), np.intp)
+        off = row * m - 1  # cw[off + k] is the k-th cumulative weight of the pair's row
         for step in (1 << k for k in reversed(range(m.bit_length()))):  # idx: entries below target
             probe = np.minimum(idx + step, m)
-            idx = np.where(cw[row * m + probe - 1] < target, probe, idx)
+            idx = np.where(cw[off + probe] < target, probe, idx)
         values[at] = prep.v[np.minimum(idx, m - 1)]
         ok[at] = True
-    return values, ok
+    return values, ok, row_sums[inverse]
 
 
 def _prefix_sums(w: np.ndarray, ends) -> dict:
@@ -351,7 +359,7 @@ def cond_cdf(
     if math.isnan(y):  # +-inf stay legal and have no local data
         raise ValueError("y must not be NaN")
     prep = _QuantilePrep.from_series(series, cfg)
-    w = _weights_at(prep.x, y, prep.bandwidth, prep.kernel)
+    w = next(_weight_blocks(prep.x, np.array([y], dtype=float), prep.bandwidth, prep.kernel))[2][0]
     max_w = float(w.max())
     cw = np.cumsum(w, out=w)
     sum_w = float(cw[-1])
@@ -380,12 +388,10 @@ def cond_quantile(
     if math.isnan(y):
         raise ValueError("y must not be NaN")
     prep = _QuantilePrep.from_series(series, cfg)
-    vals, ok, sum_w = _quantile_at_point(prep, y, np.array([alpha]))
-    if not ok[0]:
-        raise InsufficientLocalData(
-            f"kernel mass {sum_w:.3g} at y={y:.6g} is below the local-data threshold"
-        )
-    return ConditionalEstimate(value=float(vals[0]), effective_weight=sum_w, bandwidth_used=prep.bandwidth)
+    (value,), (good,), (mass,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
+    if not good:
+        raise InsufficientLocalData(f"kernel mass {mass:.3g} at y={y:.6g} is below the local-data threshold")
+    return ConditionalEstimate(value=float(value), effective_weight=float(mass), bandwidth_used=prep.bandwidth)
 
 
 def g_hat(
@@ -413,8 +419,7 @@ def nadaraya_watson(
     series: TimeSeries, h: int, y: float, cfg: KernelConfig = KernelConfig()
 ) -> ConditionalEstimate:
     """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y], bandwidth from y[:T-h]."""
-    if isinstance(h, bool) or not isinstance(h, (int, np.integer)):  # numpy integers pass
-        raise ValueError(f"h must be an integer, got {h!r}")
+    _integer("h", h)
     if math.isnan(y):
         raise ValueError("y must not be NaN")
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+import nlirf.bench as bench
 from nlirf.bench import (
     CondCdfTarget,
     CondQuantileTarget,
@@ -14,6 +16,14 @@ from nlirf.models import Dar1, GaussianAr1
 AR1 = GaussianAr1(rho=0.5, sigma=1.0)
 
 
+@pytest.mark.parametrize("field, bad", [("routes", ("direct", "lp")), ("routes", ()), ("routes", ["direct"]),
+                                        ("routes", "direct"), ("h", 0), ("h", 2.0), ("h", True), ("S", 0),
+                                        ("S", 300.5), ("S", "300")])
+def test_irf_target_validates_fields(field, bad):
+    with pytest.raises(ValueError, match=field):
+        IrfTarget(**{"h": 2, "delta": 0.5, "y0": 0.2, field: bad})
+
+
 def test_spec_validation():
     t = CondCdfTarget(z=0.3, y=0.5)
     with pytest.raises(ValueError):
@@ -24,14 +34,12 @@ def test_spec_validation():
         SweepSpec(model=AR1, sample_sizes=(1000, 4000), seeds_per_size=5, target=t)
 
 
-def test_oracle_smoke_zero_rmse_flags_slope():
-    spec = SweepSpec(
-        model=AR1,
-        sample_sizes=(500, 1000),
-        seeds_per_size=10,
-        target=CondCdfTarget(z=0.3, y=0.5),
-        oracle_smoke=True,
-    )
+def test_oracle_smoke_zero_rmse_flags_slope(monkeypatch):
+    # an estimator that returns the closed form gives zero RMSE at every size
+    target = CondCdfTarget(z=0.3, y=0.5)
+    exact = bench._oracle_value(AR1, target)
+    monkeypatch.setattr(bench, "cond_cdf", lambda series, z, y, cfg: SimpleNamespace(value=exact))
+    spec = SweepSpec(model=AR1, sample_sizes=(500, 1000), seeds_per_size=10, target=target)
     report = run_sweep(spec, master_seed=1)
     assert all(v == 0.0 for v in report.rmse.values())
     assert report.slope_degenerate

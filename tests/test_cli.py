@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import nlirf.bench
 import nlirf.cli as cli
 from nlirf.cli import SUBCOMMAND_STREAM, derive_seed, ingest_csv, main, run
 from nlirf.models import Dar1, simulate
@@ -342,6 +343,50 @@ def test_main_reports_single_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.strip().count("\n") == 0
+
+
+IRF_TRUE = {"model": DAR_JSON, "T": 300, "y0": 0.2, "horizons": 2, "deltas": [0.5], "S": 30, "routes": ["true"]}
+DECOMPOSE = {"input": "CSV", "y0": 0.2, "horizons": 2, "delta": 0.5, "S": 50, "J": 3}
+BENCH = {"model": DAR_JSON, "sample_sizes": [500, 1000], "seeds_per_size": 10,
+         "target": {"kind": "irf", "h": 2, "delta": 0.5, "y0": 0.2, "S": 50}}
+
+
+@pytest.mark.parametrize("subcommand, config, key", [
+    ("simulate", {"model": DAR_JSON, "T": 80.0, "y0": 0.2}, "T"),
+    ("simulate", {"model": DAR_JSON, "T": 80, "y0": 0.2, "burn_in": True}, "burn_in"),
+    ("simulate", {"model": DAR_JSON, "T": 80, "y0": 0.2, "density_grid": "201"}, "density_grid"),
+    ("simulate", {"model": DAR_JSON, "T": 80, "y0": 0.2, "seed": 2.5}, "seed"),
+    ("irf", {**IRF_TRUE, "horizons": 2.9}, "horizons"),
+    ("irf", {**IRF_TRUE, "S": 30.7}, "S"),
+    ("irf", {**IRF_TRUE, "routes": ["direct"], "T": "300"}, "T"),
+    ("irf", {**IRF_TRUE, "routes": ["direct"], "sim_seed": 4.0}, "sim_seed"),
+    ("decompose", {**DECOMPOSE, "J": 3.0}, "J"),
+    ("decompose", {**DECOMPOSE, "horizons": "2"}, "horizons"),
+    ("decompose", {**DECOMPOSE, "S": 50.5}, "S"),
+    ("identify", {"input": "CSV", "max_lag": 3.0}, "max_lag"),
+    ("markov-test", {"input": "CSV", "B": 50.5}, "B"),
+    ("bench", {**BENCH, "seeds_per_size": 10.0}, "seeds_per_size"),
+    ("bench", {**BENCH, "sample_sizes": [500, 1000.0]}, "sample_sizes"),
+    ("bench", {**BENCH, "target": {**BENCH["target"], "h": 2.0}}, "h"),
+    ("bench", {**BENCH, "target": {**BENCH["target"], "S": "50"}}, "S"),
+])
+def test_main_rejects_non_integer_config_values(tmp_path, capsys, subcommand, config, key):
+    # a truncated value would run while the manifest echoed the value given
+    csv = tmp_path / "s.csv"
+    write_series_csv(csv, T=300)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({k: str(csv) if v == "CSV" else v for k, v in config.items()}))
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and f"{key} must be an integer" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_bench_rejects_unknown_irf_route_before_simulating(tmp_path, monkeypatch):
+    monkeypatch.setattr(nlirf.bench, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    for routes in (["direct", "lp"], []):
+        with pytest.raises(ValueError, match="routes must be a nonempty tuple"):
+            run("bench", {**BENCH, "target": {**BENCH["target"], "routes": routes}}, tmp_path, 0)
 
 
 def test_main_seed_flag_overrides_config(tmp_path):

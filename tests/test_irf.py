@@ -51,11 +51,19 @@ def test_request_validation():
 
 @pytest.mark.parametrize("field, bad", [("horizons", 2.5), ("horizons", 3.0), ("horizons", True),
                                         ("horizons", "3"), ("S", 100.0), ("S", True), ("seed", 1.5),
-                                        ("seed", "3"), ("seed", True), ("seed", -1)])
+                                        ("seed", "3"), ("seed", True), ("seed", -1), ("y0", True), ("y0", "1"),
+                                        ("y0", math.inf), ("y0", None), ("delta", True), ("delta", "0.5"),
+                                        ("delta", math.nan), ("delta", np.array([0.5]))])
 def test_request_rejects_non_integer_counts(field, bad):
     kwargs = {"y0": 0.0, "horizons": 3, "delta": 0.5, "S": 100, field: bad}
     with pytest.raises(ValueError, match=field):
         IrfRequest(**kwargs)
+
+
+def test_request_accepts_numpy_reals():
+    req = IrfRequest(y0=np.float32(0.5), horizons=3, delta=np.float64(-0.25))
+    assert req.y0 == 0.5 and req.delta == -0.25
+    assert IrfRequest(y0=1, horizons=3, delta=np.int64(2)).delta == 2
 
 
 def test_request_accepts_numpy_integers():

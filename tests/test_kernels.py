@@ -391,6 +391,18 @@ def _ref_quantile_batch(prep, ys, alphas):
     return values, ok
 
 
+def _ref_quantile_at_point(prep, y0, alphas):
+    """The single-point scan: one weight row at y0 and a left searchsorted per level."""
+    w = next(kernels._weight_blocks(prep.x, np.array([y0], dtype=float), prep.bandwidth, prep.kernel))[2][0]
+    sum_w, max_w = float(w.sum()), float(w.max())
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
+        return np.full(len(alphas), np.nan), np.zeros(len(alphas), bool), sum_w
+    cw = np.cumsum(w, out=w)
+    idx = np.searchsorted(cw, np.asarray(alphas) * sum_w, side="left")
+    idx = np.minimum(idx, len(cw) - 1)
+    return prep.v[idx], np.ones(len(alphas), bool), sum_w
+
+
 def _ref_nw_batch(series, cfg, points, lag):
     y, T = series.y, series.T
     x, targets = y[: T - lag], y[lag:]
@@ -535,6 +547,38 @@ def test_quantile_batch_with_repeated_points_matches_reference(small_dar, chunki
     assert np.any(near_one * sum_w[good] > cw[good, -1])
 
 
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_quantile_batch_at_one_point_matches_single_point_scan(small_dar, chunking, kern, mass):
+    # one repeated point is one weight row: bitwise the single-row searchsorted scan, its sum repeated
+    prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
+    near_one, passed_last = np.nextafter(1.0, 0.0), False  # its target can pass the last cumulative weight
+    for y0 in (-0.8, 0.1, 1.3, -9.0):  # the last lacks mass
+        w = REF_KERNELS[kern]((prep.x - y0) / prep.bandwidth)
+        cw = np.cumsum(w)
+        with np.errstate(invalid="ignore"):
+            knots = cw[[0, 299, -2]] / w.sum()
+        alphas = np.concatenate([np.where(np.isfinite(knots), knots, 0.5), [near_one],
+                                 np.random.default_rng(117).uniform(0.01, 0.99, 40)])
+        for n in (1, len(alphas)):  # one level (S=1), then all of them
+            got = kernels._quantile_batch(prep, np.full(n, y0), alphas[:n])
+            values, ok, sum_w = _ref_quantile_at_point(prep, y0, alphas[:n])
+            for g, r in zip(got, (values, ok, np.full(n, sum_w))):
+                assert_same_bits(g, r)
+        assert (ok.all() or not ok.any()) and ok.any() == (y0 != -9.0)
+        passed_last |= bool(ok.all() and near_one * sum_w > cw[-1])
+    assert passed_last
+
+
+@pytest.mark.parametrize("seed", [118, 119])
+def test_step_one_states_match_single_point_scan(small_dar, seed):
+    req = IrfRequest(y0=0.3, horizons=1, delta=0.7, S=300, seed=seed)
+    prep, _, eps1, base1, shock1, _ = irf._simulate_step1(small_dar, req)
+    alphas = np.concatenate([irf._rank(eps1), irf._rank(eps1 + req.delta)])
+    values, ok, _ = _ref_quantile_at_point(prep, req.y0, alphas)
+    assert ok.all()
+    assert_same_bits(np.concatenate([base1, shock1]), values)
+
+
 def _recording(monkeypatch, module, name, record):
     original = getattr(module, name)
 
@@ -550,10 +594,11 @@ def test_simulated_steps_evaluate_one_row_per_distinct_state(small_dar, monkeypa
     _recording(monkeypatch, kernels, "_weight_blocks", blocks)
     _recording(monkeypatch, irf, "_quantile_batch", steps)
     sim = irf.simulate_paths(small_dar, IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=116))
-    assert len(blocks) == 1 + len(steps) == 5 and len(blocks[0][1]) == 1  # step one: y0 alone
-    for (_, ys, _), (_, points, _, _) in zip(steps, blocks[1:]):
+    assert len(blocks) == len(steps) == 5 and len(blocks[0][1]) == 1  # step one: y0 alone
+    assert_same_bits(steps[0][1], np.full(400, 0.2))
+    for (_, ys, _), (_, points, _, _) in zip(steps[1:], blocks[1:]):
         assert_same_bits(points, np.unique(ys))
-    assert all(len(points) < len(ys) for (_, ys, _), (_, points, _, _) in zip(steps, blocks[1:]))
+    assert all(len(points) < len(ys) for (_, ys, _), (_, points, _, _) in zip(steps[1:], blocks[1:]))
     assert np.isfinite(sim.base[:, -1]).any()
 
 
