@@ -135,6 +135,16 @@ def _manifest_hash(manifest: Dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _create(path: Path):
+    """``path`` opened for writing as a new file.
+
+    An old file there is unlinked first: truncating a just-written file instead makes the
+    file system flush its delayed blocks, which stalls a rerun into the same directory.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "w", newline="")
+
+
 class _Writer:
     """Writes artifacts stamped with the manifest hash."""
 
@@ -145,7 +155,7 @@ class _Writer:
 
     def csv(self, name: str, header: str, rows) -> Path:
         path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
+        with _create(path) as fh:
             fh.write(f"# manifest: {self.mhash}\n")
             fh.write(header + "\n")
             for row in rows:
@@ -157,7 +167,7 @@ class _Writer:
         path = self.out_dir / name
         payload = dict(obj)
         payload["manifest_sha256"] = self.mhash
-        with open(path, "w", newline="") as fh:
+        with _create(path) as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2))
             fh.write("\n")
         self.paths.append(path)
@@ -478,7 +488,7 @@ def run(subcommand: str, config: Dict, out_dir, master_seed: int) -> List[Path]:
     w = _Writer(out, mhash)
     _RUNNERS[subcommand](dict(resolved), derive_seed(master_seed, subcommand), w)
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", newline="") as fh:
+    with _create(manifest_path) as fh:
         fh.write(json.dumps({**manifest, "manifest_sha256": mhash}, sort_keys=True, indent=2))
         fh.write("\n")
     w.paths.append(manifest_path)

@@ -46,7 +46,7 @@ from .kernels import (
     _quantile_batch,
     _real,
 )
-from .models import IrfCurve, TimeSeries, VarParams
+from .models import IrfCurve, TimeSeries, VarParams, _var_responses
 
 __all__ = [
     "IrfRequest",
@@ -329,10 +329,7 @@ def var_irf(params: VarParams, delta, h: int) -> np.ndarray:
     d = np.asarray(delta, dtype=float)
     if d.shape != (params.n,):
         raise ValueError(f"delta must have shape ({params.n},), got {d.shape}")
-    v = params.D @ d
-    for _ in range(h):
-        v = params.A @ v
-    return v
+    return _var_responses(params, d, h + 1)[-1]
 
 
 @dataclass(frozen=True)

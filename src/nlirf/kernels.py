@@ -9,8 +9,12 @@ kernel blocks in place, in a buffer allocated per call and bounded by
 ``_CHUNK_CELLS`` cells (8 MB), so concurrent calls share no scratch memory.
 Every weight block is evaluated here, by three batch passes (density,
 weighted-quantile scan, NW fit); the scan and the fit take one row per
-distinct conditioning point. Single-point estimators are one-row calls of
-these passes, but the conditional CDF reads its one row itself.
+distinct conditioning point. The scan finds a row's crossings from
+64-column block sums when the row has few of them, and keeps only the
+crossings certified equal, bitwise, to those of the row's sequential
+cumulative sum, which serves every other one. Single-point estimators are
+one-row calls of these passes, but the conditional CDF reads its one row
+itself.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
 response ``y_t`` (t = 2..T) and weight observations with a kernel in the
@@ -55,6 +59,9 @@ EPS_CLAMP = 6.0
 _DEFAULT_MASS_MULTIPLE = 5.0
 
 _CHUNK_CELLS = 1_000_000  # max weight-matrix cells held at once: 8 MB of float64
+
+_SCAN_BLOCK = 64  # columns per block sum in the two-level quantile search
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 class InsufficientLocalData(ValueError):
@@ -244,13 +251,72 @@ def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -
     return (max_w > 0) & (sum_w >= limit) & np.isfinite(sum_w)
 
 
+def _crossings(cw: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per pair, the count of entries of the nondecreasing row ``cw[rows]`` below ``target``, by bisection.
+
+    That count is the row's first index with ``cw >= target``, as a left ``searchsorted`` finds it,
+    or the row length when no entry reaches the target.
+    """
+    n = cw.shape[1]
+    flat, off = cw.ravel(), rows * n - 1  # flat[off + k] is the k-th entry of the pair's row
+    idx = np.zeros(len(target), np.intp)
+    for step in (1 << k for k in reversed(range(n.bit_length()))):
+        probe = np.minimum(idx + step, n)
+        idx = np.where(flat[off + probe] < target, probe, idx)
+    return idx
+
+
+def _gamma(n: int) -> float:
+    """Bound on the relative rounding error of a sum of nonnegative terms by n additions."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _two_level(w: np.ndarray, rows: np.ndarray, target: np.ndarray, sum_w: np.ndarray) -> np.ndarray:
+    """Certified crossings of ``target`` on the rows ``w[rows]`` (weight sums ``sum_w``) from block sums.
+
+    Each target is bisected to the first ``_SCAN_BLOCK``-column block whose computed prefix reaches
+    it, and that block's weights are summed on from the prefix before it. The crossing found there
+    is kept only when the computed cumulative weights on both sides of it lie farther from the
+    target than the margin derived in _quantile_batch; -1 marks every other pair.
+    """
+    m, B = w.shape[1], _SCAN_BLOCK
+    starts = np.arange(0, m, B)
+    margin = 2 * (_gamma(m) + _gamma(2 * B + len(starts))) * sum_w
+    prefix = np.cumsum(np.add.reduceat(w, starts, axis=1), axis=1)
+    block = np.minimum(_crossings(prefix, rows, target), len(starts) - 1)  # past the last: rejected below
+    seg = np.empty((len(rows), B + 1))
+    seg[:, 0] = np.where(block > 0, prefix[rows, block - 1], 0.0)
+    # a partial last block reads its row's last weight again; the length check below rejects those columns
+    cols = np.minimum(starts[block, None] + np.arange(B), m - 1)
+    seg[:, 1:] = w.ravel()[rows[:, None] * m + cols]
+    cw = np.cumsum(seg, axis=1)  # cw[:, k] sums the block's first k weights onto its prefix
+    k = (cw[:, 1:] < target[:, None]).sum(axis=1)  # nondecreasing, so the first entry >= target
+    pick = np.arange(len(rows))
+    below, above = cw[pick, k], cw[pick, np.minimum(k + 1, B)]
+    certified = (k < np.minimum(B, m - starts[block])) & (target - below > margin) & (above - target > margin)
+    return np.where(certified, starts[block] + k, -1)
+
+
 def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     """Weighted quantiles for paired (conditioning point, level) arrays, one weight row per distinct point.
 
     Returns (values, ok, sum_w) per pair: the quantile, NaN where the mass rule fails (ok False),
-    and the kernel weight sum at the pair's point. A cumsum of nonnegative weights never decreases,
-    so bisection finds each level's first index with ``cw >= alpha * sum_w``, as a left
-    ``searchsorted`` would, clamped to the last response.
+    and the kernel weight sum at the pair's point. The quantile is the response at the first index
+    of the row's sequential cumsum ``cw`` with ``cw >= alpha * sum_w``, clamped to the last response.
+
+    A row with few pairs takes no full cumsum. A cumsum of nonnegative weights never decreases,
+    so any index i with ``cw[i-1] < target <= cw[i]`` (``cw[-1]`` read as 0) is that first index.
+    Block sums over ``_SCAN_BLOCK`` (B) columns, their cumsum over the nb blocks and a cumsum within
+    the target's block give each cumulative weight within ``gamma(2B + nb) * S`` of the exact
+    prefix sum, S the exact row total, and the sequential cumsum lies within ``gamma(m) * S`` of it.
+    Where both two-level sums around the target lie farther from it than
+    ``2 (gamma(m) + gamma(2B + nb)) * sum_w``, which exceeds both bounds together with the
+    roundings of ``sum_w`` and of the comparison, the sequential cumsum lies on the same sides of
+    the target, so the two-level index is the sequential one. Every other pair (a level on a
+    cumulative-weight knot, a target past the last block sum, where the clamp acts) takes its
+    row's exact cumsum and a bisection, as does every pair of a row whose pair count times B
+    exceeds m, for which one exact cumsum is cheaper. That rule keeps step one's single row at y0
+    on the exact scan, and bounds the gathered block weights by about the weight block's cells.
     """
     distinct, inverse = np.unique(ys, return_inverse=True)
     values = np.full(len(ys), np.nan)
@@ -258,18 +324,22 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     row_sums = np.empty(len(distinct))
     m = len(prep.x)
     for lo, hi, w in _weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel):
-        # pairwise row sums for the mass rule, then the scan in place
+        # pairwise row sums for the mass rule, then the two-level search, then exact scans in place
         sum_w = row_sums[lo:hi] = w.sum(axis=1)
         good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
-        cw = np.cumsum(w, axis=1, out=w).ravel()
         at = np.flatnonzero((inverse >= lo) & (inverse < hi))  # the pairs of this block's rows
         row = inverse[at] - lo
         at, row = at[good[row]], row[good[row]]
-        target, idx = alphas[at] * sum_w[row], np.zeros(len(at), np.intp)
-        off = row * m - 1  # cw[off + k] is the k-th cumulative weight of the pair's row
-        for step in (1 << k for k in reversed(range(m.bit_length()))):  # idx: entries below target
-            probe = np.minimum(idx + step, m)
-            idx = np.where(cw[off + probe] < target, probe, idx)
+        target, idx = alphas[at] * sum_w[row], np.full(len(at), -1)
+        few = np.bincount(row, minlength=hi - lo)[row] * _SCAN_BLOCK <= m
+        if few.any():
+            idx[few] = _two_level(w, row[few], target[few], sum_w[row[few]])
+        exact = np.flatnonzero(idx < 0)
+        if len(exact) == len(idx):  # nothing certified, as at step one: every row's scan in place
+            idx = _crossings(np.cumsum(w, axis=1, out=w), row, target)
+        elif len(exact):
+            rows, pos = np.unique(row[exact], return_inverse=True)
+            idx[exact] = _crossings(np.cumsum(w[rows], axis=1), pos, target[exact])
         values[at] = prep.v[np.minimum(idx, m - 1)]
         ok[at] = True
     return values, ok, row_sums[inverse]

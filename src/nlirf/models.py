@@ -379,6 +379,16 @@ def simulate(model: ModelSpec, T: int, y0, seed: int, burn_in: int = 0) -> TimeS
 # True impulse responses
 # ---------------------------------------------------------------------------
 
+def _var_responses(params: VarParams, delta: np.ndarray, h: int) -> np.ndarray:
+    """Linear-VAR responses ``A^k D delta`` for k = 0..h-1 as an (h, n) array, by repeated multiplication."""
+    vals = np.empty((h, params.n))
+    v = params.D @ delta
+    for k in range(h):
+        vals[k] = v
+        v = params.A @ v
+    return vals
+
+
 def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray) -> np.ndarray:
     """Exact IRF values of the leading horizons that admit them, as a (k, n) array.
 
@@ -389,13 +399,7 @@ def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray
     if isinstance(model, GaussianAr1):
         return np.array([[model.rho ** (k - 1) * model.sigma * delta[0]] for k in range(1, h + 1)])
     if isinstance(model, GaussianVar1):
-        p = model.params
-        vals = np.empty((h, p.n))
-        v = p.D @ delta
-        for k in range(h):
-            vals[k] = v
-            v = p.A @ v
-        return vals
+        return _var_responses(model.params, delta, h)
     if isinstance(model, Dar1):
         return (delta * model.cond_scale(y0))[None]
     return np.empty((0, model.dim))

@@ -92,11 +92,16 @@ def test_simulate_outputs_and_manifest(tmp_path):
 
 def test_rerun_from_manifest_is_bitwise_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
+    names = ("trajectory.csv", "density.csv", "manifest.json")
     run("simulate", {"model": DAR_JSON, "T": 100, "y0": 0.2}, out1, master_seed=9)
+    first = {name: (out1 / name).read_bytes() for name in names}
     rc = main(["simulate", "--config", str(out1 / "manifest.json"), "--out", str(out2)])
     assert rc == 0
-    for name in ("trajectory.csv", "density.csv", "manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    # a rerun into the same directory replaces every artifact, the manifest it reads included
+    rc = main(["simulate", "--config", str(out1 / "manifest.json"), "--out", str(out1)])
+    assert rc == 0
+    for name in names:
+        assert (out1 / name).read_bytes() == first[name] == (out2 / name).read_bytes()
 
 
 def test_qmle_subcommand(tmp_path):

@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 import nlirf.irf as irf_module
 import nlirf.kernels as kernels
+import nlirf.models as models
 from nlirf.hermite import decompose_irf
 from nlirf.irf import (
     Indicator,
@@ -24,7 +25,7 @@ from nlirf.irf import (
     var_max_irf,
 )
 from nlirf.kernels import InsufficientLocalData, KernelConfig, silverman_bandwidth
-from nlirf.models import Dar1, GaussianAr1, VarParams, simulate
+from nlirf.models import Dar1, GaussianAr1, GaussianVar1, VarParams, simulate
 
 DAR = Dar1.of(0.5, 1.0, 0.5)
 AR1 = GaussianAr1(rho=0.5, sigma=1.0)
@@ -302,6 +303,25 @@ def test_var_irf_matches_eigendecomposition():
         np.testing.assert_allclose(var_irf(p, delta, h), oracle, atol=1e-10)
 
 
+def _ref_var_power(p, delta, h):
+    """A^h D delta by the loop var_irf and the closed-form VAR oracle each ran on its own."""
+    v = p.D @ delta
+    for _ in range(h):
+        v = p.A @ v
+    return v
+
+
+def test_var_irf_and_closed_form_share_the_recursion_bitwise():
+    rng = np.random.default_rng(18)
+    M = rng.standard_normal((3, 3))
+    p = VarParams(A=0.9 * M / np.max(np.abs(np.linalg.eigvals(M))), D=rng.standard_normal((3, 3)) + 3 * np.eye(3))
+    delta = rng.standard_normal(3)
+    closed = models._closed_form_irf(GaussianVar1(p), np.zeros(3), 8, delta)  # horizon k is A^(k-1) D delta
+    for h in (0, 1, 2, 5, 7):
+        want = _ref_var_power(p, delta, h)
+        assert var_irf(p, delta, h).tobytes() == want.tobytes() == closed[h].tobytes()
+
+
 def test_var_max_irf_diagonal_case():
     p = VarParams(A=0.5 * np.eye(2), D=np.eye(2))
     res = var_max_irf(p, np.array([1.0, 0.0]), h=2)
@@ -385,3 +405,44 @@ def test_decomposition_selects_on_the_baseline_alone():
         np.testing.assert_array_equal(dec.coefficients, kept.coefficients)
     for dec, unpaired in zip(decs, decompose_lp_irf(series, req, J=3)):  # the S-point fit agrees
         np.testing.assert_allclose(dec.coefficients, unpaired.coefficients, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# finite-chain oracle: the direct route's exact law given its step-one states
+# ---------------------------------------------------------------------------
+
+def test_direct_route_follows_the_finite_response_chain(monkeypatch):
+    # g_hat maps a state to a sample response, moving from s to v_j with probability
+    # w(s, x_j) / sum_w (up to the +-6 shock clamp), so the simulated states form a Markov chain
+    # on the responses with the one-step NW smoother P as its kernel; given the step-one states,
+    # E[y_h | y_1 = s] = (P^(h-1) v)(s). P is built here by the plain kernel formula.
+    series = simulate(DAR, T=2000, y0=0.2, seed=303)
+    cfg = KernelConfig(min_weight_sum=1e-12)  # a rejection-free config
+    req = IrfRequest(y0=0.5, horizons=6, delta=1.0, S=8000, cfg=cfg, seed=304)
+    x, v = series.y[:-1], series.y[1:]
+    w = np.exp(-0.5 * ((x[None, :] - v[:, None]) / silverman_bandwidth(x)) ** 2) / math.sqrt(2 * math.pi)
+    sum_w = w.sum(axis=1)
+    assert np.all(sum_w >= cfg.min_weight_sum) and np.all(w.max(axis=1) > 0)  # every state passes the mass rule
+    P = w / sum_w[:, None]
+    searched = []
+    original = kernels._two_level
+
+    def recorded(*args):
+        searched.append(original(*args))
+        return searched[-1]
+
+    monkeypatch.setattr(kernels, "_two_level", recorded)
+    sim = simulate_paths(series, req)
+    assert sim.valid.all()
+    certified = sum(np.count_nonzero(idx >= 0) for idx in searched)
+    assert certified > 0.5 * 2 * req.S * (req.horizons - 1)  # the two-level search served most steps
+    order = np.argsort(v)
+    base, shock = (order[np.searchsorted(v[order], states)] for states in (sim.base[:, 0], sim.shock[:, 0]))
+    np.testing.assert_array_equal(v[base], sim.base[:, 0])  # step one lands on the responses too
+    np.testing.assert_array_equal(v[shock], sim.shock[:, 0])
+    f = v
+    for h in range(1, req.horizons):  # f = P^h v, the chain's mean of y_(h+1) from each state
+        f = P @ f
+        resid = (sim.shock[:, h] - sim.base[:, h]) - (f[shock] - f[base])
+        z = resid.mean() / (resid.std(ddof=1) / math.sqrt(req.S))
+        assert abs(z) < 4, (h + 1, z)

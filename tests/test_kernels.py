@@ -579,6 +579,59 @@ def test_step_one_states_match_single_point_scan(small_dar, seed):
     assert_same_bits(np.concatenate([base1, shock1]), values)
 
 
+# ---------------------------------------------------------------------------
+# the two-level search: certified crossings, and the full scan for every other pair
+# ---------------------------------------------------------------------------
+
+def _recording_results(monkeypatch, module, name, record):
+    original = getattr(module, name)
+
+    def recorded(*args):
+        record.append(original(*args))
+        return record[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+@pytest.mark.parametrize("T", [41, 600, 641])  # m = 40 < 64, 599 with a partial last block, 640 = 10 blocks
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_two_level_search_matches_reference_where_most_pairs_fall_back(T, kern, mass, monkeypatch):
+    series = simulate(DAR, T=T, y0=0.2, seed=120)
+    prep = kernels._QuantilePrep.from_series(series, KernelConfig(kernel=kern, min_weight_sum=mass))
+    m, distinct = T - 1, np.append(0.2, _points(29))  # the last two lack mass
+    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
+    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        knots = cw[:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / sum_w[:, None]
+    # per row: five knot levels, nextafter(1, 0) and two uniform levels, eight pairs in all, and
+    # the first row twelve uniform levels more, so that its 20 pairs exceed m / 64 for every m here
+    levels = np.column_stack([np.where(np.isfinite(knots), knots, 0.5), np.full(30, np.nextafter(1.0, 0.0)),
+                              np.random.default_rng(121).uniform(0.01, 0.99, (30, 2))])
+    crowded = np.random.default_rng(122).uniform(0.01, 0.99, 12)
+    rows = np.concatenate([np.repeat(np.arange(30), 8), np.zeros(12, int)])
+    order = np.random.default_rng(123).permutation(len(rows))
+    rows, alphas = rows[order], np.concatenate([levels.ravel(), crowded])[order]
+    ys = distinct[rows]
+    searched = []
+    _recording_results(monkeypatch, kernels, "_two_level", searched)
+    got, want = kernels._quantile_batch(prep, ys, alphas), _ref_quantile_batch(prep, ys, alphas)
+    for g, r in zip(got, want):
+        assert_same_bits(g, r)
+    assert_same_bits(got[2], sum_w[rows])
+    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    assert good[0] and not good[-2:].any()
+    if m < kernels._SCAN_BLOCK:  # one pair per row already exceeds m / 64
+        assert searched == []
+        return
+    # one weight block: every pair of the uncrowded rows with mass was searched, the crowded row's not
+    (idx,) = searched
+    assert good.sum() >= 20 and len(idx) == 8 * good[1:].sum()
+    # a knot's target lies within rounding of a cumulative weight, so no margin clears it: six of
+    # each row's eight pairs fall back, and of the uniform levels all but a few are certified
+    fell_back = np.count_nonzero(idx < 0)
+    assert 6 * len(idx) // 8 <= fell_back < 7 * len(idx) // 8
+
+
 def _recording(monkeypatch, module, name, record):
     original = getattr(module, name)
 
