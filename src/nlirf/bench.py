@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from .irf import IrfRequest, irf_direct, irf_lp
-from .kernels import KernelConfig, _integer, cond_cdf, cond_quantile
+from .irf import _ROUTES, IrfRequest, _route_irf
+from .kernels import KernelConfig, _finite, _integer, _real, cond_cdf, cond_quantile
 from .models import ModelSpec, simulate, true_irf
 
 __all__ = [
@@ -44,13 +44,15 @@ class IrfTarget:
     delta: float
     y0: float
     S: int = 2000
-    routes: Tuple[str, ...] = ("direct", "local_projection")
+    routes: Tuple[str, ...] = tuple(_ROUTES)
 
     def __post_init__(self) -> None:
         _integer("h", self.h, 1)
+        _finite("delta", self.delta)
+        _finite("y0", self.y0)
         _integer("S", self.S, 1)
-        if not isinstance(self.routes, tuple) or not self.routes or not set(self.routes) <= set(IrfTarget.routes):
-            raise ValueError(f"routes must be a nonempty tuple drawn from {IrfTarget.routes}, got {self.routes!r}")
+        if not isinstance(self.routes, tuple) or not self.routes or not set(self.routes) <= set(_ROUTES):
+            raise ValueError(f"routes must be a nonempty tuple drawn from {tuple(_ROUTES)}, got {self.routes!r}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +60,20 @@ class CondCdfTarget:
     z: float
     y: float
 
+    def __post_init__(self) -> None:
+        _finite("z", self.z)
+        _finite("y", self.y)
+
 
 @dataclass(frozen=True)
 class CondQuantileTarget:
     alpha: float
     y: float
+
+    def __post_init__(self) -> None:
+        if not (_real(self.alpha) and 0 < self.alpha < 1):
+            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _finite("y", self.y)
 
 
 Target = Union[IrfTarget, CondCdfTarget, CondQuantileTarget]
@@ -152,7 +163,6 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
     """
     oracle = _oracle_value(spec.model, spec.target)
     cells: List[CellResult] = []
-    estimators = {"direct": irf_direct, "local_projection": irf_lp}
 
     for ti, T in enumerate(spec.sample_sizes):
         for si in range(spec.seeds_per_size):
@@ -173,7 +183,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
                             cfg=spec.cfg,
                             seed=_cell_seed(master_seed, ti, si, stream=1),
                         )
-                        est = float(estimators[route](series, req).values[spec.target.h - 1])
+                        est = float(_route_irf(series, req, route).values[spec.target.h - 1])
                     cells.append(CellResult(T=T, seed_index=si, route=route, estimate=est, oracle=oracle))
                 except (ValueError, ArithmeticError) as exc:
                     cells.append(

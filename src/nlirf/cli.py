@@ -23,6 +23,7 @@ Reproducibility conventions:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -35,9 +36,8 @@ import numpy as np
 
 from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_sweep
 from .identify import markov_moment_test, recover_mixing
-from .irf import (IrfRequest, _decomposition, _lp_paths, _mean, _reduce, decompose_lp_irf, irf_direct, irf_lp,
-                  simulate_paths)
-from .kernels import KernelConfig, _density, _integer, silverman_bandwidth
+from .irf import _ROUTES, IrfRequest, _decomposition, _mean, _reduce, _route_irf, _route_paths, decompose_lp_irf
+from .kernels import KernelConfig, _density, _finite, _integer, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
 
@@ -121,15 +121,6 @@ def ingest_csv(path) -> TimeSeries:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: Dict, allowed: set, required: set, where: str) -> None:
-    extra = set(obj) - allowed
-    if extra:
-        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise ValueError(f"{where}: missing config keys {sorted(missing)}")
-
-
 def _manifest_hash(manifest: Dict) -> str:
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -153,49 +144,28 @@ class _Writer:
         self.mhash = mhash
         self.paths: List[Path] = []
 
-    def csv(self, name: str, header: str, rows) -> Path:
+    def _open(self, name: str):
         path = self.out_dir / name
-        with _create(path) as fh:
-            fh.write(f"# manifest: {self.mhash}\n")
-            fh.write(header + "\n")
+        self.paths.append(path)
+        return _create(path)
+
+    def csv(self, name: str, header: str, rows) -> None:
+        with self._open(name) as fh:
+            fh.write(f"# manifest: {self.mhash}\n{header}\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
-        self.paths.append(path)
-        return path
 
-    def json(self, name: str, obj: Dict) -> Path:
-        path = self.out_dir / name
-        payload = dict(obj)
-        payload["manifest_sha256"] = self.mhash
-        with _create(path) as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2))
-            fh.write("\n")
-        self.paths.append(path)
-        return path
+    def json(self, name: str, obj: Dict) -> None:
+        with self._open(name) as fh:
+            fh.write(json.dumps({**obj, "manifest_sha256": self.mhash}, sort_keys=True, indent=2) + "\n")
 
 
-def _kernel_config(obj: Optional[Dict]) -> KernelConfig:
-    if obj is None:
-        return KernelConfig()
-    return KernelConfig.from_json_obj(obj)
-
-
-def _load_series(config: Dict, where: str) -> TimeSeries:
+def _load_series(config: Dict) -> TimeSeries:
     """A series either ingested from CSV or simulated from a model spec."""
-    if "input" in config and "model" in config:
-        raise ValueError(f"{where}: give either 'input' or 'model', not both")
     if "input" in config:
         return ingest_csv(config["input"])
-    if "model" in config:
-        model = model_from_json(config["model"])
-        return simulate(
-            model,
-            T=_integer("T", config["T"]),
-            y0=config.get("y0_sim", 0.0),
-            seed=_integer("sim_seed", config["sim_seed"]),
-            burn_in=_integer("burn_in", config.get("burn_in", 0)),
-        )
-    raise ValueError(f"{where}: needs an 'input' CSV or a 'model' to simulate")
+    return simulate(model_from_json(config["model"]), T=config["T"], y0=config["y0_sim"], seed=config["sim_seed"],
+                    burn_in=config["burn_in"])
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +173,8 @@ def _load_series(config: Dict, where: str) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
-    _require_keys(config, {"model", "T", "y0", "burn_in", "density_grid"}, {"model", "T", "y0"}, "simulate")
     model = model_from_json(config["model"])
-    series = simulate(
-        model,
-        T=_integer("T", config["T"]),
-        y0=config["y0"],
-        seed=seed,
-        burn_in=_integer("burn_in", config.get("burn_in", 0)),
-    )
+    series = simulate(model, T=config["T"], y0=config["y0"], seed=seed, burn_in=config["burn_in"])
     cols = ",".join(f"y{i + 1}" for i in range(series.n))
     w.csv(
         "trajectory.csv",
@@ -221,21 +184,13 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
     if series.n == 1:
         y = series.y
         b = silverman_bandwidth(y)
-        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, _integer("density_grid", config["density_grid"]))
+        grid = np.linspace(y.min() - 3 * b, y.max() + 3 * b, config["density_grid"])
         dens = _density(y, grid, b, "gaussian")  # the kde of y at each grid point
         w.csv("density.csv", "y,density", ([_fmt(g), _fmt(d)] for g, d in zip(grid, dens)))
 
 
 def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
-    _require_keys(config, {"input", "grid"}, {"input"}, "qmle")
-    series = ingest_csv(config["input"])
-    if "grid" in config:
-        g = config["grid"]
-        _require_keys(g, {"lower", "upper", "step"}, {"lower", "upper", "step"}, "qmle.grid")
-        grid = GridSpec(lower=tuple(g["lower"]), upper=tuple(g["upper"]), step=g["step"])
-    else:
-        grid = DEFAULT_GRID
-    res = qmle_grid_search(series, grid)
+    res = qmle_grid_search(ingest_csv(config["input"]), GridSpec(**config["grid"]))
     w.json(
         "qmle.json",
         {
@@ -248,70 +203,42 @@ def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
     )
 
 
-_SERIES_KEYS = {"input", "model", "T", "y0_sim", "sim_seed", "burn_in"}
-
-
 def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
-    allowed = _SERIES_KEYS | {"y0", "horizons", "deltas", "S", "kernel", "routes"}
-    _require_keys(config, allowed, {"y0", "horizons", "deltas"}, "irf")
-    routes = config["routes"]
-    # only the estimators read the series: a model with only the true route
-    # simulates nothing (an 'input' is still loaded and checked against 'model')
-    series = _load_series(config, "irf") if set(routes) - {"true"} or "input" in config else None
-    cfg = _kernel_config(config.get("kernel"))
-    bad_routes = set(routes) - {"true", "direct", "local_projection"}
-    if bad_routes:
-        raise ValueError(f"irf: unknown routes {sorted(bad_routes)}")
+    cfg = KernelConfig.from_json_obj(config["kernel"])
     model = model_from_json(config["model"]) if "model" in config else None
-    if "true" in routes and model is None:
-        raise ValueError("irf: the 'true' route needs a 'model'")
-    artifacts: Dict[str, float] = {}
+    reqs: Dict[str, IrfRequest] = {}
     for delta in config["deltas"]:
         name = f"irf_delta_{delta:g}.csv"
-        if name in artifacts:
-            raise ValueError(f"irf: deltas {artifacts[name]!r} and {delta!r} would both write {name}")
-        artifacts[name] = delta
-    H = _integer("horizons", config["horizons"])
-    S = _integer("S", config["S"])
-    for name, delta in artifacts.items():
+        if name in reqs:
+            raise ValueError(f"irf: deltas {reqs[name].delta!r} and {delta!r} would both write {name}")
+        reqs[name] = IrfRequest(y0=config["y0"], horizons=config["horizons"], delta=delta, S=config["S"], cfg=cfg,
+                                seed=seed)
+    # only the estimators read the series: a model with only the true route simulates nothing
+    series = _load_series(config) if set(config["routes"]) - {"true"} else None
+    for name, req in reqs.items():
         rows = []
-        for route in routes:
+        for route in config["routes"]:
             if route == "true":
-                curve = true_irf(model, y0=config["y0"], h=H, delta=delta, S=S, seed=seed + 1)
-                rejected = [0] * H
+                curve = true_irf(model, y0=req.y0, h=req.horizons, delta=req.delta, S=req.S, seed=seed + 1)
+                rejected = [0] * req.horizons
             else:
-                req = IrfRequest(
-                    y0=float(config["y0"]), horizons=H, delta=float(delta), S=S, cfg=cfg, seed=seed,
-                )
-                curve = (irf_direct if route == "direct" else irf_lp)(series, req)
+                curve = _route_irf(series, req, route)
                 rejected = curve.meta["rejected"]
-            for h in range(1, H + 1):
+            for h in range(1, req.horizons + 1):
                 rows.append([
-                    str(h), route, _fmt(delta), _fmt(curve.values[h - 1]),
+                    str(h), route, _fmt(req.delta), _fmt(curve.values[h - 1]),
                     _fmt(curve.mc_se[h - 1]), str(rejected[h - 1]),
                 ])
         w.csv(name, "horizon,route,delta,value,mc_se,rejected_reps", rows)
 
 
 def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
-    allowed = _SERIES_KEYS | {"y0", "horizons", "delta", "S", "J", "kernel", "route"}
-    _require_keys(config, allowed, {"y0", "horizons", "delta"}, "decompose")
-    series = _load_series(config, "decompose")
-    cfg = _kernel_config(config.get("kernel"))
-    route = config["route"]
-    if route not in ("direct", "local_projection"):
-        raise ValueError(f"decompose: unknown route {route!r}")
-    req = IrfRequest(  # checks that horizons and S are integers
-        y0=float(config["y0"]),
-        horizons=config["horizons"],
-        delta=float(config["delta"]),
-        S=config["S"],
-        cfg=cfg,
-        seed=seed,
-    )
-    J = _integer("J", config["J"])
+    cfg = KernelConfig.from_json_obj(config["kernel"])
+    req = IrfRequest(y0=config["y0"], horizons=config["horizons"], delta=config["delta"], S=config["S"], cfg=cfg,
+                     seed=seed)
+    route, J = config["route"], config["J"]
     # one simulation, and on the local projection one fit, feeds both reductions
-    sim = (simulate_paths if route == "direct" else _lp_paths)(series, req)
+    sim = _route_paths(_load_series(config), req, route)
     decs, estimated = _decomposition(sim, req, J), _reduce(sim, req, route, _mean(sim.shock - sim.base))
     rows = []
     for dec in decs:
@@ -327,9 +254,7 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
 
 
 def _run_identify(config: Dict, seed: int, w: _Writer) -> None:
-    _require_keys(config, {"input", "max_lag"}, {"input"}, "identify")
-    series = ingest_csv(config["input"])
-    est = recover_mixing(series, max_lag=_integer("max_lag", config["max_lag"]))
+    est = recover_mixing(ingest_csv(config["input"]), max_lag=config["max_lag"])
     w.json(
         "identify.json",
         {
@@ -342,48 +267,27 @@ def _run_identify(config: Dict, seed: int, w: _Writer) -> None:
 
 
 def _run_markov_test(config: Dict, seed: int, w: _Writer) -> None:
-    _require_keys(config, {"input", "block_len", "B", "level"}, {"input"}, "markov-test")
-    series = ingest_csv(config["input"])
-    res = markov_moment_test(series, block_len=config["block_len"], B=config["B"], seed=seed,
-                             level=float(config["level"]))
+    res = markov_moment_test(ingest_csv(config["input"]), block_len=config["block_len"], B=config["B"], seed=seed,
+                             level=config["level"])
     fields = ("statistic", "critical_value", "reject", "level", "bootstrap_reps", "block_length")
     w.json("markov_test.json", {"moments": res.moments.tolist(), **{k: getattr(res, k) for k in fields}})
 
 
-def _parse_target(obj: Dict):
-    kind = obj.get("kind")
-    if kind == "cond_cdf":
-        _require_keys(obj, {"kind", "z", "y"}, {"z", "y"}, "bench.target")
-        return CondCdfTarget(z=float(obj["z"]), y=float(obj["y"]))
-    if kind == "cond_quantile":
-        _require_keys(obj, {"kind", "alpha", "y"}, {"alpha", "y"}, "bench.target")
-        return CondQuantileTarget(alpha=float(obj["alpha"]), y=float(obj["y"]))
-    if kind == "irf":
-        _require_keys(obj, {"kind", "h", "delta", "y0", "S", "routes"}, {"h", "delta", "y0"}, "bench.target")
-        return IrfTarget(  # checks that h and S are integers
-            h=obj["h"], delta=float(obj["delta"]), y0=float(obj["y0"]),
-            S=obj.get("S", IrfTarget.S), routes=tuple(obj.get("routes", IrfTarget.routes)),
-        )
-    raise ValueError(f"bench.target: unknown kind {kind!r}")
+_TARGETS = {"cond_cdf": CondCdfTarget, "cond_quantile": CondQuantileTarget, "irf": IrfTarget}
 
 
 def _run_bench(config: Dict, seed: int, w: _Writer) -> None:
-    _require_keys(
-        config,
-        {"model", "sample_sizes", "seeds_per_size", "target", "kernel", "y0_sim"},
-        {"model", "sample_sizes", "seeds_per_size", "target"},
-        "bench",
-    )
+    target = {k: tuple(v) if isinstance(v, list) else v for k, v in config["target"].items() if k != "kind"}
     spec = SweepSpec(
         model=model_from_json(config["model"]),
-        sample_sizes=tuple(_integer("sample_sizes", t) for t in config["sample_sizes"]),
-        seeds_per_size=_integer("seeds_per_size", config["seeds_per_size"]),
-        target=_parse_target(config["target"]),
-        cfg=_kernel_config(config.get("kernel")),
-        y0_sim=float(config.get("y0_sim", 0.0)),
+        sample_sizes=tuple(config["sample_sizes"]),
+        seeds_per_size=config["seeds_per_size"],
+        target=_TARGETS[config["target"]["kind"]](**target),
+        cfg=KernelConfig.from_json_obj(config["kernel"]),
+        y0_sim=config["y0_sim"],
     )
     report = run_sweep(spec, master_seed=seed)
-    tname = config["target"].get("kind", "target")
+    tname = config["target"]["kind"]
     w.csv(
         "bench_cells.csv",
         "T,seed,route,target,estimate,oracle,abs_err",
@@ -420,50 +324,117 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-_DEFAULT_GRID_JSON = {k: [float(v) for v in getattr(DEFAULT_GRID, k)] for k in ("lower", "upper", "step")}
+# a key's entry in a subcommand's schema: required, optional with no default, or its default
+_REQUIRED, _OPTIONAL = object(), object()
+
+# the keys irf and decompose share: a series read from 'input' or simulated from 'model', and the request
+_IRF_KEYS = {"input": _OPTIONAL, "model": _OPTIONAL, "T": _OPTIONAL, "y0_sim": _OPTIONAL, "sim_seed": _OPTIONAL,
+             "burn_in": _OPTIONAL, "y0": _REQUIRED, "horizons": _REQUIRED, "S": IrfRequest.S,
+             "kernel": KernelConfig().to_json_obj()}
+
+_SCHEMA = {
+    "simulate": {"model": _REQUIRED, "T": _REQUIRED, "y0": _REQUIRED, "burn_in": _default(simulate, "burn_in"),
+                 "density_grid": 201},
+    "qmle": {"input": _REQUIRED, "grid": dataclasses.asdict(DEFAULT_GRID)},
+    "irf": {**_IRF_KEYS, "deltas": _REQUIRED, "routes": _OPTIONAL},
+    "decompose": {**_IRF_KEYS, "delta": _REQUIRED, "J": _default(decompose_lp_irf, "J"), "route": "direct"},
+    "identify": {"input": _REQUIRED, "max_lag": _default(recover_mixing, "max_lag")},
+    # block_len defaults to ceil(T^(1/3)), left null here because it
+    # depends on the data; the verdict JSON records the value used
+    "markov-test": {"input": _REQUIRED, "block_len": _default(markov_moment_test, "block_len"),
+                    "B": _default(markov_moment_test, "B"), "level": _default(markov_moment_test, "level")},
+    "bench": {"model": _REQUIRED, "sample_sizes": _REQUIRED, "seeds_per_size": _REQUIRED, "target": _REQUIRED,
+              "kernel": KernelConfig().to_json_obj(), "y0_sim": SweepSpec.y0_sim},
+}
+_GRID = dict.fromkeys(("lower", "upper", "step"), _REQUIRED)
+
+
+def _check(where: str, obj, schema: Dict, kinds: bool = True) -> Dict:
+    """``obj`` checked against ``schema`` (its values by kind, if ``kinds``), with fresh copies of missing defaults."""
+    _object(where, obj)
+    extra = set(obj) - set(schema)
+    if extra:
+        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
+    missing = [k for k, v in schema.items() if v is _REQUIRED and k not in obj]
+    if missing:
+        raise ValueError(f"{where}: missing config keys {sorted(missing)}")
+    defaults = {k: v for k, v in schema.items() if k not in obj and v is not _REQUIRED and v is not _OPTIONAL}
+    out = {**json.loads(json.dumps(defaults)), **obj}  # the JSON round trip copies and turns tuples into lists
+    if kinds:
+        for key, value in out.items():
+            _KINDS[key](key, value)
+    return out
+
+
+# the kinds of value a key may hold; each raises a ValueError that names the key
+def _instance(cls, what: str):
+    def kind(key: str, value) -> None:
+        if not isinstance(value, cls):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+    return kind
+
+
+_object = _instance(dict, "a JSON object")
+
+
+def _one_of(names: List[str]):
+    def kind(key: str, value) -> None:
+        if value not in names:
+            raise ValueError(f"unknown {key} {value!r}, expected one of {names}")
+    return kind
+
+
+def _nonempty_list(item):
+    def kind(key: str, value) -> None:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{key} must be a nonempty list, got {value!r}")
+        for v in value:
+            item(key, v)
+    return kind
+
+
+_KINDS = {
+    **dict.fromkeys(("T", "burn_in", "density_grid", "horizons", "S", "sim_seed", "J", "max_lag", "B",
+                     "seeds_per_size"), _integer),
+    "block_len": lambda key, value: value is None or _integer(key, value),
+    **dict.fromkeys(("y0_sim", "delta", "level"), _finite),
+    # a model state, or the QMLE grid's step on every axis or per axis: a finite real or a list of them
+    **dict.fromkeys(("y0", "step"), lambda key, value: (
+        _nonempty_list(_finite) if isinstance(value, (list, tuple)) else _finite)(key, value)),
+    **dict.fromkeys(("deltas", "lower", "upper"), _nonempty_list(_finite)),
+    "sample_sizes": _nonempty_list(_integer),
+    "routes": _nonempty_list(_one_of(["true", *_ROUTES])),
+    "route": _one_of(list(_ROUTES)),
+    **dict.fromkeys(("model", "kernel", "target"), _object),
+    "grid": lambda key, value: _check(f"qmle.{key}", value, _GRID),
+    "input": _instance(str, "a file path"),
+}
 
 
 def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
-    """Fill defaults into the config so the manifest echoes what actually ran.
+    """The config checked against the subcommand's schema, key by key and by kind, with its defaults filled in.
 
-    Idempotent, so rerunning from an emitted manifest reproduces the same
-    resolved config and therefore the same manifest hash and artifacts.
+    Nothing is read or simulated, so a bad config fails before anything runs. The manifest echoes the result, and
+    resolving is idempotent, so rerunning from an emitted manifest reproduces the same resolved config and
+    therefore the same manifest hash and artifacts.
     """
-    cfg = dict(config)
-    if subcommand in ("irf", "decompose", "bench"):
-        cfg.setdefault("kernel", KernelConfig().to_json_obj())
-    if subcommand in ("irf", "decompose"):
-        cfg.setdefault("S", IrfRequest.S)
-        if "model" in cfg:
-            cfg.setdefault("sim_seed", derive_seed(master_seed, subcommand))
-            cfg.setdefault("y0_sim", 0.0)
-            cfg.setdefault("burn_in", 0)
-    if subcommand == "simulate":
-        cfg.setdefault("burn_in", 0)
-        cfg.setdefault("density_grid", 201)
-    elif subcommand == "qmle":
-        cfg.setdefault("grid", dict(_DEFAULT_GRID_JSON))
-    elif subcommand == "irf":
-        cfg.setdefault("routes", ["true", "direct", "local_projection"] if "model" in cfg
-                       else ["direct", "local_projection"])
-    elif subcommand == "decompose":
-        cfg.setdefault("J", _default(decompose_lp_irf, "J"))
-        cfg.setdefault("route", "direct")
-    elif subcommand == "identify":
-        cfg.setdefault("max_lag", _default(recover_mixing, "max_lag"))
-    elif subcommand == "markov-test":
-        cfg.setdefault("B", _default(markov_moment_test, "B"))
-        cfg.setdefault("level", _default(markov_moment_test, "level"))
-        # block_len defaults to ceil(T^(1/3)), left null here because it
-        # depends on the data; the verdict JSON records the value used
-        cfg.setdefault("block_len", None)
-    elif subcommand == "bench":
-        cfg.setdefault("y0_sim", 0.0)
-        if isinstance(cfg.get("target"), dict) and cfg["target"].get("kind") == "irf":
-            target = dict(cfg["target"])
-            target.setdefault("S", IrfTarget.S)
-            target.setdefault("routes", list(IrfTarget.routes))
-            cfg["target"] = target
+    schema = dict(_SCHEMA[subcommand])
+    if subcommand in ("irf", "decompose") and "model" in config:  # the series keys apply to a simulated series
+        schema.update(T=_REQUIRED, sim_seed=derive_seed(master_seed, subcommand), y0_sim=0.0,
+                      burn_in=_SCHEMA["simulate"]["burn_in"])
+    if subcommand == "irf":
+        schema["routes"] = ["true", *_ROUTES] if "model" in config else list(_ROUTES)
+    cfg = _check(subcommand, config, schema)
+    if subcommand in ("irf", "decompose") and ("input" in cfg) == ("model" in cfg):
+        raise ValueError(f"{subcommand}: give either an 'input' CSV or a 'model' to simulate")
+    if subcommand == "irf" and "true" in cfg["routes"] and "model" not in cfg:
+        raise ValueError("irf: the 'true' route needs a 'model'")
+    if subcommand == "bench":  # the target's keys depend on its kind; its values are checked by its class
+        kind = cfg["target"].get("kind")
+        _one_of(list(_TARGETS))("kind", kind)
+        fields = {f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
+                  for f in dataclasses.fields(_TARGETS[kind])}
+        cfg["target"] = _check("bench.target", cfg["target"], {"kind": _REQUIRED, **fields}, kinds=False)
     return cfg
 
 
@@ -475,9 +446,9 @@ def run(subcommand: str, config: Dict, out_dir, master_seed: int) -> List[Path]:
     """Execute one subcommand; returns the artifact paths (manifest last)."""
     if subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
+    resolved = _resolve(subcommand, config, master_seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = _resolve(subcommand, config, master_seed)
     manifest = {
         "format_version": FORMAT_VERSION,
         "subcommand": subcommand,
@@ -487,11 +458,7 @@ def run(subcommand: str, config: Dict, out_dir, master_seed: int) -> List[Path]:
     mhash = _manifest_hash(manifest)
     w = _Writer(out, mhash)
     _RUNNERS[subcommand](dict(resolved), derive_seed(master_seed, subcommand), w)
-    manifest_path = out / "manifest.json"
-    with _create(manifest_path) as fh:
-        fh.write(json.dumps({**manifest, "manifest_sha256": mhash}, sort_keys=True, indent=2))
-        fh.write("\n")
-    w.paths.append(manifest_path)
+    w.json("manifest.json", manifest)
     return w.paths
 
 

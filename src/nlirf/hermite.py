@@ -112,7 +112,7 @@ def decompose_irf(sim_outputs, eps_draws, delta: float, J: int = DEFAULT_J, h: i
     cov = sigma2 * np.linalg.inv(X.T @ X)
     coef_se = np.sqrt(np.diag(cov))
 
-    contributions = beta[1:] * delta ** np.arange(1, J + 1)
+    contributions = beta[1:] * float(delta) ** np.arange(1, J + 1)  # an integer power would overflow
     linear = float(contributions[0])
     nonlinear = float(np.sum(contributions[1:]))
     return HermiteDecomposition(

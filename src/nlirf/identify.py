@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
-from .kernels import _integer, _nw_fit, silverman_bandwidth
+from .kernels import _integer, _nw_fit, _real, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -256,7 +256,7 @@ def markov_moment_test(
     _integer("B", B, 10)
     if block_len >= n:
         raise ValueError(f"block_len must be below T - 2 = {n}, got {block_len}")
-    if not 0 < level < 1:
+    if not (_real(level) and 0 < level < 1):
         raise ValueError(f"level must be in (0, 1), got {level!r}")
 
     # forward fits E[a(y_t) | y_{t-1}] on x = y[:-1] and backward fits E[b(y_{t-2}) | y_{t-1}] on

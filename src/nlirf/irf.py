@@ -44,7 +44,7 @@ from .kernels import (
     _integer,
     _QuantilePrep,
     _quantile_batch,
-    _real,
+    _finite,
 )
 from .models import IrfCurve, TimeSeries, VarParams, _var_responses
 
@@ -82,9 +82,7 @@ class IrfRequest:
 
     def __post_init__(self) -> None:
         for name in ("y0", "delta"):
-            value = getattr(self, name)
-            if not (_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            _finite(name, getattr(self, name))
         for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)
 
@@ -218,10 +216,28 @@ def _mean(diffs: np.ndarray):
     return stat
 
 
+# each estimator route by name, and the paired outcomes it simulates; the lambdas read the module's
+# bindings when called, so a rebound function (a tracer's, a test's) is the one that runs
+_ROUTES = {
+    "direct": lambda series, req: simulate_paths(series, req),
+    "local_projection": lambda series, req: _lp_paths(series, req),
+}
+
+
+def _route_paths(series: TimeSeries, req: IrfRequest, route: str) -> PathSimulation:
+    """The paired outcomes the named route simulates."""
+    return _ROUTES[route](series, req)
+
+
+def _route_irf(series: TimeSeries, req: IrfRequest, route: str) -> IrfCurve:
+    """The named route's IRF: mean paired difference per horizon."""
+    sim = _route_paths(series, req, route)
+    return _reduce(sim, req, route, _mean(sim.shock - sim.base))
+
+
 def irf_direct(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     """Direct-simulation IRF: mean paired path difference per horizon."""
-    sim = simulate_paths(series, req)
-    return _reduce(sim, req, "direct", _mean(sim.shock - sim.base))
+    return _route_irf(series, req, "direct")
 
 
 def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -232,8 +248,7 @@ def irf_lp(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     Horizon one applies the identity prediction, which makes it coincide
     bitwise with the direct route under a shared seed.
     """
-    sim = _lp_paths(series, req)
-    return _reduce(sim, req, "local_projection", _mean(sim.shock - sim.base))
+    return _route_irf(series, req, "local_projection")
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -116,6 +116,13 @@ def _real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
+def _finite(name: str, value):
+    """``value``, if it is a finite real number (see ``_real``); otherwise raises a ValueError that names ``name``."""
+    if not (_real(value) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return value
+
+
 def _positive_finite(value) -> bool:
     return _real(value) and 0 < value < math.inf
 
@@ -155,15 +162,11 @@ class KernelConfig:
             raise ValueError(f"min_weight_sum must be a positive finite number, got {self.min_weight_sum!r}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "bandwidth": self.bandwidth,
-            "min_weight_sum": self.min_weight_sum,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "KernelConfig":
-        extra = set(obj) - {"kernel", "bandwidth", "min_weight_sum"}
+        extra = set(obj) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown kernel config keys: {sorted(extra)}")
         return cls(**obj)
@@ -473,8 +476,7 @@ def g_hat(
     Gaussian rank stays numerically inside (0, 1). Nondecreasing in eps
     for fixed y and data.
     """
-    if not math.isfinite(eps):
-        raise ValueError("eps must be finite")
+    _finite("eps", eps)
     if abs(eps) > EPS_CLAMP:
         warnings.warn(
             f"shock {eps:.3g} clamped to [-{EPS_CLAMP:.0f}, {EPS_CLAMP:.0f}]",

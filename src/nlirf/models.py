@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -286,20 +287,23 @@ class LyapunovEstimate:
 # Transition maps
 # ---------------------------------------------------------------------------
 
-def _as_states(model: ModelSpec, y, what: str = "state") -> np.ndarray:
-    """``y`` as a finite float array of shape (..., n); a scalar counts as (1,)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[-1] != model.dim:
-        raise ValueError(f"{what} must have shape (..., {model.dim}), got {y.shape}")
+def _as_reals(y, what: str) -> np.ndarray:
+    """``y`` as a float array, if every entry is an integer or a real number: a string, a bool or None is not."""
+    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iuf"):
+        for v in np.asarray(y, dtype=object).ravel():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{what} must hold real numbers, got {v!r}")
+    return np.asarray(y, dtype=float)
+
+
+def _as_states(model: ModelSpec, y, what: str = "state", ndim: Optional[int] = None) -> np.ndarray:
+    """``y`` as a finite float array of shape (..., n), with ``ndim`` axes if given; a scalar counts as (1,)."""
+    y = np.atleast_1d(_as_reals(y, what))
+    if y.shape[-1] != model.dim or ndim is not None and y.ndim != ndim:
+        shape = f"({model.dim},)" if ndim == 1 else f"(..., {model.dim})"
+        raise ValueError(f"{what} must have shape {shape}, got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError(f"{what} contains non-finite values")
-    return y
-
-
-def _as_state(model: ModelSpec, y, what: str = "state") -> np.ndarray:
-    y = _as_states(model, y, what)
-    if y.ndim != 1:
-        raise ValueError(f"{what} must have shape ({model.dim},), got {y.shape}")
     return y
 
 
@@ -362,7 +366,7 @@ def simulate(model: ModelSpec, T: int, y0, seed: int, burn_in: int = 0) -> TimeS
         raise ValueError("burn_in must be >= 0")
     if isinstance(model, Dar1):
         _check_dar_stationary(model.params)
-    y = _as_state(model, y0)
+    y = _as_states(model, y0, ndim=1)
     eps = np.random.default_rng(seed).standard_normal((T + burn_in, model.dim))
     if model.dim == 1:
         # a float state steps many times faster than a (1,) array
@@ -424,8 +428,8 @@ def true_irf(
         raise ValueError(f"horizon must be >= 1, got {h}")
     if S < 1:
         raise ValueError(f"replication count must be >= 1, got {S}")
-    y = _as_state(model, y0)
-    d = _as_state(model, delta, "delta")
+    y = _as_states(model, y0, ndim=1)
+    d = _as_states(model, delta, "delta", ndim=1)
 
     horizons = np.arange(1, h + 1)
     exact = _closed_form_irf(model, y, h, d)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .models import DarParams, TimeSeries
+from .models import DarParams, TimeSeries, _as_reals
 
 __all__ = ["GridSpec", "QmleResult", "dar_quasi_loglik", "qmle_grid_search", "DEFAULT_GRID"]
 
@@ -36,13 +36,13 @@ class GridSpec:
     step: object = 0.01
 
     def __post_init__(self) -> None:
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
+        lo = _as_reals(self.lower, "lower")
+        hi = _as_reals(self.upper, "upper")
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("lower and upper must be 3-vectors (rho, alpha, beta)")
         if not (lo < hi).all():
             raise ValueError("lower must be strictly below upper componentwise")
-        st = np.asarray(self.step, dtype=float)
+        st = _as_reals(self.step, "step")
         if st.ndim == 0:
             st = np.full(3, float(st))
         if st.shape != (3,) or not (st > 0).all():

@@ -18,10 +18,23 @@ AR1 = GaussianAr1(rho=0.5, sigma=1.0)
 
 @pytest.mark.parametrize("field, bad", [("routes", ("direct", "lp")), ("routes", ()), ("routes", ["direct"]),
                                         ("routes", "direct"), ("h", 0), ("h", 2.0), ("h", True), ("S", 0),
-                                        ("S", 300.5), ("S", "300")])
+                                        ("S", 300.5), ("S", "300"), ("delta", "0.5"), ("y0", True)])
 def test_irf_target_validates_fields(field, bad):
     with pytest.raises(ValueError, match=field):
         IrfTarget(**{"h": 2, "delta": 0.5, "y0": 0.2, field: bad})
+
+
+@pytest.mark.parametrize("target, fields, field", [
+    (CondQuantileTarget, {"alpha": 1.5, "y": 0.5}, "alpha"),
+    (CondQuantileTarget, {"alpha": "0.5", "y": 0.5}, "alpha"),
+    (CondQuantileTarget, {"alpha": 0.5, "y": True}, "y"),
+    (CondCdfTarget, {"z": "0.3", "y": 0.5}, "z"),
+    (CondCdfTarget, {"z": 0.3, "y": math.inf}, "y"),
+])
+def test_conditional_targets_validate_fields(target, fields, field):
+    # checked when the target is made, not after a sweep has simulated its series
+    with pytest.raises(ValueError, match=field):
+        target(**fields)
 
 
 def test_spec_validation():

@@ -191,7 +191,6 @@ def test_decompose_subcommand(tmp_path):
 def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
     # one paired-path simulation feeds both the decomposition rows and the
     # estimated_irf rows, which equal the public functions' results
-    import nlirf.cli
     import nlirf.irf
     from nlirf.irf import IrfRequest, decompose_direct_irf, irf_direct
 
@@ -204,8 +203,8 @@ def test_decompose_direct_simulates_once(tmp_path, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (nlirf.irf, nlirf.cli):  # every binding, as a tracer would
-        monkeypatch.setattr(module, "simulate_paths", counting)
+    # the only binding: the CLI reaches it through irf's route table, as irf_direct does
+    monkeypatch.setattr(nlirf.irf, "simulate_paths", counting)
     run("decompose", config, tmp_path / "out", master_seed=4)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -377,14 +376,57 @@ BENCH = {"model": DAR_JSON, "sample_sizes": [500, 1000], "seeds_per_size": 10,
 ])
 def test_main_rejects_non_integer_config_values(tmp_path, capsys, subcommand, config, key):
     # a truncated value would run while the manifest echoed the value given
+    assert f"{key} must be an integer" in main_error(tmp_path, capsys, subcommand, config)
+
+
+def main_error(tmp_path, capsys, subcommand, config):
+    """The error line of a ``main`` run that must fail with a ValueError and write no manifest."""
     csv = tmp_path / "s.csv"
     write_series_csv(csv, T=300)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({k: str(csv) if v == "CSV" else v for k, v in config.items()}))
     assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ValueError: ") and f"{key} must be an integer" in err
+    assert err.startswith("error: ValueError: ")
     assert not (tmp_path / "out" / "manifest.json").exists()
+    return err
+
+
+@pytest.mark.parametrize("subcommand, config, message", [
+    ("irf", {k: v for k, v in IRF_TRUE.items() if k != "T"}, "irf: missing config keys ['T']"),
+    ("decompose", {"model": DAR_JSON, "y0": 0.2, "horizons": 2, "delta": 0.5}, "decompose: missing config keys ['T']"),
+    ("simulate", {"model": DAR_JSON, "T": 80, "y0": "0.2"}, "y0 must be a finite real number"),
+    ("irf", {**IRF_TRUE, "y0": "0.2"}, "y0 must be a finite real number"),
+    ("decompose", {**DECOMPOSE, "y0": True}, "y0 must be a finite real number"),
+    ("irf", {**IRF_TRUE, "deltas": [True]}, "deltas must be a finite real number"),
+    ("irf", {**IRF_TRUE, "routes": ["direct"], "y0_sim": "0"}, "y0_sim must be a finite real number"),
+    ("markov-test", {"input": "CSV", "level": "0.05"}, "level must be a finite real number"),
+    ("bench", {**BENCH, "target": {"kind": "cond_cdf", "z": "0.3", "y": 0.5}}, "z must be a finite real number"),
+    ("bench", {**BENCH, "target": 5}, "target must be a JSON object"),
+    ("irf", {**IRF_TRUE, "routes": "direct"}, "routes must be a nonempty list"),
+    ("irf", {**IRF_TRUE, "deltas": 0.5}, "deltas must be a nonempty list"),
+])
+def test_main_checks_config_values_by_kind(tmp_path, capsys, subcommand, config, message):
+    # a string or bool must not run as the number it casts to while the manifest echoes the value given
+    assert message in main_error(tmp_path, capsys, subcommand, config)
+
+
+@pytest.mark.parametrize("subcommand, config, message", [
+    ("irf", {**IRF_TRUE, "routes": ["direct", "indirect"]}, "unknown routes 'indirect'"),
+    ("decompose", {"model": DAR_JSON, "T": 300, "y0": 0.2, "horizons": 2, "delta": 0.5, "route": "lp"},
+     "unknown route 'lp'"),
+])
+def test_irf_and_decompose_reject_unknown_route_before_simulating(tmp_path, monkeypatch, subcommand, config, message):
+    monkeypatch.setattr("nlirf.cli.simulate", lambda *a, **k: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match=message):
+        run(subcommand, config, tmp_path, 0)
+
+
+def test_resolved_defaults_are_fresh_copies():
+    # a default object shared between runs would carry one run's change into the next
+    first = cli._resolve("qmle", {"input": "s.csv"}, 0)
+    first["grid"]["lower"][0] = 9.0
+    assert cli._resolve("qmle", {"input": "s.csv"}, 0)["grid"]["lower"][0] == 0.01
 
 
 def test_bench_rejects_unknown_irf_route_before_simulating(tmp_path, monkeypatch):

@@ -195,6 +195,15 @@ def test_additivity_identity(seed, delta, J):
     assert isinstance(dec, HermiteDecomposition)
 
 
+def test_integer_delta_gives_the_float_contributions():
+    # 1000 ** 7 overflows a 64-bit integer
+    rng = np.random.default_rng(0)
+    eps = rng.standard_normal(500)
+    m = eps + 0.1 * eps**2 + 0.01 * rng.standard_normal(500)
+    assert decompose_irf(m, eps, delta=1000, J=7).contributions.tolist() == \
+        decompose_irf(m, eps, delta=1000.0, J=7).contributions.tolist()
+
+
 def test_decompose_validates_inputs():
     eps = np.arange(10.0)
     with pytest.raises(ValueError):

@@ -349,6 +349,7 @@ def ar1_500():
     ({"level": 0}, "level must be in"),
     ({"level": 1.0}, "level must be in"),
     ({"level": float("nan")}, "level must be in"),
+    ({"level": "0.05"}, "level must be in"),
 ])
 def test_markov_test_rejects_bad_arguments(ar1_500, kwargs, match):
     with pytest.raises(ValueError, match=match):

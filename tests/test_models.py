@@ -264,6 +264,17 @@ def test_simulate_rejects_nonfinite_y0():
         simulate(DAR, T=10, y0=np.inf, seed=0)
 
 
+@pytest.mark.parametrize("bad", ["0.2", True, [False], np.array(["0.2"]), [None]])
+def test_states_and_shocks_must_be_numbers(bad):
+    # a string or bool must not run as the number it casts to
+    calls = [lambda: simulate(DAR, T=10, y0=bad, seed=0), lambda: transition_g(DAR, bad, 0.0),
+             lambda: transition_g(DAR, 0.0, bad), lambda: true_irf(DAR, y0=bad, h=2, delta=0.5),
+             lambda: true_irf(DAR, y0=0.2, h=2, delta=bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="must hold real numbers"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov exponent
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ def test_grid_spec_validation():
     assert ax[0] == pytest.approx(0.01) and ax[-1] == pytest.approx(1.20)
 
 
+@pytest.mark.parametrize("field, bad", [("lower", ("0.1", 0.5, 0.1)), ("upper", (0.9, 1.5, True)), ("step", "0.1"),
+                                        ("step", [0.1, None, 0.1])])
+def test_grid_spec_rejects_non_numbers(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must hold real numbers"):
+        GridSpec(**{field: bad})
+
+
 def test_loglik_single_term_by_hand():
     # one term: -1/2 [ln 1 + (1 - 0)^2 / 1] = -0.5
     series = TimeSeries(values=np.array([0.0, 1.0]))
