@@ -22,7 +22,8 @@ from scipy.special import ndtri
 from scipy.stats import norm
 
 from .irf import _ROUTES, IrfRequest, _route_irf
-from .kernels import KernelConfig, _finite, _integer, _real, cond_cdf, cond_quantile
+from ._checks import _finite, _integer, _level, _nonempty_list
+from .kernels import KernelConfig, cond_cdf, cond_quantile
 from .models import ModelSpec, simulate, true_irf
 
 __all__ = [
@@ -71,8 +72,7 @@ class CondQuantileTarget:
     y: float
 
     def __post_init__(self) -> None:
-        if not (_real(self.alpha) and 0 < self.alpha < 1):
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        _level("alpha", self.alpha)
         _finite("y", self.y)
 
 
@@ -89,12 +89,12 @@ class SweepSpec:
     y0_sim: float = 0.0
 
     def __post_init__(self) -> None:
+        _nonempty_list(_integer)("sample_sizes", self.sample_sizes)
         if len(self.sample_sizes) < 2:
             raise ValueError("need at least two sample sizes")
         if list(self.sample_sizes) != sorted(self.sample_sizes):
             raise ValueError("sample sizes must be ascending")
-        if self.seeds_per_size < 10:
-            raise ValueError("need at least 10 seeds per size")
+        _integer("seeds_per_size", self.seeds_per_size, 10)
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
     Estimator failures in individual cells are recorded, not fatal,
     unless more than half the seeds at some sample size fail.
     """
+    _integer("master_seed", master_seed, 0)
     oracle = _oracle_value(spec.model, spec.target)
     cells: List[CellResult] = []
 

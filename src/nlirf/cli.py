@@ -34,10 +34,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ._checks import _finite, _instance, _integer, _nonempty_list, _object, _one_of
 from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_sweep
 from .identify import markov_moment_test, recover_mixing
 from .irf import _ROUTES, IrfRequest, _decomposition, _mean, _reduce, _route_irf, _route_paths, decompose_lp_irf
-from .kernels import KernelConfig, _density, _finite, _integer, silverman_bandwidth
+from .kernels import KernelConfig, _density, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
 
@@ -191,16 +192,8 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
 
 def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
     res = qmle_grid_search(ingest_csv(config["input"]), GridSpec(**config["grid"]))
-    w.json(
-        "qmle.json",
-        {
-            "rho": res.params.rho,
-            "alpha": res.params.alpha,
-            "beta": res.params.beta,
-            "loglik": res.loglik,
-            "grid_argmax_on_boundary": res.grid_argmax_on_boundary,
-        },
-    )
+    w.json("qmle.json", {**dataclasses.asdict(res.params), "loglik": res.loglik,
+                         "grid_argmax_on_boundary": res.grid_argmax_on_boundary})
 
 
 def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
@@ -220,14 +213,12 @@ def _run_irf(config: Dict, seed: int, w: _Writer) -> None:
         for route in config["routes"]:
             if route == "true":
                 curve = true_irf(model, y0=req.y0, h=req.horizons, delta=req.delta, S=req.S, seed=seed + 1)
-                rejected = [0] * req.horizons
             else:
                 curve = _route_irf(series, req, route)
-                rejected = curve.meta["rejected"]
             for h in range(1, req.horizons + 1):
                 rows.append([
                     str(h), route, _fmt(req.delta), _fmt(curve.values[h - 1]),
-                    _fmt(curve.mc_se[h - 1]), str(rejected[h - 1]),
+                    _fmt(curve.mc_se[h - 1]), str(curve.meta["rejected"][h - 1]),
                 ])
         w.csv(name, "horizon,route,delta,value,mc_se,rejected_reps", rows)
 
@@ -367,32 +358,6 @@ def _check(where: str, obj, schema: Dict, kinds: bool = True) -> Dict:
 
 
 # the kinds of value a key may hold; each raises a ValueError that names the key
-def _instance(cls, what: str):
-    def kind(key: str, value) -> None:
-        if not isinstance(value, cls):
-            raise ValueError(f"{key} must be {what}, got {value!r}")
-    return kind
-
-
-_object = _instance(dict, "a JSON object")
-
-
-def _one_of(names: List[str]):
-    def kind(key: str, value) -> None:
-        if value not in names:
-            raise ValueError(f"unknown {key} {value!r}, expected one of {names}")
-    return kind
-
-
-def _nonempty_list(item):
-    def kind(key: str, value) -> None:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ValueError(f"{key} must be a nonempty list, got {value!r}")
-        for v in value:
-            item(key, v)
-    return kind
-
-
 _KINDS = {
     **dict.fromkeys(("T", "burn_in", "density_grid", "horizons", "S", "sim_seed", "J", "max_lag", "B",
                      "seeds_per_size"), _integer),
@@ -468,8 +433,7 @@ def _load_config(path: Optional[str], subcommand: str):
         return {}, None
     with open(path) as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
+    _object("config", obj)
     if "format_version" in obj:  # a manifest: unwrap and cross-check
         if obj.get("format_version") != FORMAT_VERSION:
             raise ValueError(f"unrecognized format_version {obj.get('format_version')!r}")

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import _as_reals, _finite, _integer
+
 __all__ = ["HermiteDecomposition", "hermite", "hermite_design", "decompose_irf"]
 
 DEFAULT_J = 5  # Hermite degrees fitted when the caller names none
@@ -25,8 +27,7 @@ DEFAULT_J = 5  # Hermite degrees fitted when the caller names none
 
 def hermite(j: int, x):
     """Value of the probabilists' Hermite polynomial He_j at x (scalar or array)."""
-    if j < 0:
-        raise ValueError("degree must be >= 0")
+    _integer("j", j, 0)
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if j == 0:
@@ -43,13 +44,10 @@ def hermite_design(eps_draws, J: int) -> np.ndarray:
     Column 0 is all ones. Raises on a numerically rank-deficient design
     (too few distinct draws to separate J + 1 polynomial degrees).
     """
-    eps = np.asarray(eps_draws, dtype=float).ravel()
-    if J < 1:
-        raise ValueError("J must be >= 1")
+    eps = _as_reals(eps_draws, "eps_draws").ravel()
+    _integer("J", J, 1)
     if eps.size <= J + 1:
         raise ValueError(f"need more than J+1 = {J + 1} draws, got {eps.size}")
-    if not np.isfinite(eps).all():
-        raise ValueError("shock draws contain non-finite values")
     X = np.empty((eps.size, J + 1))
     X[:, 0] = 1.0
     X[:, 1] = eps
@@ -93,19 +91,15 @@ def decompose_irf(sim_outputs, eps_draws, delta: float, J: int = DEFAULT_J, h: i
     itself or its (h-1)-step predicted value). Solved by SVD least
     squares, not normal equations.
     """
-    m = np.asarray(sim_outputs, dtype=float).ravel()
-    eps = np.asarray(eps_draws, dtype=float).ravel()
+    m = _as_reals(sim_outputs, "sim_outputs").ravel()
+    eps = _as_reals(eps_draws, "eps_draws").ravel()
     if m.size != eps.size:
         raise ValueError("sim_outputs and eps_draws must be paired (equal length)")
-    if not np.isfinite(m).all():
-        raise ValueError("sim_outputs contain non-finite values")
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
+    _finite("delta", delta)
+    _integer("h", h, 1)
     X = hermite_design(eps, J)
     S = m.size
-    beta, _, rank, _ = np.linalg.lstsq(X, m, rcond=None)
-    if rank < J + 1:
-        raise ValueError("Hermite design is rank deficient")
+    beta = np.linalg.lstsq(X, m, rcond=None)[0]
     resid = m - X @ beta
     dof = S - (J + 1)
     sigma2 = float(resid @ resid) / dof

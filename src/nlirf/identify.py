@@ -29,7 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
-from .kernels import _integer, _nw_fit, _real, silverman_bandwidth
+from ._checks import _integer, _level
+from .kernels import _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -162,8 +163,7 @@ def recover_mixing(series: TimeSeries, max_lag: int = 5) -> MixingEstimate:
     """
     if series.n != 2:
         raise ValueError(f"need a bivariate series, got {series.n} columns")
-    if max_lag < 2:
-        raise ValueError("need at least two lags")
+    _integer("max_lag", max_lag, 2)
     if series.T < max_lag + 2:
         raise ValueError("series too short for the requested lags")
     y1, y2 = series.values[:, 0], series.values[:, 1]
@@ -254,10 +254,10 @@ def markov_moment_test(
         block_len = int(math.ceil(series.T ** (1 / 3)))
     _integer("block_len", block_len, 1)
     _integer("B", B, 10)
+    _integer("seed", seed, 0)
+    _level("level", level)
     if block_len >= n:
         raise ValueError(f"block_len must be below T - 2 = {n}, got {block_len}")
-    if not (_real(level) and 0 < level < 1):
-        raise ValueError(f"level must be in (0, 1), got {level!r}")
 
     # forward fits E[a(y_t) | y_{t-1}] on x = y[:-1] and backward fits E[b(y_{t-2}) | y_{t-1}] on
     # x = y[1:] at the points y_{t-1}, t = 3..T: columns [:-1] and [1:] of one block against y

@@ -35,17 +35,9 @@ from typing import Callable, List, Union
 import numpy as np
 from scipy.special import ndtr
 
+from ._checks import _as_reals, _finite, _instance, _integer, _level, _number
 from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
-from .kernels import (
-    EPS_CLAMP,
-    InsufficientLocalData,
-    KernelConfig,
-    _nw_lags,
-    _integer,
-    _QuantilePrep,
-    _quantile_batch,
-    _finite,
-)
+from .kernels import EPS_CLAMP, InsufficientLocalData, KernelConfig, _nw_lags, _QuantilePrep, _quantile_batch
 from .models import IrfCurve, TimeSeries, VarParams, _var_responses
 
 __all__ = [
@@ -261,6 +253,9 @@ class Indicator:
 
     threshold: float
 
+    def __post_init__(self) -> None:
+        _number("threshold", self.threshold)
+
 
 @dataclass(frozen=True)
 class QuantileLevel:
@@ -269,8 +264,7 @@ class QuantileLevel:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("quantile level must be in (0, 1)")
+        _level("alpha", self.alpha)
 
 
 Transform = Union[Indicator, QuantileLevel, Callable[[np.ndarray], np.ndarray]]
@@ -285,6 +279,7 @@ def irf_transformed(series: TimeSeries, req: IrfRequest, transform: Transform) -
     their quantiles (standard errors then come from a replication
     bootstrap).
     """
+    _instance((Indicator, QuantileLevel, Callable), "an Indicator, QuantileLevel or function")("transform", transform)
     sim = simulate_paths(series, req)
     if isinstance(transform, QuantileLevel):
         q = transform.alpha
@@ -339,9 +334,8 @@ def irf_joint(series: TimeSeries, req: IrfRequest) -> IrfCurve:
 
 def var_irf(params: VarParams, delta, h: int) -> np.ndarray:
     """Response A^h D delta of a linear VAR, by repeated multiplication."""
-    if h < 0:
-        raise ValueError("horizon must be >= 0")
-    d = np.asarray(delta, dtype=float)
+    _integer("h", h, 0)
+    d = _as_reals(delta, "delta")
     if d.shape != (params.n,):
         raise ValueError(f"delta must have shape ({params.n},), got {d.shape}")
     return _var_responses(params, d, h + 1)[-1]
@@ -363,12 +357,12 @@ def var_max_irf(params: VarParams, a, h: int) -> MaxIrfResult:
     to D -> DQ for orthogonal Q. A zero value (a'A^h D = 0) is returned
     flagged, with no well-defined maximizer.
     """
-    av = np.asarray(a, dtype=float)
-    if av.shape != (params.n,):
-        raise ValueError(f"direction must have shape ({params.n},), got {av.shape}")
-    if not np.any(av):
-        raise ValueError("direction vector must be nonzero")
-    w = av.copy()
+    _integer("h", h, 0)
+    w = _as_reals(a, "a")
+    if w.shape != (params.n,):
+        raise ValueError(f"a must have shape ({params.n},), got {w.shape}")
+    if not np.any(w):
+        raise ValueError("a must be nonzero")
     for _ in range(h):
         w = params.A.T @ w
     w = params.D.T @ w

@@ -28,7 +28,6 @@ largest single weight, i.e. roughly five effective neighbours.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
@@ -36,6 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtr
 
+from ._checks import _finite, _integer, _level, _number, _object, _one_of, _positive_finite
 from .models import TimeSeries
 
 __all__ = [
@@ -72,7 +72,7 @@ class ClampedShockWarning(UserWarning):
     """Emitted when a shock is clamped to the invertible range [-6, 6]."""
 
 
-_KERNELS = ("gaussian", "epanechnikov")
+_KERNELS = ["gaussian", "epanechnikov"]
 
 
 def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
@@ -111,32 +111,6 @@ def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -
     return dens
 
 
-def _real(value) -> bool:
-    """A real number: numpy numbers pass, bools and strings do not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real)
-
-
-def _finite(name: str, value):
-    """``value``, if it is a finite real number (see ``_real``); otherwise raises a ValueError that names ``name``."""
-    if not (_real(value) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return value
-
-
-def _positive_finite(value) -> bool:
-    return _real(value) and 0 < value < math.inf
-
-
-def _integer(name: str, value, least: Optional[int] = None):
-    """``value``, if it is an integer (numpy integers pass; bools, floats and strings do not) >= ``least``.
-
-    Otherwise raises a ValueError that names ``name``.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or least is not None and value < least:
-        raise ValueError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Kernel family, bandwidth (explicit or ``"silverman"``), and mass threshold.
@@ -151,22 +125,20 @@ class KernelConfig:
     min_weight_sum: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kernel not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}, expected one of {sorted(_KERNELS)}")
+        _one_of(_KERNELS)("kernel", self.kernel)
         if isinstance(self.bandwidth, str):
-            if self.bandwidth != "silverman":
-                raise ValueError(f"unknown bandwidth rule {self.bandwidth!r}")
-        elif not _positive_finite(self.bandwidth):
-            raise ValueError(f"bandwidth must be a positive finite number, got {self.bandwidth!r}")
-        if self.min_weight_sum is not None and not _positive_finite(self.min_weight_sum):
-            raise ValueError(f"min_weight_sum must be a positive finite number, got {self.min_weight_sum!r}")
+            _one_of(["silverman"])("bandwidth", self.bandwidth)
+        else:
+            _positive_finite("bandwidth", self.bandwidth)
+        if self.min_weight_sum is not None:
+            _positive_finite("min_weight_sum", self.min_weight_sum)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "KernelConfig":
-        extra = set(obj) - {f.name for f in fields(cls)}
+        extra = set(_object("kernel", obj)) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown kernel config keys: {sorted(extra)}")
         return cls(**obj)
@@ -208,8 +180,7 @@ def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) ->
     x = np.asarray(data, dtype=float).ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
-    if math.isnan(at):  # +-inf stay legal and give a zero density
-        raise ValueError("at must not be NaN")
+    _number("at", at)  # +-inf stay legal and give a zero density
     b = _resolve_bandwidth(cfg, x)
     return float(_density(x, np.array([at], dtype=float), b, cfg.kernel)[0])
 
@@ -401,8 +372,6 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
     the mass rule fails), mass flags and weight sums, and the bandwidth.
     """
     y, T = series.y, series.T
-    if lags[0] < 1:
-        raise ValueError("lag must be >= 1 (lag 0 is the identity, handled by callers)")
     if T <= lags[-1] + 2:
         raise ValueError(f"series too short (T={T}) for lag {lags[-1]}")
     x = y[: T - lags[0]]
@@ -427,10 +396,8 @@ def cond_cdf(
     Weighted share of responses below z; exactly 0 (resp. 1) in the far
     left (right) tail of z, and nondecreasing in z for fixed data.
     """
-    if math.isnan(z):  # +-inf stay legal and give exactly 0 or 1
-        raise ValueError("z must not be NaN")
-    if math.isnan(y):  # +-inf stay legal and have no local data
-        raise ValueError("y must not be NaN")
+    _number("z", z)  # +-inf stay legal and give exactly 0 or 1
+    _number("y", y)  # +-inf stay legal and have no local data
     prep = _QuantilePrep.from_series(series, cfg)
     w = next(_weight_blocks(prep.x, np.array([y], dtype=float), prep.bandwidth, prep.kernel))[2][0]
     max_w = float(w.max())
@@ -456,10 +423,8 @@ def cond_quantile(
     scanned in ascending order and the first whose cumulative normalized
     weight reaches alpha is returned (first index on ties).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if math.isnan(y):
-        raise ValueError("y must not be NaN")
+    _level("alpha", alpha)
+    _number("y", y)
     prep = _QuantilePrep.from_series(series, cfg)
     (value,), (good,), (mass,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
     if not good:
@@ -491,9 +456,8 @@ def nadaraya_watson(
     series: TimeSeries, h: int, y: float, cfg: KernelConfig = KernelConfig()
 ) -> ConditionalEstimate:
     """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y], bandwidth from y[:T-h]."""
-    _integer("h", h)
-    if math.isnan(y):
-        raise ValueError("y must not be NaN")
+    _integer("h", h, 1)
+    _number("y", y)
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
     if not ok.item():
         raise InsufficientLocalData(

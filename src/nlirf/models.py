@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
+
+from ._checks import _as_reals, _finite, _integer, _object, _one_of, _positive_finite
 
 __all__ = [
     "DarParams",
@@ -62,15 +63,13 @@ class TimeSeries:
     origin: str = ""
 
     def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
+        v = np.array(_as_reals(self.values, "series values"))
         if v.ndim == 1:
             v = v[:, None]
         if v.ndim != 2:
             raise ValueError(f"series values must be 1-D or 2-D, got shape {v.shape}")
         if v.shape[0] < 2:
             raise ValueError(f"series needs at least 2 observations, got {v.shape[0]}")
-        if not np.isfinite(v).all():
-            raise ValueError("series contains non-finite values")
         v.flags.writeable = False
         self.values = v
 
@@ -139,8 +138,8 @@ class DarParams:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("DAR parameters must be finite")
+        for name in ("rho", "alpha", "beta"):
+            _finite(name, getattr(self, name))
         if self.alpha <= 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.beta < 0:
@@ -185,10 +184,9 @@ class GaussianAr1(_LocationScale):
     sigma: float
 
     def __post_init__(self) -> None:
-        if abs(self.rho) >= 1:
+        if abs(_finite("rho", self.rho)) >= 1:
             raise ValueError(f"|rho| must be < 1, got {self.rho}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        _positive_finite("sigma", self.sigma)
 
     def cond_mean(self, y):
         return self.rho * y
@@ -205,8 +203,8 @@ class VarParams:
     D: np.ndarray
 
     def __post_init__(self) -> None:
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
+        A = np.atleast_2d(_as_reals(self.A, "A"))
+        D = np.atleast_2d(_as_reals(self.D, "D"))
         if A.shape[0] != A.shape[1] or D.shape != A.shape:
             raise ValueError(f"A and D must be square of equal size, got {A.shape}, {D.shape}")
         if np.max(np.abs(np.linalg.eigvals(A))) >= 1:
@@ -287,23 +285,12 @@ class LyapunovEstimate:
 # Transition maps
 # ---------------------------------------------------------------------------
 
-def _as_reals(y, what: str) -> np.ndarray:
-    """``y`` as a float array, if every entry is an integer or a real number: a string, a bool or None is not."""
-    if not (isinstance(y, np.ndarray) and y.dtype.kind in "iuf"):
-        for v in np.asarray(y, dtype=object).ravel():
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{what} must hold real numbers, got {v!r}")
-    return np.asarray(y, dtype=float)
-
-
 def _as_states(model: ModelSpec, y, what: str = "state", ndim: Optional[int] = None) -> np.ndarray:
     """``y`` as a finite float array of shape (..., n), with ``ndim`` axes if given; a scalar counts as (1,)."""
     y = np.atleast_1d(_as_reals(y, what))
     if y.shape[-1] != model.dim or ndim is not None and y.ndim != ndim:
         shape = f"({model.dim},)" if ndim == 1 else f"(..., {model.dim})"
         raise ValueError(f"{what} must have shape {shape}, got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError(f"{what} contains non-finite values")
     return y
 
 
@@ -328,8 +315,8 @@ def lyapunov_exponent(params: DarParams, M: int = 1_000_000, seed: int = 0) -> L
     model. With beta = 0 the expectation is log|rho| exactly and the
     standard error is zero.
     """
-    if M < 10_000:
-        raise ValueError(f"need at least 10^4 draws, got {M}")
+    _integer("M", M, 10_000)
+    _integer("seed", seed, 0)
     if params.beta == 0:
         # degenerate case: no randomness, the expectation is log|rho| exactly
         # (white noise, rho = 0, gives -inf: trivially stationary)
@@ -360,10 +347,9 @@ def simulate(model: ModelSpec, T: int, y0, seed: int, burn_in: int = 0) -> TimeS
     order; the initial state itself is not part of the returned series.
     ``burn_in`` extra steps are simulated and discarded up front.
     """
-    if T < 2:
-        raise ValueError(f"T must be >= 2, got {T}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    _integer("T", T, 2)
+    _integer("burn_in", burn_in, 0)
+    _integer("seed", seed, 0)
     if isinstance(model, Dar1):
         _check_dar_stationary(model.params)
     y = _as_states(model, y0, ndim=1)
@@ -424,10 +410,9 @@ def true_irf(
     Carlo over S paired paths otherwise; the per-horizon method is
     recorded in ``meta["method"]``.
     """
-    if h < 1:
-        raise ValueError(f"horizon must be >= 1, got {h}")
-    if S < 1:
-        raise ValueError(f"replication count must be >= 1, got {S}")
+    _integer("h", h, 1)
+    _integer("S", S, 1)
+    _integer("seed", seed, 0)
     y = _as_states(model, y0, ndim=1)
     d = _as_states(model, delta, "delta", ndim=1)
 
@@ -435,7 +420,7 @@ def true_irf(
     exact = _closed_form_irf(model, y, h, d)
     k = len(exact)
     meta = {"method": ["closed_form"] * k + ["monte_carlo"] * (h - k),
-            "delta": d.tolist(), "y0": y.tolist(), "S": None}
+            "delta": d.tolist(), "y0": y.tolist(), "S": None, "rejected": [0] * h}
     if k == h:
         values, se = exact, np.zeros_like(exact)
     else:
@@ -486,10 +471,8 @@ _MODEL_KEYS = {
 
 
 def model_from_json(text_or_obj) -> ModelSpec:
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else dict(text_or_obj)
-    variant = obj.pop("variant", None)
-    if variant not in _MODEL_KEYS:
-        raise ValueError(f"unknown model variant: {variant!r}")
+    obj = dict(_object("model", json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj))
+    variant = _one_of(list(_MODEL_KEYS))("variant", obj.pop("variant", None))
     extra = set(obj) - _MODEL_KEYS[variant]
     missing = _MODEL_KEYS[variant] - set(obj)
     if extra or missing:
@@ -500,4 +483,4 @@ def model_from_json(text_or_obj) -> ModelSpec:
         return Dar1(DarParams(**obj))
     if variant == "gaussian_ar1":
         return GaussianAr1(**obj)
-    return GaussianVar1(VarParams(A=np.asarray(obj["A"]), D=np.asarray(obj["D"])))
+    return GaussianVar1(VarParams(**obj))

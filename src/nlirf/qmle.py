@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .models import DarParams, TimeSeries, _as_reals
+from ._checks import _as_reals
+from .models import DarParams, TimeSeries
 
 __all__ = ["GridSpec", "QmleResult", "dar_quasi_loglik", "qmle_grid_search", "DEFAULT_GRID"]
 

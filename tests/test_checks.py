@@ -1,0 +1,154 @@
+"""Every public argument is checked by type as well as by range, in one place.
+
+A bad argument raises a ValueError whose message starts with the argument's name, never a bare
+TypeError or LinAlgError, never InsufficientLocalData (which means thin kernel mass), and is
+never silently run. Numpy scalars pass like Python ones.
+"""
+
+import ast
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nlirf
+import nlirf.irf as irf_module
+from nlirf import (
+    CondCdfTarget,
+    Dar1,
+    DarParams,
+    GaussianAr1,
+    GaussianVar1,
+    Indicator,
+    InsufficientLocalData,
+    IrfRequest,
+    KernelConfig,
+    QuantileLevel,
+    SweepSpec,
+    VarParams,
+    cond_cdf,
+    cond_quantile,
+    decompose_direct_irf,
+    decompose_irf,
+    hermite,
+    hermite_design,
+    irf_transformed,
+    kde,
+    lyapunov_exponent,
+    markov_moment_test,
+    model_from_json,
+    nadaraya_watson,
+    recover_mixing,
+    run_sweep,
+    simulate,
+    true_irf,
+    var_irf,
+    var_max_irf,
+)
+
+DAR = Dar1.of(0.5, 1.0, 0.5)
+SERIES = simulate(DAR, T=300, y0=0.0, seed=1)
+VAR = VarParams(A=0.5 * np.eye(2), D=np.eye(2))
+BIVARIATE = simulate(GaussianVar1(VAR), T=300, y0=[0.0, 0.0], seed=2)
+REQ = IrfRequest(y0=0.2, horizons=2, delta=0.5, S=100, seed=3)
+EPS = np.random.default_rng(4).standard_normal(200)
+OUT = EPS + 0.1 * EPS**2
+
+
+def spec(**kwargs):
+    fields = {"model": GaussianAr1(0.5, 1.0), "sample_sizes": (100, 200), "seeds_per_size": 10,
+              "target": CondCdfTarget(z=0.3, y=0.5), **kwargs}
+    return SweepSpec(**fields)
+
+
+# (call, the argument its message must name): a wrong type, a NaN or an out-of-range value
+BAD_CALLS = {
+    "simulate_T_float": (lambda: simulate(DAR, T=2.5, y0=0.0, seed=0), "T"),
+    "true_irf_h_float": (lambda: true_irf(DAR, y0=0.2, h=2.5, delta=0.5), "h"),
+    "true_irf_S_float": (lambda: true_irf(DAR, y0=0.2, h=2, delta=0.5, S=10.5), "S"),
+    "hermite_j_float": (lambda: hermite(2.5, EPS), "j"),
+    "hermite_design_J_float": (lambda: hermite_design(EPS, J=2.5), "J"),
+    "decompose_direct_J_float": (lambda: decompose_direct_irf(SERIES, REQ, J=2.5), "J"),
+    "var_irf_h_float": (lambda: var_irf(VAR, [1.0, 0.0], h=2.5), "h"),
+    "var_max_irf_h_float": (lambda: var_max_irf(VAR, [1.0, 0.0], h=2.5), "h"),
+    "recover_mixing_max_lag_float": (lambda: recover_mixing(BIVARIATE, max_lag=2.5), "max_lag"),
+    "lyapunov_M_float": (lambda: lyapunov_exponent(DAR.params, M=10_000.5), "M"),
+    "cond_cdf_z_str": (lambda: cond_cdf(SERIES, z="0.3", y=0.0), "z"),
+    "cond_quantile_alpha_str": (lambda: cond_quantile(SERIES, alpha="0.3", y=0.0), "alpha"),
+    "nadaraya_watson_y_str": (lambda: nadaraya_watson(SERIES, 1, y="0.2"), "y"),
+    "kde_at_str": (lambda: kde(SERIES.y, at="x"), "at"),
+    "quantile_level_str": (lambda: QuantileLevel("0.5"), "alpha"),
+    "kernel_config_not_object": (lambda: KernelConfig.from_json_obj(5), "kernel"),
+    "model_not_object": (lambda: model_from_json(5), "model"),
+    "simulate_seed_float": (lambda: simulate(DAR, T=50, y0=0.0, seed=1.5), "seed"),
+    "true_irf_seed_float": (lambda: true_irf(DAR, y0=0.2, h=2, delta=0.5, S=10, seed=1.5), "seed"),
+    "lyapunov_seed_float": (lambda: lyapunov_exponent(DAR.params, M=10_000, seed=1.5), "seed"),
+    "markov_test_seed_float": (lambda: markov_moment_test(SERIES, B=20, seed=1.5), "seed"),
+    "run_sweep_master_seed_float": (lambda: run_sweep(spec(), master_seed=1.5), "master_seed"),
+    "irf_transformed_int": (lambda: irf_transformed(SERIES, REQ, transform=3), "transform"),
+    "indicator_str": (lambda: Indicator("a"), "threshold"),
+    "var_params_nan": (lambda: VarParams(A=[[math.nan]], D=[[1.0]]), "A"),
+    "var_max_irf_h_negative": (lambda: var_max_irf(VAR, [1.0, 0.0], h=-1), "h"),
+    "var_max_irf_a_str": (lambda: var_max_irf(VAR, ["1", "0"], h=1), "a"),
+    "var_max_irf_a_nan": (lambda: var_max_irf(VAR, [math.nan, 0.0], h=1), "a"),
+    "var_irf_delta_nan": (lambda: var_irf(VAR, [math.nan, 0.0], h=1), "delta"),
+    "decompose_irf_h_float": (lambda: decompose_irf(OUT, EPS, 0.5, J=3, h=1.5), "h"),
+    "decompose_irf_delta_str": (lambda: decompose_irf(OUT, EPS, "1.0", J=3), "delta"),
+    "cond_cdf_y_bool": (lambda: cond_cdf(SERIES, 0.3, y=True), "y"),
+    "gaussian_ar1_rho_nan": (lambda: GaussianAr1(rho=math.nan, sigma=1.0), "rho"),
+    "sweep_seeds_per_size_float": (lambda: spec(seeds_per_size=10.5), "seeds_per_size"),
+    "sweep_sample_sizes_float": (lambda: spec(sample_sizes=(100.5, 200)), "sample_sizes"),
+}
+
+
+@pytest.mark.parametrize("call, name", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_bad_argument_raises_value_error_naming_it(call, name):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert not isinstance(err.value, InsufficientLocalData)
+    assert str(err.value).startswith(f"{name} ")
+
+
+GOOD_CALLS = {
+    "numpy_integer_counts": lambda: (
+        simulate(DAR, T=np.int64(50), y0=0.0, seed=np.int64(1), burn_in=np.int64(2)),
+        true_irf(DAR, y0=0.2, h=np.int64(2), delta=0.5, S=np.int64(10), seed=np.int64(1)),
+        hermite(np.int64(3), EPS), decompose_irf(OUT, EPS, 0.5, J=np.int64(3), h=np.int64(2)),
+        var_max_irf(VAR, [1.0, 0.0], h=np.int64(2)), recover_mixing(BIVARIATE, max_lag=np.int64(3)),
+        lyapunov_exponent(DAR.params, M=np.int64(10_000), seed=np.int64(1)),
+        spec(sample_sizes=(np.int64(100), np.int64(200)), seeds_per_size=np.int64(10))),
+    "numpy_float_states": lambda: (
+        cond_cdf(SERIES, np.float32(0.3), np.float32(0.0)), cond_quantile(SERIES, np.float32(0.3), np.float32(0.0)),
+        nadaraya_watson(SERIES, 1, np.float32(0.2)), kde(SERIES.y, np.float32(0.1)),
+        Indicator(np.float32(0.1)), QuantileLevel(np.float32(0.5)), GaussianAr1(np.float32(0.5), np.float32(1.0)),
+        var_irf(VAR, np.array([1.0, 0.0], dtype=np.float32), 1), decompose_irf(OUT, EPS, np.float32(0.5), J=3)),
+}
+
+
+@pytest.mark.parametrize("call", GOOD_CALLS.values(), ids=GOOD_CALLS.keys())
+def test_numpy_scalars_pass(call):
+    call()
+
+
+def test_transform_is_checked_before_any_path_is_simulated(monkeypatch):
+    monkeypatch.setattr(irf_module, "simulate_paths", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="transform"):
+        irf_transformed(SERIES, REQ, transform=3)
+
+
+def test_argument_checks_have_one_home():
+    # a second home for the checks would let the type rules drift apart again
+    trees = {p.name: ast.parse(p.read_text()) for p in Path(nlirf.__file__).parent.glob("*.py")}
+    home = trees.pop("_checks.py")
+    helpers = {node.name for node in home.body if isinstance(node, ast.FunctionDef)}
+    helpers |= {t.id for node in home.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert not [node for node in ast.walk(home) if isinstance(node, ast.ImportFrom) and node.level]  # a leaf
+    for name, tree in trees.items():
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+        assert "numbers" not in imported, name
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        assert not defined & helpers, (name, sorted(defined & helpers))
