@@ -37,7 +37,7 @@ import numpy as np
 from ._checks import _finite, _instance, _integer, _nonempty_list, _object, _one_of
 from .bench import CondCdfTarget, CondQuantileTarget, IrfTarget, SweepSpec, run_sweep
 from .identify import markov_moment_test, recover_mixing
-from .irf import _ROUTES, IrfRequest, _decomposition, _mean, _reduce, _route_irf, _route_paths, decompose_lp_irf
+from .irf import _ROUTES, IrfRequest, _decomposition, _mean, _reduce, _route_irf, decompose_lp_irf
 from .kernels import KernelConfig, _density, silverman_bandwidth
 from .models import TimeSeries, model_from_json, simulate, true_irf
 from .qmle import DEFAULT_GRID, GridSpec, qmle_grid_search
@@ -229,7 +229,7 @@ def _run_decompose(config: Dict, seed: int, w: _Writer) -> None:
                      seed=seed)
     route, J = config["route"], config["J"]
     # one simulation, and on the local projection one fit, feeds both reductions
-    sim = _route_paths(_load_series(config), req, route)
+    sim = _ROUTES[route](_load_series(config), req)
     decs, estimated = _decomposition(sim, req, J), _reduce(sim, req, route, _mean(sim.shock - sim.base))
     rows = []
     for dec in decs:
@@ -359,8 +359,9 @@ def _check(where: str, obj, schema: Dict, kinds: bool = True) -> Dict:
 
 # the kinds of value a key may hold; each raises a ValueError that names the key
 _KINDS = {
-    **dict.fromkeys(("T", "burn_in", "density_grid", "horizons", "S", "sim_seed", "J", "max_lag", "B",
+    **dict.fromkeys(("T", "burn_in", "density_grid", "horizons", "S", "sim_seed", "max_lag", "B",
                      "seeds_per_size"), _integer),
+    "J": lambda key, value: _integer(key, value, 1),
     "block_len": lambda key, value: value is None or _integer(key, value),
     **dict.fromkeys(("y0_sim", "delta", "level"), _finite),
     # a model state, or the QMLE grid's step on every axis or per axis: a finite real or a list of them

@@ -28,12 +28,9 @@ DEFAULT_J = 5  # Hermite degrees fitted when the caller names none
 def hermite(j: int, x):
     """Value of the probabilists' Hermite polynomial He_j at x (scalar or array)."""
     _integer("j", j, 0)
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if j == 0:
-        return prev if prev.ndim else float(prev)
-    cur = x.copy()
-    for k in range(1, j):
+    x = _as_reals(x, "x")
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # He_{-1} = 0 makes the first step give He_1 = x exactly
+    for k in range(j):
         prev, cur = cur, x * cur - k * prev
     return cur if cur.ndim else float(cur)
 

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.stats import chi2
 
-from ._checks import _integer, _level
+from ._checks import _as_reals, _integer, _level
 from .kernels import _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
@@ -93,9 +93,7 @@ def recover_mixing_from_acf(
     sequences are numerically collinear, in which case the mixing is not
     identified.
     """
-    g11 = np.asarray(gamma11, dtype=float)
-    g22 = np.asarray(gamma22, dtype=float)
-    g12 = np.asarray(gamma12, dtype=float)
+    g11, g22, g12 = _as_reals(gamma11, "gamma11"), _as_reals(gamma22, "gamma22"), _as_reals(gamma12, "gamma12")
     if not (len(g11) == len(g22) == len(g12)) or len(g11) < 2:
         raise ValueError("need autocovariances at the same lags, at least two of them")
 

@@ -83,29 +83,35 @@ class IrfRequest:
 class PathSimulation:
     """Paired (baseline, shocked) outcomes of S replications at horizons 1..H, from either route.
 
-    ``base[s, h-1]`` and ``shock[s, h-1]`` are the horizon-h outcomes of replication s, NaN
-    exactly where it has left the estimable region; ``valid`` marks the pairs with both.
-    ``eps1`` holds the step-one innovations shared by both paths before the shock, ``clamped``
-    counts the clamped step-one shocks, and ``bandwidth`` is the kernel bandwidth.
+    ``paths[:, s, h-1]`` holds the (baseline, shocked) horizon-h outcomes of replication s, NaN
+    exactly where it has left the estimable region; ``base`` and ``shock`` view its first and last
+    row, and ``valid`` marks the pairs with both. ``eps1`` holds the step-one innovations shared by
+    both paths before the shock, and ``bandwidth`` is the kernel bandwidth.
     """
 
-    base: np.ndarray
-    shock: np.ndarray
+    paths: np.ndarray
     eps1: np.ndarray
-    clamped: int
     bandwidth: float
 
     @property
+    def base(self) -> np.ndarray:
+        return self.paths[0]
+
+    @property
+    def shock(self) -> np.ndarray:
+        return self.paths[-1]
+
+    @property
     def S(self) -> int:
-        return self.base.shape[0]
+        return self.paths.shape[1]
 
     @property
     def H(self) -> int:
-        return self.base.shape[1]
+        return self.paths.shape[2]
 
     @property
     def valid(self) -> np.ndarray:
-        return np.isfinite(self.base) & np.isfinite(self.shock)
+        return np.isfinite(self.paths).all(axis=0)
 
 
 def _rank(eps: np.ndarray) -> np.ndarray:
@@ -124,59 +130,50 @@ def _check_rejections(rejected: np.ndarray, S: int) -> None:
 
 
 def _simulate_step1(series: TimeSeries, req: IrfRequest):
-    """Step-one states for both paths, from one weight row at y0."""
+    """Step-one states (2, S) of the baseline and shocked paths, from one weight row at y0."""
     prep = _QuantilePrep.from_series(series, req.cfg)
     rng = np.random.default_rng(req.seed)
     eps1 = rng.standard_normal(req.S)
-    clamped = int(np.sum(np.abs(eps1) > EPS_CLAMP) + np.sum(np.abs(eps1 + req.delta) > EPS_CLAMP))
-    alphas = np.concatenate([_rank(eps1), _rank(eps1 + req.delta)])
+    alphas = _rank(np.concatenate([eps1, eps1 + req.delta]))
     vals, ok, _ = _quantile_batch(prep, np.full(2 * req.S, req.y0, dtype=float), alphas)
     if not ok.all():
         raise InsufficientLocalData(
             f"conditioning state y0={req.y0:.6g} has insufficient kernel mass"
         )
-    return prep, rng, eps1, vals[: req.S], vals[req.S :], clamped
+    return prep, rng, eps1, vals.reshape(2, req.S)
 
 
 def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     """Simulate S paired (baseline, shocked) paths of length H through g_hat."""
-    prep, rng, eps1, base1, shock1, clamped = _simulate_step1(series, req)
-    S, H = req.S, req.horizons
-    base = np.full((S, H), np.nan)
-    shock = np.full((S, H), np.nan)
-    base[:, 0] = base1
-    shock[:, 0] = shock1
+    prep, rng, eps1, step1 = _simulate_step1(series, req)
+    paths = np.full((2, req.S, req.horizons), np.nan)
+    paths[:, :, 0] = step1
 
-    for k in range(1, H):
-        eps_k = rng.standard_normal(S)
-        idx = np.flatnonzero(np.isfinite(base[:, k - 1]))  # a pair leaves together, so base alone tells
-        points = np.concatenate([base[idx, k - 1], shock[idx, k - 1]])
-        alphas = np.tile(_rank(eps_k[idx]), 2)
-        vals, ok, _ = _quantile_batch(prep, points, alphas)
-        ok_pair = ok[: idx.size] & ok[idx.size :]
-        good = idx[ok_pair]
-        base[good, k] = vals[: idx.size][ok_pair]
-        shock[good, k] = vals[idx.size :][ok_pair]
+    for k in range(1, req.horizons):
+        eps_k = rng.standard_normal(req.S)
+        idx = np.flatnonzero(np.isfinite(paths[0, :, k - 1]))  # a pair leaves together, so the baseline tells
+        vals, ok, _ = _quantile_batch(prep, paths[:, idx, k - 1].ravel(), np.tile(_rank(eps_k[idx]), 2))
+        pair = ok.reshape(2, -1).all(axis=0)
+        paths[:, idx[pair], k] = vals.reshape(2, -1)[:, pair]
 
-    return PathSimulation(base, shock, eps1, clamped, prep.bandwidth)
+    return PathSimulation(paths, eps1, prep.bandwidth)
 
 
 def _lp_paths(series: TimeSeries, req: IrfRequest, paired: bool = True) -> PathSimulation:
     """The local projection's outcomes: the step-one states, then their (h-1)-step predictions.
 
-    The baseline states are fitted, then the shocked ones if ``paired``; otherwise ``shock``
-    is ``base``. A prediction that fails the mass rule is NaN.
+    Both rows of step-one states are fitted if ``paired``; otherwise only the baseline row, and
+    ``shock`` is ``base``. A prediction that fails the mass rule is NaN.
     """
     if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
         raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
-    prep, _, eps1, base1, shock1, clamped = _simulate_step1(series, req)
-    points = np.concatenate([base1, shock1]) if paired else base1
-    vals = np.empty((req.horizons, len(points)))
-    vals[0] = points
+    prep, _, eps1, step1 = _simulate_step1(series, req)
+    points = step1 if paired else step1[:1]
+    vals = np.empty((req.horizons, points.size))
+    vals[0] = points.ravel()
     if req.horizons > 1:
-        vals[1:] = _nw_lags(series, req.cfg, points, range(1, req.horizons), prep.bandwidth)[0]
-    base = vals[:, : req.S].T
-    return PathSimulation(base, vals[:, req.S :].T if paired else base, eps1, clamped, prep.bandwidth)
+        vals[1:] = _nw_lags(series, req.cfg, vals[0], range(1, req.horizons), prep.bandwidth)[0]
+    return PathSimulation(vals.reshape(req.horizons, *points.shape).transpose(1, 2, 0), eps1, prep.bandwidth)
 
 
 def _reduce(sim: PathSimulation, req: IrfRequest, route: str, stat, **meta) -> IrfCurve:
@@ -216,14 +213,9 @@ _ROUTES = {
 }
 
 
-def _route_paths(series: TimeSeries, req: IrfRequest, route: str) -> PathSimulation:
-    """The paired outcomes the named route simulates."""
-    return _ROUTES[route](series, req)
-
-
 def _route_irf(series: TimeSeries, req: IrfRequest, route: str) -> IrfCurve:
     """The named route's IRF: mean paired difference per horizon."""
-    sim = _route_paths(series, req, route)
+    sim = _ROUTES[route](series, req)
     return _reduce(sim, req, route, _mean(sim.shock - sim.base))
 
 
@@ -316,10 +308,9 @@ def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     if req.horizons < 2:
         raise ValueError("dynamic response needs horizons >= 2")
     sim = simulate_paths(series, req)
-    H = sim.H
-    prev_base = np.column_stack([np.full(sim.S, req.y0), sim.base[:, : H - 1]])
-    prev_shock = np.column_stack([np.full(sim.S, req.y0), sim.shock[:, : H - 1]])
-    return _reduce(sim, req, "dynamic", _mean(sim.shock * prev_shock - sim.base * prev_base))
+    lagged = np.concatenate([np.full((2, sim.S, 1), req.y0), sim.paths[:, :, :-1]], axis=2)
+    product = sim.paths * lagged
+    return _reduce(sim, req, "dynamic", _mean(product[1] - product[0]))
 
 
 def irf_joint(series: TimeSeries, req: IrfRequest) -> IrfCurve:
@@ -390,9 +381,11 @@ def _decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[Hermite
 
 def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
     """Hermite decomposition of the direct-route response, one entry per horizon."""
+    _integer("J", J, 1)
     return _decomposition(simulate_paths(series, req), req, J)
 
 
 def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
     """Hermite decomposition of the local-projection route, per horizon; fits the baseline states only."""
+    _integer("J", J, 1)
     return _decomposition(_lp_paths(series, req, paired=False), req, J)

@@ -298,7 +298,7 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     row_sums = np.empty(len(distinct))
     m = len(prep.x)
     for lo, hi, w in _weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel):
-        # pairwise row sums for the mass rule, then the two-level search, then exact scans in place
+        # pairwise row sums for the mass rule, then the two-level search, then exact scans of copied rows
         sum_w = row_sums[lo:hi] = w.sum(axis=1)
         good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
         at = np.flatnonzero((inverse >= lo) & (inverse < hi))  # the pairs of this block's rows
@@ -309,9 +309,7 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
         if few.any():
             idx[few] = _two_level(w, row[few], target[few], sum_w[row[few]])
         exact = np.flatnonzero(idx < 0)
-        if len(exact) == len(idx):  # nothing certified, as at step one: every row's scan in place
-            idx = _crossings(np.cumsum(w, axis=1, out=w), row, target)
-        elif len(exact):
+        if len(exact):
             rows, pos = np.unique(row[exact], return_inverse=True)
             idx[exact] = _crossings(np.cumsum(w[rows], axis=1), pos, target[exact])
         values[at] = prep.v[np.minimum(idx, m - 1)]

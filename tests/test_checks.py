@@ -31,6 +31,7 @@ from nlirf import (
     cond_quantile,
     decompose_direct_irf,
     decompose_irf,
+    decompose_lp_irf,
     hermite,
     hermite_design,
     irf_transformed,
@@ -40,6 +41,7 @@ from nlirf import (
     model_from_json,
     nadaraya_watson,
     recover_mixing,
+    recover_mixing_from_acf,
     run_sweep,
     simulate,
     true_irf,
@@ -68,6 +70,11 @@ BAD_CALLS = {
     "true_irf_h_float": (lambda: true_irf(DAR, y0=0.2, h=2.5, delta=0.5), "h"),
     "true_irf_S_float": (lambda: true_irf(DAR, y0=0.2, h=2, delta=0.5, S=10.5), "S"),
     "hermite_j_float": (lambda: hermite(2.5, EPS), "j"),
+    "hermite_x_str": (lambda: hermite(2, "1.5"), "x"),
+    "hermite_x_bool": (lambda: hermite(2, True), "x"),
+    "recover_mixing_from_acf_str": (
+        lambda: recover_mixing_from_acf(["0.5", "0.25", "0.1"], ["0.2", "0.3", "0.2"], ["0.1", "0.1", "0.05"]),
+        "gamma11"),
     "hermite_design_J_float": (lambda: hermite_design(EPS, J=2.5), "J"),
     "decompose_direct_J_float": (lambda: decompose_direct_irf(SERIES, REQ, J=2.5), "J"),
     "var_irf_h_float": (lambda: var_irf(VAR, [1.0, 0.0], h=2.5), "h"),
@@ -135,6 +142,14 @@ def test_transform_is_checked_before_any_path_is_simulated(monkeypatch):
     monkeypatch.setattr(irf_module, "simulate_paths", lambda *a: pytest.fail("simulated"))
     with pytest.raises(ValueError, match="transform"):
         irf_transformed(SERIES, REQ, transform=3)
+
+
+@pytest.mark.parametrize("decompose", [decompose_direct_irf, decompose_lp_irf])
+def test_J_is_checked_before_any_path_is_simulated(monkeypatch, decompose):
+    for name in ("simulate_paths", "_simulate_step1"):
+        monkeypatch.setattr(irf_module, name, lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="^J "):
+        decompose(SERIES, REQ, J=0)
 
 
 def test_argument_checks_have_one_home():

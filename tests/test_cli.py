@@ -422,6 +422,13 @@ def test_irf_and_decompose_reject_unknown_route_before_simulating(tmp_path, monk
         run(subcommand, config, tmp_path, 0)
 
 
+def test_decompose_rejects_J_below_one_before_simulating(tmp_path, monkeypatch):
+    monkeypatch.setattr("nlirf.cli.simulate", lambda *a, **k: pytest.fail("simulated"))
+    config = {"model": DAR_JSON, "T": 300, "y0": 0.2, "horizons": 2, "delta": 0.5, "J": 0}
+    with pytest.raises(ValueError, match="J must be an integer >= 1"):
+        run("decompose", config, tmp_path, 0)
+
+
 def test_resolved_defaults_are_fresh_copies():
     # a default object shared between runs would carry one run's change into the next
     first = cli._resolve("qmle", {"input": "s.csv"}, 0)

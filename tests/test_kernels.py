@@ -572,7 +572,7 @@ def test_quantile_batch_at_one_point_matches_single_point_scan(small_dar, chunki
 @pytest.mark.parametrize("seed", [118, 119])
 def test_step_one_states_match_single_point_scan(small_dar, seed):
     req = IrfRequest(y0=0.3, horizons=1, delta=0.7, S=300, seed=seed)
-    prep, _, eps1, base1, shock1, _ = irf._simulate_step1(small_dar, req)
+    prep, _, eps1, (base1, shock1) = irf._simulate_step1(small_dar, req)
     alphas = np.concatenate([irf._rank(eps1), irf._rank(eps1 + req.delta)])
     values, ok, _ = _ref_quantile_at_point(prep, req.y0, alphas)
     assert ok.all()
@@ -831,15 +831,15 @@ def _ref_lp_predictions(series, req, points, bandwidth, distinct):
 
 
 def _ref_irf_lp(series, req, bandwidth=None, distinct=True):
-    _, _, eps1, base1, shock1, clamped = irf._simulate_step1(series, req)
+    _, _, eps1, (base1, shock1) = irf._simulate_step1(series, req)
     fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth, distinct)
     outcomes = np.column_stack([np.where(ok, v, np.nan) for v, ok in fits])  # NaN where a fit fails
-    sim = irf.PathSimulation(outcomes[: req.S], outcomes[req.S :], eps1, clamped, bandwidth)
+    sim = irf.PathSimulation(np.stack([outcomes[: req.S], outcomes[req.S :]]), eps1, bandwidth)
     return irf._reduce(sim, req, "local_projection", irf._mean(sim.shock - sim.base))
 
 
 def _ref_decompose_lp(series, req, bandwidth=None, distinct=True):
-    _, _, eps1, base1, _, _ = irf._simulate_step1(series, req)
+    _, _, eps1, (base1, _) = irf._simulate_step1(series, req)
     fits = _ref_lp_predictions(series, req, base1, bandwidth, distinct)
     return [decompose_irf(v[ok], eps1[ok], req.delta, J=4, h=h) for h, (v, ok) in enumerate(fits, start=1)]
 
@@ -857,7 +857,7 @@ def test_lp_routes_match_per_lag_reference(small_dar, chunking, kern, mass, band
     curve, decs = irf_lp(small_dar, req), decompose_lp_irf(small_dar, req, J=4)
     b = curve.meta["bandwidth"]
     assert b == (silverman_bandwidth(small_dar.y[:-1]) if bandwidth == "silverman" else bandwidth)
-    _, _, _, base1, shock1, _ = irf._simulate_step1(small_dar, req)
+    _, _, _, (base1, shock1) = irf._simulate_step1(small_dar, req)
     assert len(np.unique(np.concatenate([base1, shock1]))) < 2 * req.S  # the curve's fit has repeats
     # bitwise at every horizon against per-lag fits of the distinct points at the series bandwidth
     shared = _ref_irf_lp(small_dar, req, b)
