@@ -152,7 +152,8 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     for k in range(1, req.horizons):
         eps_k = rng.standard_normal(req.S)
         idx = np.flatnonzero(np.isfinite(paths[0, :, k - 1]))  # a pair leaves together, so the baseline tells
-        vals, ok, _ = _quantile_batch(prep, paths[:, idx, k - 1].ravel(), np.tile(_rank(eps_k[idx]), 2))
+        ys, alphas = paths[:, idx, k - 1].ravel(), np.tile(_rank(eps_k[idx]), 2)
+        vals, ok, _ = _quantile_batch(prep, ys, alphas, keep=k + 1 < req.horizons)  # rows that a later step reads
         pair = ok.reshape(2, -1).all(axis=0)
         paths[:, idx[pair], k] = vals.reshape(2, -1)[:, pair]
 

@@ -12,9 +12,10 @@ weighted-quantile scan, NW fit); the scan and the fit take one row per
 distinct conditioning point. The scan finds a row's crossings from
 64-column block sums when the row has few of them, and keeps only the
 crossings certified equal, bitwise, to those of the row's sequential
-cumulative sum, which serves every other one. Single-point estimators are
-one-row calls of these passes, but the conditional CDF reads its one row
-itself.
+cumulative sum, which serves every other one. A simulation keeps each
+response row's sums and maximum, the same bits as a fresh row's, in a memo
+of at most ``_CHUNK_CELLS`` cells, so it evaluates the row in full once.
+Single-point estimators are one-row calls; the conditional CDF reads its row.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
 response ``y_t`` (t = 2..T) and weight observations with a kernel in the
@@ -28,6 +29,7 @@ largest single weight, i.e. roughly five effective neighbours.
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
@@ -75,32 +77,35 @@ class ClampedShockWarning(UserWarning):
 _KERNELS = ["gaussian", "epanechnikov"]
 
 
+def _kernel(u: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
+    """``K(u / bandwidth)`` in place on differences ``u = x - point``, in the plain formulas' operation order."""
+    np.divide(u, bandwidth, out=u)
+    np.multiply(u, u, out=u)
+    if kernel == "gaussian":
+        np.multiply(u, -0.5, out=u)
+        np.exp(u, out=u)
+        np.divide(u, math.sqrt(2 * math.pi), out=u)
+    else:
+        # 1 - u u < 0 exactly when |u| > 1; fmax also maps NaN to 0 like where
+        np.subtract(1.0, u, out=u)
+        np.multiply(u, 0.75, out=u)
+        np.fmax(u, 0.0, out=u)
+    return u
+
+
 def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
     """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth)``.
 
-    Blocks of at most ``_CHUNK_CELLS`` cells (8 MB) are evaluated in place into one buffer per
-    call, which the next block overwrites, in the operation order of the plain kernel formulas.
-    A row costs T cells whether or not its point repeats, so callers pass distinct points.
+    Blocks of at most ``_CHUNK_CELLS`` cells (8 MB) are evaluated in place by _kernel into one buffer
+    per call, which the next block overwrites. A row costs T cells whether or not its point repeats,
+    so callers pass distinct points.
     """
     m, n = len(x), len(points)
     chunk = max(1, min(n, max(16, _CHUNK_CELLS // m)))
     buf = np.empty((chunk, m))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        w = buf[: hi - lo]
-        np.subtract(x[None, :], points[lo:hi, None], out=w)
-        np.divide(w, bandwidth, out=w)
-        np.multiply(w, w, out=w)
-        if kernel == "gaussian":
-            np.multiply(w, -0.5, out=w)
-            np.exp(w, out=w)
-            np.divide(w, math.sqrt(2 * math.pi), out=w)
-        else:
-            # 1 - u u < 0 exactly when |u| > 1; fmax also maps NaN to 0 like where
-            np.subtract(1.0, w, out=w)
-            np.multiply(w, 0.75, out=w)
-            np.fmax(w, 0.0, out=w)
-        yield lo, hi, w
+        yield lo, hi, _kernel(np.subtract(x[None, :], points[lo:hi, None], out=buf[: hi - lo]), bandwidth, kernel)
 
 
 def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
@@ -195,7 +200,8 @@ class _QuantilePrep:
 
     ``x`` are conditioning values and ``v`` the responses, jointly sorted
     by response (stable), so a weighted quantile is a cumulative-weight
-    scan.
+    scan. ``memo``, allocated at the first row stored, holds the summaries of weight rows at responses
+    (see _quantile_batch) in ``slots[j]`` for the row at ``v[j]`` (-1: none), within ``_CHUNK_CELLS`` cells.
     """
 
     x: np.ndarray
@@ -203,6 +209,9 @@ class _QuantilePrep:
     bandwidth: float
     kernel: str
     min_weight_sum: Optional[float]
+    slots: np.ndarray
+    memo: Optional[np.ndarray] = None
+    used: int = 0
 
     @classmethod
     def from_series(cls, series: TimeSeries, cfg: KernelConfig) -> "_QuantilePrep":
@@ -217,7 +226,21 @@ class _QuantilePrep:
             bandwidth=_resolve_bandwidth(cfg, x),
             kernel=cfg.kernel,
             min_weight_sum=cfg.min_weight_sum,
+            slots=np.full(len(v), -1),
         )
+
+    def store(self, j: np.ndarray, summaries: np.ndarray) -> None:
+        """Give the rows at responses ``j`` (-1: none) new slots holding ``summaries`` while the budget lasts."""
+        new = np.flatnonzero(j >= 0)
+        if not len(new):
+            return
+        if not self.used:  # an anonymous mapping: unwritten slots take no memory, whatever the allocator's state
+            cap, width = min(len(self.v), _CHUNK_CELLS // summaries.shape[1]), summaries.shape[1]
+            self.memo = np.frombuffer(mmap.mmap(-1, 8 * width * max(cap, 1))).reshape(-1, width)[:cap]
+        new = new[: len(self.memo) - self.used]
+        self.slots[j[new]] = np.arange(self.used, self.used + len(new))
+        self.memo[self.used : self.used + len(new)] = summaries[new]
+        self.used += len(new)
 
 
 def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -> np.ndarray:
@@ -225,14 +248,13 @@ def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -
     return (max_w > 0) & (sum_w >= limit) & np.isfinite(sum_w)
 
 
-def _crossings(cw: np.ndarray, rows: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Per pair, the count of entries of the nondecreasing row ``cw[rows]`` below ``target``, by bisection.
+def _crossings(cw: np.ndarray, rows: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
+    """Per pair, the count of entries of the nondecreasing row ``cw[rows, :n]`` below ``target``, by bisection.
 
     That count is the row's first index with ``cw >= target``, as a left ``searchsorted`` finds it,
-    or the row length when no entry reaches the target.
+    or the row length when no entry reaches the target. ``cw`` is C-contiguous.
     """
-    n = cw.shape[1]
-    flat, off = cw.ravel(), rows * n - 1  # flat[off + k] is the k-th entry of the pair's row
+    flat, off = cw.ravel(), rows * cw.shape[1] - 1  # flat[off + k] is the k-th entry of the pair's row
     idx = np.zeros(len(target), np.intp)
     for step in (1 << k for k in reversed(range(n.bit_length()))):
         probe = np.minimum(idx + step, n)
@@ -245,24 +267,26 @@ def _gamma(n: int) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
-def _two_level(w: np.ndarray, rows: np.ndarray, target: np.ndarray, sum_w: np.ndarray) -> np.ndarray:
-    """Certified crossings of ``target`` on the rows ``w[rows]`` (weight sums ``sum_w``) from block sums.
+def _two_level(prep: _QuantilePrep, summaries: np.ndarray, rows: np.ndarray, points: np.ndarray,
+               levels: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+    """Certified crossings of ``levels * sum_w`` on the weight rows at ``points``, summarized by ``summaries[rows]``.
 
     Each target is bisected to the first ``_SCAN_BLOCK``-column block whose computed prefix reaches
-    it, and that block's weights are summed on from the prefix before it. The crossing found there
-    is kept only when the computed cumulative weights on both sides of it lie farther from the
-    target than the margin derived in _quantile_batch; -1 marks every other pair.
+    it, and that block's weights, read from the rows' block ``w`` or else evaluated, are summed on
+    from the prefix before it. The crossing found there is kept only when the computed cumulative
+    weights on both sides of it lie farther from the target than the margin derived in
+    _quantile_batch; -1 marks every other pair.
     """
-    m, B = w.shape[1], _SCAN_BLOCK
-    starts = np.arange(0, m, B)
-    margin = 2 * (_gamma(m) + _gamma(2 * B + len(starts))) * sum_w
-    prefix = np.cumsum(np.add.reduceat(w, starts, axis=1), axis=1)
-    block = np.minimum(_crossings(prefix, rows, target), len(starts) - 1)  # past the last: rejected below
+    m, B = len(prep.x), _SCAN_BLOCK
+    starts, sum_w = np.arange(0, m, B), summaries[rows, -2]
+    target, margin = levels * sum_w, 2 * (_gamma(m) + _gamma(2 * B + len(starts))) * sum_w
+    block = np.minimum(_crossings(summaries, rows, target, len(starts)), len(starts) - 1)  # past the last: rejected
     seg = np.empty((len(rows), B + 1))
-    seg[:, 0] = np.where(block > 0, prefix[rows, block - 1], 0.0)
+    seg[:, 0] = np.where(block > 0, summaries[rows, block - 1], 0.0)
     # a partial last block reads its row's last weight again; the length check below rejects those columns
     cols = np.minimum(starts[block, None] + np.arange(B), m - 1)
-    seg[:, 1:] = w.ravel()[rows[:, None] * m + cols]
+    seg[:, 1:] = (w.ravel()[rows[:, None] * m + cols] if w is not None
+                  else _kernel(np.subtract(prep.x[cols], points[:, None]), prep.bandwidth, prep.kernel))
     cw = np.cumsum(seg, axis=1)  # cw[:, k] sums the block's first k weights onto its prefix
     k = (cw[:, 1:] < target[:, None]).sum(axis=1)  # nondecreasing, so the first entry >= target
     pick = np.arange(len(rows))
@@ -271,7 +295,7 @@ def _two_level(w: np.ndarray, rows: np.ndarray, target: np.ndarray, sum_w: np.nd
     return np.where(certified, starts[block] + k, -1)
 
 
-def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
+def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, keep: bool = False):
     """Weighted quantiles for paired (conditioning point, level) arrays, one weight row per distinct point.
 
     Returns (values, ok, sum_w) per pair: the quantile, NaN where the mass rule fails (ok False),
@@ -290,31 +314,50 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray):
     cumulative-weight knot, a target past the last block sum, where the clamp acts) takes its
     row's exact cumsum and a bisection, as does every pair of a row whose pair count times B
     exceeds m, for which one exact cumsum is cheaper. That rule keeps step one's single row at y0
-    on the exact scan, and bounds the gathered block weights by about the weight block's cells.
+    on the exact scan, and bounds the target-block weights read by about the weight block's cells.
+
+    With ``keep``, a row evaluated at a response leaves its summary (cumsum of its nb block sums,
+    pairwise sum, maximum) in a ``prep.memo`` slot while ``_CHUNK_CELLS`` cells last. A later row with
+    a slot and few pairs reads them there and evaluates only its pairs' target blocks; its sums and
+    cells are the same bits in any block or array. Uncertified pairs take the full row and exact scan.
     """
     distinct, inverse = np.unique(ys, return_inverse=True)
-    values = np.full(len(ys), np.nan)
-    ok = np.zeros(len(ys), bool)
-    row_sums = np.empty(len(distinct))
-    m = len(prep.x)
-    for lo, hi, w in _weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel):
-        # pairwise row sums for the mass rule, then the two-level search, then exact scans of copied rows
-        sum_w = row_sums[lo:hi] = w.sum(axis=1)
-        good = _mass_ok(sum_w, w.max(axis=1), prep.min_weight_sum)
-        at = np.flatnonzero((inverse >= lo) & (inverse < hi))  # the pairs of this block's rows
-        row = inverse[at] - lo
-        at, row = at[good[row]], row[good[row]]
-        target, idx = alphas[at] * sum_w[row], np.full(len(at), -1)
-        few = np.bincount(row, minlength=hi - lo)[row] * _SCAN_BLOCK <= m
-        if few.any():
-            idx[few] = _two_level(w, row[few], target[few], sum_w[row[few]])
-        exact = np.flatnonzero(idx < 0)
-        if len(exact):
-            rows, pos = np.unique(row[exact], return_inverse=True)
-            idx[exact] = _crossings(np.cumsum(w[rows], axis=1), pos, target[exact])
-        values[at] = prep.v[np.minimum(idx, m - 1)]
-        ok[at] = True
-    return values, ok, row_sums[inverse]
+    m, n, B = len(prep.x), len(distinct), _SCAN_BLOCK
+    sum_w, good, idx = np.empty(n), np.zeros(n, bool), np.full(len(ys), -1)  # rows' sums and mass rule, pairs' indices
+    few = np.bincount(inverse, minlength=n) * B <= m
+    point = np.minimum(np.searchsorted(prep.v, distinct), m - 1)
+    point = np.where(prep.v[point] == distinct, point, -1)  # each point's index among the responses
+    slot = np.where(point >= 0, prep.slots[point], -1)
+    served = few & (slot >= 0)
+    full = ~served  # the rows evaluated in full
+    if served.any():
+        sum_w[served] = prep.memo[slot[served], -2]
+        good[served] = _mass_ok(sum_w[served], prep.memo[slot[served], -1], prep.min_weight_sum)
+        at = np.flatnonzero((served & good)[inverse])
+        for lo in range(0, len(at), _CHUNK_CELLS // B + 1):  # (pairs, B) arrays within the budget
+            a = at[lo : lo + _CHUNK_CELLS // B + 1]
+            idx[a] = _two_level(prep, prep.memo, slot[inverse[a]], distinct[inverse[a]], alphas[a])
+        full[inverse[at[idx[at] < 0]]] = True
+    pos = np.where(full, np.cumsum(full) - 1, -1)[inverse]  # each pair's row among them
+    starts = np.arange(0, m, B)
+    for lo, hi, w in _weight_blocks(prep.x, distinct[full], prep.bandwidth, prep.kernel):
+        block, summary = np.flatnonzero(full)[lo:hi], np.empty((hi - lo, len(starts) + 2))
+        np.cumsum(np.add.reduceat(w, starts, axis=1), axis=1, out=summary[:, :-2])
+        summary[:, -2], summary[:, -1] = w.sum(axis=1), w.max(axis=1)
+        sum_w[block], good[block] = summary[:, -2], _mass_ok(summary[:, -2], summary[:, -1], prep.min_weight_sum)
+        if keep:
+            prep.store(np.where(slot[block] < 0, point[block], -1), summary)
+        at = np.flatnonzero(good[inverse] & (pos >= lo) & (pos < hi) & (idx < 0))
+        r, row = inverse[at], pos[at] - lo
+        search = few[r] & ~served[r]  # a served row's open pairs were searched on its slot
+        if search.any():
+            idx[at[search]] = _two_level(prep, summary, row[search], distinct[r[search]], alphas[at[search]], w)
+        exact = idx[at] < 0
+        if exact.any():
+            scanned, p = np.unique(row[exact], return_inverse=True)
+            idx[at[exact]] = _crossings(np.cumsum(w[scanned], axis=1), p, alphas[at[exact]] * sum_w[r[exact]], m)
+    ok = good[inverse]
+    return np.where(ok, prep.v[np.minimum(idx, m - 1)], np.nan), ok, sum_w[inverse]
 
 
 def _prefix_sums(w: np.ndarray, ends) -> dict:

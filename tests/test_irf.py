@@ -424,18 +424,29 @@ def test_direct_route_follows_the_finite_response_chain(monkeypatch):
     sum_w = w.sum(axis=1)
     assert np.all(sum_w >= cfg.min_weight_sum) and np.all(w.max(axis=1) > 0)  # every state passes the mass rule
     P = w / sum_w[:, None]
-    searched = []
-    original = kernels._two_level
+    searched, states, full = [], [], []
+    search, batch, blocks = kernels._two_level, kernels._quantile_batch, kernels._weight_blocks
 
-    def recorded(*args):
-        searched.append(original(*args))
+    def recorded(*args):  # on fresh rows and on memo slots
+        searched.append(search(*args))
         return searched[-1]
 
+    def batch_states(prep, ys, alphas, keep=False):
+        states.append(len(np.unique(ys)))
+        return batch(prep, ys, alphas, keep)
+
+    def full_rows(x, points, *args):
+        full.append(len(points))
+        return blocks(x, points, *args)
+
     monkeypatch.setattr(kernels, "_two_level", recorded)
+    monkeypatch.setattr(irf_module, "_quantile_batch", batch_states)
+    monkeypatch.setattr(kernels, "_weight_blocks", full_rows)
     sim = simulate_paths(series, req)
     assert sim.valid.all()
     certified = sum(np.count_nonzero(idx >= 0) for idx in searched)
     assert certified > 0.5 * 2 * req.S * (req.horizons - 1)  # the two-level search served most steps
+    assert sum(full[1:]) < 0.5 * sum(states[1:])  # and the memo most of steps 2-6's distinct states
     order = np.argsort(v)
     base, shock = (order[np.searchsorted(v[order], states)] for states in (sim.base[:, 0], sim.shock[:, 0]))
     np.testing.assert_array_equal(v[base], sim.base[:, 0])  # step one lands on the responses too

@@ -632,6 +632,61 @@ def test_two_level_search_matches_reference_where_most_pairs_fall_back(T, kern, 
     assert 6 * len(idx) // 8 <= fell_back < 7 * len(idx) // 8
 
 
+@pytest.mark.parametrize("T", [600, 641])  # 599 columns with a partial last block, 640 = 10 blocks
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_two_level_search_on_memo_slots_matches_reference(T, chunking, kern, mass, monkeypatch):
+    # the points are sample responses, so the first call stores their rows' summaries and the second
+    # is served from the memo: rows 1-14 carry knot levels, whose memo pairs fall back to the full
+    # row, rows 15-29 uniform levels only, and row 0 is crowded, so it takes the exact scan
+    series = simulate(DAR, T=T, y0=0.2, seed=127)
+    prep = kernels._QuantilePrep.from_series(series, KernelConfig(kernel=kern, min_weight_sum=mass))
+    m = T - 1
+    if chunking == "short_last_chunk":  # still 16-row weight blocks, and room in the memo for every row
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", 16 * m)
+    picks = np.random.default_rng(128).choice(np.arange(1, m - 1), 28, replace=False)
+    distinct = prep.v[np.concatenate([picks, [0, m - 1]])]  # the extreme responses lack mass in some cases
+    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
+    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    knots = cw[:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / sum_w[:, None]
+    uniform = np.random.default_rng(129).uniform(0.01, 0.99, (30, 8))
+    levels = np.where(np.arange(30)[:, None] < 15, np.column_stack([knots, np.full(30, np.nextafter(1.0, 0.0)),
+                                                                    uniform[:, :2]]), uniform)
+    rows = np.concatenate([np.repeat(np.arange(30), 8), np.zeros(12, int)])
+    order = np.random.default_rng(130).permutation(len(rows))
+    alphas = np.concatenate([levels.ravel(), np.random.default_rng(131).uniform(0.01, 0.99, 12)])[order]
+    rows = rows[order]
+    ys = distinct[rows]
+    searched, blocks = [], []
+    search = kernels._two_level
+
+    def recorded(prep, summaries, rows, points, levels, w=None):
+        searched.append((summaries is prep.memo, points, search(prep, summaries, rows, points, levels, w)))
+        return searched[-1][2]
+
+    monkeypatch.setattr(kernels, "_two_level", recorded)
+    _recording(monkeypatch, kernels, "_weight_blocks", blocks)
+    for call in range(2):
+        got, want = kernels._quantile_batch(prep, ys, alphas, keep=True), _ref_quantile_batch(prep, ys, alphas)
+        for g, r in zip(got, want):
+            assert_same_bits(g, r)
+        assert_same_bits(got[2], sum_w[rows])
+        if call == 0:  # every row evaluated and stored, and no pair served from the memo
+            assert_same_bits(blocks[0][1], np.sort(distinct))
+            assert prep.used == 30 and not any(on_memo for on_memo, _, _ in searched)
+            del searched[:]
+    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    assert good[0] and good[1:15].sum() >= 10 and good[15:].sum() >= 10
+    # the second call searched every pair of the uncrowded rows with mass on their slots; the knot
+    # levels' pairs fall back, and only the crowded row and the rows of such pairs are evaluated again
+    assert all(on_memo for on_memo, _, _ in searched)
+    points, idx = (np.concatenate(a) for a in zip(*[(p, i) for _, p, i in searched]))
+    assert len(idx) == 8 * good[1:].sum() and np.isin(points[idx < 0], distinct[1:15]).all()
+    assert np.count_nonzero(idx < 0) >= 5 * good[1:15].sum()
+    (_, evaluated, _, _), = blocks[1:]
+    assert_same_bits(evaluated, np.union1d(distinct[0], points[idx < 0]))
+    assert len(evaluated) == 1 + good[1:15].sum()
+
+
 def _recording(monkeypatch, module, name, record):
     original = getattr(module, name)
 
@@ -642,17 +697,119 @@ def _recording(monkeypatch, module, name, record):
     monkeypatch.setattr(module, name, recorded)
 
 
-def test_simulated_steps_evaluate_one_row_per_distinct_state(small_dar, monkeypatch):
-    blocks, steps = [], []
-    _recording(monkeypatch, kernels, "_weight_blocks", blocks)
-    _recording(monkeypatch, irf, "_quantile_batch", steps)
-    sim = irf.simulate_paths(small_dar, IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=116))
-    assert len(blocks) == len(steps) == 5 and len(blocks[0][1]) == 1  # step one: y0 alone
-    assert_same_bits(steps[0][1], np.full(400, 0.2))
-    for (_, ys, _), (_, points, _, _) in zip(steps[1:], blocks[1:]):
-        assert_same_bits(points, np.unique(ys))
-    assert all(len(points) < len(ys) for (_, ys, _), (_, points, _, _) in zip(steps[1:], blocks[1:]))
+def _slots(prep, points):
+    """The memo slot of each point's row, -1 where it has none."""
+    j = np.minimum(np.searchsorted(prep.v, points), len(prep.v) - 1)
+    return np.where(prep.v[j] == points, prep.slots[j], -1)
+
+
+def _traced_simulation(series, req, monkeypatch):
+    """simulate_paths, and per _quantile_batch call (a step): its states, the memo slots of its distinct
+    states when it starts, the points it evaluates in full, its two-level searches as (on the memo,
+    points, indices), and the memo's size when it returns."""
+    steps = []
+    batch, blocks, search = kernels._quantile_batch, kernels._weight_blocks, kernels._two_level
+
+    def traced_batch(prep, ys, alphas, keep=False):
+        steps.append({"prep": prep, "ys": ys.copy(), "slot": _slots(prep, np.unique(ys)), "full": [], "search": [],
+                      "keep": keep})
+        out = batch(prep, ys, alphas, keep)
+        steps[-1]["memo_cells"] = 0 if prep.memo is None else prep.memo.size
+        return out
+
+    def traced_blocks(x, points, *args):
+        steps[-1]["full"].append(points.copy())
+        return blocks(x, points, *args)
+
+    def traced_search(prep, summaries, rows, points, levels, w=None):
+        idx = search(prep, summaries, rows, points, levels, w)
+        steps[-1]["search"].append((summaries is prep.memo, points.copy(), idx))
+        return idx
+
+    monkeypatch.setattr(irf, "_quantile_batch", traced_batch)
+    monkeypatch.setattr(kernels, "_weight_blocks", traced_blocks)
+    monkeypatch.setattr(kernels, "_two_level", traced_search)
+    return irf.simulate_paths(series, req), steps
+
+
+def _assert_full_rows_are_the_unserved_states(series, req, steps):
+    """Step one evaluates y0 alone; a later step evaluates exactly its distinct states without a memo
+    slot, its crowded states (pairs x 64 > m) and the states of its uncertified memo-served pairs."""
+    assert len(steps) == req.horizons and all(len(step["full"]) == 1 for step in steps)
+    assert_same_bits(steps[0]["ys"], np.full(2 * req.S, req.y0))
+    assert_same_bits(steps[0]["full"][0], np.array([req.y0]))
+    for step in steps[1:]:
+        distinct, counts = np.unique(step["ys"], return_counts=True)
+        crowded = counts * kernels._SCAN_BLOCK > series.T - 1
+        uncertified = [points[idx < 0] for on_memo, points, idx in step["search"] if on_memo]
+        want = np.union1d(distinct[(step["slot"] < 0) | crowded], np.concatenate([[]] + uncertified))
+        assert_same_bits(step["full"][0], want)
+
+
+def test_simulated_steps_evaluate_each_response_row_once(small_dar, monkeypatch):
+    req = IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=116)
+    sim, steps = _traced_simulation(small_dar, req, monkeypatch)
     assert np.isfinite(sim.base[:, -1]).any()
+    _assert_full_rows_are_the_unserved_states(small_dar, req, steps)
+    # here every searched pair is certified and no later state is crowded, so no response row is
+    # evaluated twice in the simulation, and the memo serves a share of each later step's states
+    assert all((idx >= 0).all() for step in steps for _, _, idx in step["search"])
+    assert all(np.unique(step["ys"], return_counts=True)[1].max() * 64 <= 599 for step in steps[1:])
+    later = np.concatenate([step["full"][0] for step in steps[1:]])
+    assert len(np.unique(later)) == len(later)
+    assert all(len(step["full"][0]) < len(np.unique(step["ys"])) for step in steps[2:])
+    assert all((step["slot"] >= 0).any() for step in steps[2:])
+    # every step but the first and the last keeps its rows: the last step's would never be read
+    assert [step["keep"] for step in steps] == [False, True, True, True, False]
+    assert steps[0]["prep"].used == sum(len(step["full"][0]) for step in steps[1:-1])
+
+
+def _ref_simulate_paths(series, req):
+    """simulate_paths with the full-row reference scan on a fresh prep at each step: no memo, no search."""
+    rng = np.random.default_rng(req.seed)
+    eps1 = rng.standard_normal(req.S)
+    paths = np.full((2, req.S, req.horizons), np.nan)
+    ys, alphas = np.full(2 * req.S, req.y0), irf._rank(np.concatenate([eps1, eps1 + req.delta]))
+    vals, ok = _ref_quantile_batch(kernels._QuantilePrep.from_series(series, req.cfg), ys, alphas)
+    assert ok.all()
+    paths[:, :, 0] = vals.reshape(2, req.S)
+    for k in range(1, req.horizons):
+        eps_k = rng.standard_normal(req.S)
+        idx = np.flatnonzero(np.isfinite(paths[0, :, k - 1]))
+        ys, alphas = paths[:, idx, k - 1].ravel(), np.tile(irf._rank(eps_k[idx]), 2)
+        vals, ok = _ref_quantile_batch(kernels._QuantilePrep.from_series(series, req.cfg), ys, alphas)
+        pair = ok.reshape(2, -1).all(axis=0)
+        paths[:, idx[pair], k] = vals.reshape(2, -1)[:, pair]
+    return paths
+
+
+@pytest.mark.parametrize("kern, mass", KERNEL_CASES)
+def test_simulated_paths_match_memo_free_reference(small_dar, kern, mass):
+    req = IrfRequest(y0=0.2, horizons=6, delta=0.5, S=200, seed=125, cfg=KernelConfig(kernel=kern, min_weight_sum=mass))
+    assert_same_bits(irf.simulate_paths(small_dar, req).paths, _ref_simulate_paths(small_dar, req))
+
+
+def test_memo_stays_within_its_budget(small_dar, monkeypatch):
+    req = IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=126)
+    want = _ref_simulate_paths(small_dar, req)
+    assert_same_bits(irf.simulate_paths(small_dar, req).paths, want)
+    budget = 5 * (10 + 2)  # five summaries of a 599-column row: sum, maximum, ten block prefixes
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", budget)
+    sim, steps = _traced_simulation(small_dar, req, monkeypatch)
+    assert_same_bits(sim.paths, want)
+    prep = steps[0]["prep"]
+    assert prep.memo.shape == (5, 12) and prep.used == 5 and (prep.slots >= 0).sum() == 5
+    assert all(step["memo_cells"] <= budget for step in steps)
+    # rows beyond the five slots are evaluated in full at every step
+    _assert_full_rows_are_the_unserved_states(small_dar, req, steps)
+    assert all(len(step["full"][0]) >= len(np.unique(step["ys"])) - 5 for step in steps[1:])
+    assert any((step["slot"] >= 0).any() for step in steps[1:])
+    # at T=50,000 the default budget holds 1275 of the 49,999 rows' 784-cell summaries (8 MB, not 313 MB)
+    monkeypatch.setattr(kernels, "_CHUNK_CELLS", 1_000_000)
+    v = np.arange(49_999.0)
+    big = kernels._QuantilePrep(v, v, 1.0, "gaussian", None, slots=np.full(len(v), -1))
+    big.store(np.array([7]), np.zeros((1, 784)))
+    assert big.memo.shape == (1275, 784) and big.memo.size <= 1_000_000 and big.slots[7] == 0
 
 
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)
