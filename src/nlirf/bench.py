@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from .irf import _ROUTES, IrfRequest, _route_irf
 from ._checks import _finite, _integer, _level, _nonempty_list
@@ -126,7 +125,7 @@ def _oracle_value(model: ModelSpec, target: Target) -> float:
     """Closed-form target value; raises when the model admits none."""
     if isinstance(target, CondCdfTarget):
         m, s = _conditional_moments(model, target.y)
-        return float(norm.cdf((target.z - m) / s))
+        return float(ndtr((target.z - m) / s))
     if isinstance(target, CondQuantileTarget):
         m, s = _conditional_moments(model, target.y)
         return float(m + s * ndtri(target.alpha))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from ._checks import _as_reals, _integer, _level
 from .kernels import _nw_fit, silverman_bandwidth
@@ -268,7 +268,7 @@ def markov_moment_test(
     # points are sample values of both regressors: each weight sum >= the point's own weight
     bandwidth = silverman_bandwidth(y)
     windows = [(slice(None, -1), fwd_targets), (slice(1, None), bwd_targets)]
-    fwd_fit, bwd_fit = _nw_fit(y, points, bandwidth, "gaussian", windows)[0]
+    fwd_fit, bwd_fit = _nw_fit(y, points, bandwidth, "gaussian", windows, maxima=False)[0]
 
     ra = np.column_stack([fa(y[2:]) for fa, _, _ in basis]) - fwd_fit
     rb = np.column_stack([fb(y[:-2]) for _, fb, _ in basis]) - bwd_fit
@@ -283,7 +283,7 @@ def markov_moment_test(
             "bootstrap covariance of the moments is singular; some basis triple "
             "gives a degenerate moment"
         ) from None
-    crit = float(chi2.ppf(1 - level, df=len(basis)))
+    crit = float(2 * gammaincinv(len(basis) / 2, 1 - level))  # the chi-square quantile, as scipy.stats computes it
     return MarkovTestResult(
         moments=moments,
         statistic=stat,

@@ -249,11 +249,11 @@ def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -
 
 
 def _crossings(cw: np.ndarray, rows: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
-    """Per pair, the count of entries of the nondecreasing row ``cw[rows, :n]`` below ``target``, by bisection.
-
-    That count is the row's first index with ``cw >= target``, as a left ``searchsorted`` finds it,
-    or the row length when no entry reaches the target. ``cw`` is C-contiguous.
+    """Per pair, the first index with ``cw[rows, :n] >= target`` (n if none) on nondecreasing rows of C-contiguous
+    ``cw``: one left searchsorted when all pairs share a row, else a bisection counting the entries below target.
     """
+    if (rows == rows[0]).all():  # step one's row at y0, cond_quantile
+        return np.searchsorted(cw[rows[0], :n], target)
     flat, off = cw.ravel(), rows * cw.shape[1] - 1  # flat[off + k] is the k-th entry of the pair's row
     idx = np.zeros(len(target), np.intp)
     for step in (1 << k for k in reversed(range(n.bit_length()))):
@@ -373,30 +373,31 @@ def _prefix_sums(w: np.ndarray, ends) -> dict:
     return sums
 
 
-def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows):
+def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows, maxima: bool = True):
     """NW fits at ``points`` for ``windows`` of ``(columns, targets)``: ``targets`` on ``x[columns]``.
 
     Each weight block is evaluated once on all of ``x`` and window i reads its column slice
-    ``w[:, columns]``. The targets are all (m_i,) or all (m_i, q). Returns the fits
-    (windows, points) or (windows, points, q), and the weight sums and maxima (windows, points).
+    ``w[:, columns]``. The targets are all (m_i,) or all (m_i, q). Returns the fits (windows, points) or
+    (windows, points, q), the weight sums (windows, points), and the maxima likewise, or None unless ``maxima``.
     Prefix windows ``w[:, :n]`` share row reductions, bitwise equal to their own: maxima extend over
     the extra columns, and sums follow numpy's pairwise rule ``sum(:n) = sum(:n2) + sum(n2:n)`` for
     n > 128, ``n2 = n//2 - (n//2) % 8``, so prefixes with one n2 sum that left part once.
     """
     shape = (len(windows), len(points))
     fits = np.empty(shape + windows[0][1].shape[1:])
-    sum_w, max_w = np.empty(shape), np.empty(shape)
+    sum_w, max_w = np.empty(shape), np.empty(shape) if maxima else None
     spans = [columns.indices(len(x)) for columns, _ in windows]
     prefix = {i: stop for i, (start, stop, step) in enumerate(spans) if (start, step) == (0, 1)}
     ends = sorted(set(prefix.values()))
     for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
         sums = _prefix_sums(w, ends)
-        extra = [w[:, a:b].max(axis=1) for a, b in zip([0] + ends, ends)]  # over each prefix's new columns
-        tops = dict(zip(ends, np.maximum.accumulate(extra)))
+        if maxima:  # each prefix's maximum extends the shorter one's over its new columns
+            tops = dict(zip(ends, np.maximum.accumulate([w[:, a:b].max(axis=1) for a, b in zip([0] + ends, ends)])))
         for i, (columns, targets) in enumerate(windows):
             wi = w[:, columns]
             sum_w[i, lo:hi] = sums[prefix[i]] if i in prefix else wi.sum(axis=1)
-            max_w[i, lo:hi] = tops[prefix[i]] if i in prefix else wi.max(axis=1)
+            if maxima:
+                max_w[i, lo:hi] = tops[prefix[i]] if i in prefix else wi.max(axis=1)
             np.matmul(wi, targets, out=fits[i, lo:hi])
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(fits.T, sum_w.T, out=fits.T)

@@ -260,8 +260,8 @@ def test_markov_fits_are_column_windows_of_one_block(monkeypatch, cells):
         monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
     recorded_fits = []
 
-    def recording(*args):
-        recorded_fits.append(_nw_fit(*args))
+    def recording(*args, **kwargs):
+        recorded_fits.append(_nw_fit(*args, **kwargs))
         return recorded_fits[-1]
 
     monkeypatch.setattr(identify, "_nw_fit", recording)
@@ -269,7 +269,8 @@ def test_markov_fits_are_column_windows_of_one_block(monkeypatch, cells):
     y, b = ts.y, silverman_bandwidth(ts.y)
     res = markov_moment_test(ts, B=50, seed=2)
     assert res.bandwidth == b
-    ((fits, _, _),) = recorded_fits
+    ((fits, _, max_w),) = recorded_fits
+    assert max_w is None  # the test reads no row maxima, so none are taken
     basis = default_markov_basis(ts)
     fwd = _ref_window_fit(y[:-1], np.column_stack([fa(y[1:]) for fa, _, _ in basis]), y[1:-1], b)
     bwd = _ref_window_fit(y[1:], np.column_stack([fb(y[:-1]) for _, fb, _ in basis]), y[1:-1], b)

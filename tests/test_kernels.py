@@ -583,6 +583,27 @@ def test_step_one_states_match_single_point_scan(small_dar, seed):
 # the two-level search: certified crossings, and the full scan for every other pair
 # ---------------------------------------------------------------------------
 
+def _ref_crossings(cw, rows, target, n):
+    """Per pair, the count of entries of its row ``cw[row, :n]`` below its target, one pair at a time."""
+    return np.array([(cw[r, :n] < t).sum() for r, t in zip(rows, target)], dtype=np.intp)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 4999])
+def test_crossings_on_one_row_match_reference(n):
+    # step one's row at y0 and cond_quantile: every pair reads one row, searched by one searchsorted
+    rng = np.random.default_rng(130)
+    w = rng.exponential(size=(3, n + 5))  # columns past n are not read
+    w[:, rng.integers(0, n + 5, size=(n + 5) // 3)] = 0.0  # ties: flat stretches of the cumulative weights
+    cw = np.cumsum(w, axis=1)
+    last = cw[1, n - 1]
+    target = np.concatenate([cw[1, rng.integers(0, n, size=50)],  # on knots, where a right search differs
+                             rng.uniform(-1.0, 1.2 * last, 400), [0.0, last, np.nextafter(last, np.inf)]])
+    one_row = np.ones(len(target), np.intp)
+    assert_same_bits(kernels._crossings(cw, one_row, target, n), _ref_crossings(cw, one_row, target, n))
+    two_rows = np.where(np.arange(len(target)) % 7, 1, 2)  # the bisection
+    assert_same_bits(kernels._crossings(cw, two_rows, target, n), _ref_crossings(cw, two_rows, target, n))
+
+
 def _recording_results(monkeypatch, module, name, record):
     original = getattr(module, name)
 
@@ -890,6 +911,18 @@ def test_nw_fit_windows_match_per_window_reference(small_dar, chunking, kern, q)
         want = _ref_window_fit(x, targets, _points(), b, kern)
         for g, w in zip((fits[i], sum_w[i], max_w[i]), want):
             assert_same_bits(g, w)
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+def test_nw_fit_without_maxima_keeps_fits_and_sums(small_dar, chunking, kern):
+    # the Markov test reads no maxima; skipping them leaves the fits and sums as they were
+    y, b = small_dar.y, silverman_bandwidth(small_dar.y)
+    windows = [(slice(None, -1), y[1:]), (slice(1, None), y[:-1]), (slice(None, -3), y[3:])]
+    fits, sum_w, _ = kernels._nw_fit(y, _points(), b, kern, windows)
+    got_fits, got_sums, got_max = kernels._nw_fit(y, _points(), b, kern, windows, maxima=False)
+    assert got_max is None
+    assert_same_bits(got_fits, fits)
+    assert_same_bits(got_sums, sum_w)
 
 
 # ---------------------------------------------------------------------------
