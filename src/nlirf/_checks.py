@@ -67,6 +67,14 @@ def _as_reals(y, what: str) -> np.ndarray:
     return y
 
 
+def _triples(name: str, value):
+    """``value``, if it is a nonempty list or tuple of (a, b, c) triples of callables."""
+    if not (isinstance(value, (list, tuple)) and value and all(
+            isinstance(t, (list, tuple)) and len(t) == 3 and all(map(callable, t)) for t in value)):
+        raise ValueError(f"{name} must be a nonempty list of (a, b, c) triples of callables, got {value!r}")
+    return value
+
+
 # kinds of value, each a check ``kind(key, value)`` that returns the value
 def _instance(cls, what: str):
     def kind(key: str, value):

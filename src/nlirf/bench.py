@@ -21,9 +21,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .irf import _ROUTES, IrfRequest, _route_irf
-from ._checks import _finite, _integer, _level, _nonempty_list
+from ._checks import _finite, _instance, _integer, _level, _nonempty_list
 from .kernels import KernelConfig, cond_cdf, cond_quantile
-from .models import ModelSpec, simulate, true_irf
+from .models import ModelSpec, TimeSeries, simulate, true_irf
 
 __all__ = [
     "IrfTarget",
@@ -54,25 +54,52 @@ class IrfTarget:
         if not isinstance(self.routes, tuple) or not self.routes or not set(self.routes) <= set(_ROUTES):
             raise ValueError(f"routes must be a nonempty tuple drawn from {tuple(_ROUTES)}, got {self.routes!r}")
 
+    def oracle(self, model: ModelSpec) -> float:
+        """The closed-form IRF(h, delta); raises when the model admits none."""
+        curve = true_irf(model, y0=self.y0, h=self.h, delta=self.delta, S=1)
+        if curve.meta["method"][self.h - 1] != "closed_form":
+            raise ValueError(f"no closed-form IRF oracle for {type(model).__name__} at h={self.h}")
+        return float(curve.values[self.h - 1])
+
+    def estimate(self, series: TimeSeries, cfg: KernelConfig, route: str, seed: int) -> float:
+        req = IrfRequest(y0=self.y0, horizons=self.h, delta=self.delta, S=self.S, cfg=cfg, seed=seed)
+        return float(_route_irf(series, req, route).values[self.h - 1])
+
 
 @dataclass(frozen=True)
 class CondCdfTarget:
     z: float
     y: float
+    routes = ("kernel",)
 
     def __post_init__(self) -> None:
         _finite("z", self.z)
         _finite("y", self.y)
+
+    def oracle(self, model: ModelSpec) -> float:
+        m, s = _conditional_moments(model, self.y)
+        return float(ndtr((self.z - m) / s))
+
+    def estimate(self, series: TimeSeries, cfg: KernelConfig, route: str, seed: int) -> float:
+        return cond_cdf(series, self.z, self.y, cfg).value
 
 
 @dataclass(frozen=True)
 class CondQuantileTarget:
     alpha: float
     y: float
+    routes = ("kernel",)
 
     def __post_init__(self) -> None:
         _level("alpha", self.alpha)
         _finite("y", self.y)
+
+    def oracle(self, model: ModelSpec) -> float:
+        m, s = _conditional_moments(model, self.y)
+        return float(m + s * ndtri(self.alpha))
+
+    def estimate(self, series: TimeSeries, cfg: KernelConfig, route: str, seed: int) -> float:
+        return cond_quantile(series, self.alpha, self.y, cfg).value
 
 
 Target = Union[IrfTarget, CondCdfTarget, CondQuantileTarget]
@@ -94,6 +121,10 @@ class SweepSpec:
         if list(self.sample_sizes) != sorted(self.sample_sizes):
             raise ValueError("sample sizes must be ascending")
         _integer("seeds_per_size", self.seeds_per_size, 10)
+        _instance(ModelSpec, "a model")("model", self.model)
+        _instance(Target, "an IrfTarget, CondCdfTarget or CondQuantileTarget")("target", self.target)
+        _instance(KernelConfig, "a KernelConfig")("cfg", self.cfg)
+        _finite("y0_sim", self.y0_sim)
 
 
 @dataclass(frozen=True)
@@ -121,22 +152,6 @@ class SweepReport:
     direct_lp_ratio: Dict[int, float]
 
 
-def _oracle_value(model: ModelSpec, target: Target) -> float:
-    """Closed-form target value; raises when the model admits none."""
-    if isinstance(target, CondCdfTarget):
-        m, s = _conditional_moments(model, target.y)
-        return float(ndtr((target.z - m) / s))
-    if isinstance(target, CondQuantileTarget):
-        m, s = _conditional_moments(model, target.y)
-        return float(m + s * ndtri(target.alpha))
-    curve = true_irf(model, y0=target.y0, h=target.h, delta=target.delta, S=1)
-    if curve.meta["method"][target.h - 1] != "closed_form":
-        raise ValueError(
-            f"no closed-form IRF oracle for {type(model).__name__} at h={target.h}"
-        )
-    return float(curve.values[target.h - 1])
-
-
 def _conditional_moments(model: ModelSpec, y: float) -> Tuple[float, float]:
     """Mean and scale of the Gaussian one-step law at y, read from the model."""
     if model.dim != 1:
@@ -148,12 +163,6 @@ def _cell_seed(master_seed: int, size_index: int, seed_index: int, stream: int) 
     return int(np.random.SeedSequence([master_seed, size_index, seed_index, stream]).generate_state(1)[0])
 
 
-def _routes(target: Target) -> Tuple[str, ...]:
-    if isinstance(target, IrfTarget):
-        return target.routes
-    return ("kernel",)
-
-
 def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
     """Run the sweep and summarize RMSE, rate slope, and route RMSE ratios.
 
@@ -161,52 +170,34 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
     unless more than half the seeds at some sample size fail.
     """
     _integer("master_seed", master_seed, 0)
-    oracle = _oracle_value(spec.model, spec.target)
+    oracle = spec.target.oracle(spec.model)
     cells: List[CellResult] = []
 
     for ti, T in enumerate(spec.sample_sizes):
         for si in range(spec.seeds_per_size):
-            data_seed = _cell_seed(master_seed, ti, si, stream=0)
-            series = simulate(spec.model, T=T, y0=spec.y0_sim, seed=data_seed)
-            for route in _routes(spec.target):
+            series = simulate(spec.model, T=T, y0=spec.y0_sim, seed=_cell_seed(master_seed, ti, si, stream=0))
+            seed = _cell_seed(master_seed, ti, si, stream=1)
+            for route in spec.target.routes:
                 try:
-                    if isinstance(spec.target, CondCdfTarget):
-                        est = cond_cdf(series, spec.target.z, spec.target.y, spec.cfg).value
-                    elif isinstance(spec.target, CondQuantileTarget):
-                        est = cond_quantile(series, spec.target.alpha, spec.target.y, spec.cfg).value
-                    else:
-                        req = IrfRequest(
-                            y0=spec.target.y0,
-                            horizons=spec.target.h,
-                            delta=spec.target.delta,
-                            S=spec.target.S,
-                            cfg=spec.cfg,
-                            seed=_cell_seed(master_seed, ti, si, stream=1),
-                        )
-                        est = float(_route_irf(series, req, route).values[spec.target.h - 1])
-                    cells.append(CellResult(T=T, seed_index=si, route=route, estimate=est, oracle=oracle))
+                    est, error = spec.target.estimate(series, spec.cfg, route, seed), None
                 except (ValueError, ArithmeticError) as exc:
-                    cells.append(
-                        CellResult(T=T, seed_index=si, route=route, estimate=math.nan,
-                                   oracle=oracle, error=f"{type(exc).__name__}: {exc}")
-                    )
+                    est, error = math.nan, f"{type(exc).__name__}: {exc}"
+                cells.append(CellResult(T=T, seed_index=si, route=route, estimate=est, oracle=oracle, error=error))
 
     rmse: Dict[Tuple[int, str], float] = {}
     for T in spec.sample_sizes:
-        for route in _routes(spec.target):
+        for route in spec.target.routes:
             sub = [c for c in cells if c.T == T and c.route == route]
             good = [c.abs_err for c in sub if c.error is None]
             if len(good) < len(sub) / 2:
-                raise RuntimeError(
-                    f"more than half the seeds failed at T={T} route={route}"
-                )
+                raise RuntimeError(f"more than half the seeds failed at T={T} route={route}")
             rmse[(T, route)] = float(np.sqrt(np.mean(np.square(good))))
 
     # rate regressor: log(T * b_T) with b_T ~ T^(-1/5), i.e. 0.8 * log T
     slope: Dict[str, float] = {}
     degenerate = False
     log_teff = 0.8 * np.log(np.asarray(spec.sample_sizes, dtype=float))
-    for route in _routes(spec.target):
+    for route in spec.target.routes:
         r = np.array([rmse[(T, route)] for T in spec.sample_sizes])
         if np.any(r == 0.0):
             slope[route] = math.nan
@@ -215,7 +206,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
             slope[route] = float(np.polyfit(log_teff, np.log(r), 1)[0])
 
     ratio: Dict[int, float] = {}
-    if isinstance(spec.target, IrfTarget) and {"direct", "local_projection"} <= set(spec.target.routes):
+    if {"direct", "local_projection"} <= set(spec.target.routes):
         for T in spec.sample_sizes:
             lp = rmse[(T, "local_projection")]
             ratio[T] = float(rmse[(T, "direct")] / lp) if lp > 0 else math.nan

@@ -315,19 +315,22 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-# a key's entry in a subcommand's schema: required, optional with no default, or its default
-_REQUIRED, _OPTIONAL = object(), object()
+# a key's entry in a subcommand's schema: required, or its default
+_REQUIRED = object()
 
-# the keys irf and decompose share: a series read from 'input' or simulated from 'model', and the request
-_IRF_KEYS = {"input": _OPTIONAL, "model": _OPTIONAL, "T": _OPTIONAL, "y0_sim": _OPTIONAL, "sim_seed": _OPTIONAL,
-             "burn_in": _OPTIONAL, "y0": _REQUIRED, "horizons": _REQUIRED, "S": IrfRequest.S,
-             "kernel": KernelConfig().to_json_obj()}
+# the keys irf and decompose share: the request, and by series source a CSV read from 'input' or a series simulated
+# from 'model' (sim_seed defaults to the subcommand's derived seed); only a model gives irf the 'true' route
+_IRF_KEYS = {"y0": _REQUIRED, "horizons": _REQUIRED, "S": IrfRequest.S, "kernel": KernelConfig().to_json_obj()}
+_SIMULATED = {"model": _REQUIRED, "T": _REQUIRED, "y0_sim": 0.0, "burn_in": _default(simulate, "burn_in")}
+_SOURCES = {"irf": {"input": {"input": _REQUIRED, "routes": list(_ROUTES)},
+                    "model": {**_SIMULATED, "routes": ["true", *_ROUTES]}},
+            "decompose": {"input": {"input": _REQUIRED}, "model": _SIMULATED}}
 
 _SCHEMA = {
     "simulate": {"model": _REQUIRED, "T": _REQUIRED, "y0": _REQUIRED, "burn_in": _default(simulate, "burn_in"),
                  "density_grid": 201},
     "qmle": {"input": _REQUIRED, "grid": dataclasses.asdict(DEFAULT_GRID)},
-    "irf": {**_IRF_KEYS, "deltas": _REQUIRED, "routes": _OPTIONAL},
+    "irf": {**_IRF_KEYS, "deltas": _REQUIRED},
     "decompose": {**_IRF_KEYS, "delta": _REQUIRED, "J": _default(decompose_lp_irf, "J"), "route": "direct"},
     "identify": {"input": _REQUIRED, "max_lag": _default(recover_mixing, "max_lag")},
     # block_len defaults to ceil(T^(1/3)), left null here because it
@@ -349,7 +352,7 @@ def _check(where: str, obj, schema: Dict, kinds: bool = True) -> Dict:
     missing = [k for k, v in schema.items() if v is _REQUIRED and k not in obj]
     if missing:
         raise ValueError(f"{where}: missing config keys {sorted(missing)}")
-    defaults = {k: v for k, v in schema.items() if k not in obj and v is not _REQUIRED and v is not _OPTIONAL}
+    defaults = {k: v for k, v in schema.items() if k not in obj and v is not _REQUIRED}
     out = {**json.loads(json.dumps(defaults)), **obj}  # the JSON round trip copies and turns tuples into lists
     if kinds:
         for key, value in out.items():
@@ -384,15 +387,12 @@ def _resolve(subcommand: str, config: Dict, master_seed: int) -> Dict:
     resolving is idempotent, so rerunning from an emitted manifest reproduces the same resolved config and
     therefore the same manifest hash and artifacts.
     """
-    schema = dict(_SCHEMA[subcommand])
-    if subcommand in ("irf", "decompose") and "model" in config:  # the series keys apply to a simulated series
-        schema.update(T=_REQUIRED, sim_seed=derive_seed(master_seed, subcommand), y0_sim=0.0,
-                      burn_in=_SCHEMA["simulate"]["burn_in"])
-    if subcommand == "irf":
-        schema["routes"] = ["true", *_ROUTES] if "model" in config else list(_ROUTES)
+    schema = _SCHEMA[subcommand]
+    if subcommand in _SOURCES:  # the series source picks the rest of the keys: a key of the other one is unknown
+        source = "model" if "model" in _object(subcommand, config) else "input"
+        derived = {"sim_seed": derive_seed(master_seed, subcommand)} if source == "model" else {}
+        schema = {**schema, **_SOURCES[subcommand][source], **derived}
     cfg = _check(subcommand, config, schema)
-    if subcommand in ("irf", "decompose") and ("input" in cfg) == ("model" in cfg):
-        raise ValueError(f"{subcommand}: give either an 'input' CSV or a 'model' to simulate")
     if subcommand == "irf" and "true" in cfg["routes"] and "model" not in cfg:
         raise ValueError("irf: the 'true' route needs a 'model'")
     if subcommand == "bench":  # the target's keys depend on its kind; its values are checked by its class

@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaincinv
 
-from ._checks import _as_reals, _integer, _level
+from ._checks import _as_reals, _integer, _level, _triples
 from .kernels import _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
@@ -245,8 +245,7 @@ def markov_moment_test(
     y = series.y
     if basis is None:
         basis = default_markov_basis(series)
-    if not basis:
-        raise ValueError("basis must be nonempty")
+    _triples("basis", basis)
     n = series.T - 2
     if block_len is None:
         block_len = int(math.ceil(series.T ** (1 / 3)))

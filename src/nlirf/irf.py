@@ -77,6 +77,7 @@ class IrfRequest:
             _finite(name, getattr(self, name))
         for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)
+        _instance(KernelConfig, "a KernelConfig")("cfg", self.cfg)
 
 
 @dataclass

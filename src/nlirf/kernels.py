@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtr
 
-from ._checks import _finite, _integer, _level, _number, _object, _one_of, _positive_finite
+from ._checks import _as_reals, _finite, _integer, _level, _number, _object, _one_of, _positive_finite
 from .models import TimeSeries
 
 __all__ = [
@@ -165,7 +165,7 @@ def silverman_bandwidth(data: Sequence[float]) -> float:
     which the kernel estimators here are consistent and asymptotically
     normal.
     """
-    x = np.asarray(data, dtype=float).ravel()
+    x = _as_reals(data, "data").ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations for a bandwidth")
     sd = float(np.std(x, ddof=1))
@@ -182,7 +182,7 @@ def _resolve_bandwidth(cfg: KernelConfig, conditioning: np.ndarray) -> float:
 
 def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) -> float:
     """Kernel density estimate (1/(T*b)) * sum K((y_t - at)/b) at a point."""
-    x = np.asarray(data, dtype=float).ravel()
+    x = _as_reals(data, "data").ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations")
     _number("at", at)  # +-inf stay legal and give a zero density

@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nlirf.bench as bench
@@ -11,7 +12,8 @@ from nlirf.bench import (
     SweepSpec,
     run_sweep,
 )
-from nlirf.models import Dar1, GaussianAr1
+from nlirf.kernels import KernelConfig, cond_cdf, cond_quantile
+from nlirf.models import Dar1, GaussianAr1, simulate
 
 AR1 = GaussianAr1(rho=0.5, sigma=1.0)
 
@@ -50,13 +52,32 @@ def test_spec_validation():
 def test_oracle_smoke_zero_rmse_flags_slope(monkeypatch):
     # an estimator that returns the closed form gives zero RMSE at every size
     target = CondCdfTarget(z=0.3, y=0.5)
-    exact = bench._oracle_value(AR1, target)
+    exact = target.oracle(AR1)
     monkeypatch.setattr(bench, "cond_cdf", lambda series, z, y, cfg: SimpleNamespace(value=exact))
     spec = SweepSpec(model=AR1, sample_sizes=(500, 1000), seeds_per_size=10, target=target)
     report = run_sweep(spec, master_seed=1)
     assert all(v == 0.0 for v in report.rmse.values())
     assert report.slope_degenerate
     assert math.isnan(report.slope["kernel"])
+
+
+@pytest.mark.parametrize("target, estimate", [
+    (CondCdfTarget(z=0.3, y=0.5), lambda series, cfg: cond_cdf(series, 0.3, 0.5, cfg)),
+    (CondQuantileTarget(alpha=0.3, y=0.5), lambda series, cfg: cond_quantile(series, 0.3, 0.5, cfg)),
+])
+def test_conditional_cells_are_the_estimator_on_the_cell_series(target, estimate):
+    # each cell's estimate is the estimator's own value on the series simulated from the cell's derived seed
+    cfg = KernelConfig(kernel="epanechnikov", bandwidth=0.6)
+    spec = SweepSpec(model=Dar1.of(0.5, 1.0, 0.5), sample_sizes=(300, 600), seeds_per_size=10, target=target,
+                     cfg=cfg, y0_sim=0.2)
+    report = run_sweep(spec, master_seed=11)
+    assert [(c.T, c.seed_index, c.route) for c in report.cells] == [
+        (T, si, "kernel") for T in spec.sample_sizes for si in range(10)]
+    for c in report.cells:
+        seed = bench._cell_seed(11, spec.sample_sizes.index(c.T), c.seed_index, stream=0)
+        want = estimate(simulate(spec.model, T=c.T, y0=0.2, seed=seed), cfg).value
+        assert c.error is None
+        assert np.float64(c.estimate).tobytes() == np.float64(want).tobytes()
 
 
 def test_report_reproducible_bitwise():

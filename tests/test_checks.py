@@ -43,6 +43,7 @@ from nlirf import (
     recover_mixing,
     recover_mixing_from_acf,
     run_sweep,
+    silverman_bandwidth,
     simulate,
     true_irf,
     var_irf,
@@ -106,6 +107,19 @@ BAD_CALLS = {
     "gaussian_ar1_rho_nan": (lambda: GaussianAr1(rho=math.nan, sigma=1.0), "rho"),
     "sweep_seeds_per_size_float": (lambda: spec(seeds_per_size=10.5), "seeds_per_size"),
     "sweep_sample_sizes_float": (lambda: spec(sample_sizes=(100.5, 200)), "sample_sizes"),
+    "sweep_model_str": (lambda: spec(model="x"), "model"),
+    "sweep_target_str": (lambda: spec(target="x"), "target"),
+    "sweep_cfg_str": (lambda: spec(cfg="x"), "cfg"),
+    "sweep_y0_sim_str": (lambda: spec(y0_sim="0.1"), "y0_sim"),
+    "irf_request_cfg_dict": (lambda: IrfRequest(y0=0.2, horizons=2, delta=0.5, cfg={"bandwidth": 0.5}), "cfg"),
+    "kde_data_str": (lambda: kde(["0.1", "0.5", "-0.3", "1.2"], 0.0), "data"),
+    "kde_data_bool": (lambda: kde([True, False, True], 0.0), "data"),
+    "kde_data_nan": (lambda: kde([0.1, math.nan, -0.3, 1.2], 0.0), "data"),
+    "silverman_data_str": (lambda: silverman_bandwidth(["0.1", "0.5", "-0.3"]), "data"),
+    "silverman_data_bool": (lambda: silverman_bandwidth([True, False, True]), "data"),
+    "silverman_data_inf": (lambda: silverman_bandwidth([0.1, math.inf, -0.3]), "data"),
+    "markov_basis_pair": (lambda: markov_moment_test(SERIES, basis=[(np.sin, np.sin)], B=20), "basis"),
+    "markov_basis_not_callable": (lambda: markov_moment_test(SERIES, basis=[(1, 2, 3)], B=20), "basis"),
 }
 
 

@@ -392,6 +392,36 @@ def main_error(tmp_path, capsys, subcommand, config):
     return err
 
 
+IRF_INPUT = {"input": "CSV", "y0": 0.2, "horizons": 2, "deltas": [0.5], "S": 30}
+
+
+@pytest.mark.parametrize("key, value", [("T", 5), ("y0_sim", 9.0), ("sim_seed", 4), ("burn_in", 10)])
+@pytest.mark.parametrize("subcommand, config", [("irf", IRF_INPUT), ("decompose", DECOMPOSE)])
+def test_input_runs_reject_the_simulated_series_keys(tmp_path, capsys, subcommand, config, key, value):
+    # a key of the other series source would be ignored by the run while the manifest echoed it
+    message = f"{subcommand}: unknown config keys ['{key}']"
+    assert message in main_error(tmp_path, capsys, subcommand, {**config, key: value})
+
+
+@pytest.mark.parametrize("subcommand, config", [("irf", IRF_INPUT), ("decompose", DECOMPOSE)])
+def test_irf_and_decompose_take_exactly_one_series_source(tmp_path, capsys, subcommand, config):
+    both = {**config, "model": DAR_JSON, "T": 300}
+    assert f"{subcommand}: unknown config keys ['input']" in main_error(tmp_path, capsys, subcommand, both)
+    neither = {k: v for k, v in config.items() if k != "input"}
+    assert f"{subcommand}: missing config keys ['input']" in main_error(tmp_path, capsys, subcommand, neither)
+    with pytest.raises(ValueError, match=f"^{subcommand} must be a JSON object"):
+        run(subcommand, 5, tmp_path, 0)
+
+
+def test_schemas_hold_only_required_keys_and_json_defaults():
+    # a third kind of entry would let a key pass unchecked into the manifest
+    tables = [*cli._SCHEMA.values(), cli._GRID, *(t for source in cli._SOURCES.values() for t in source.values())]
+    for table in tables:
+        for key, value in table.items():
+            if value is not cli._REQUIRED:
+                assert json.dumps(json.loads(json.dumps(value, allow_nan=False))) == json.dumps(value), key
+
+
 @pytest.mark.parametrize("subcommand, config, message", [
     ("irf", {k: v for k, v in IRF_TRUE.items() if k != "T"}, "irf: missing config keys ['T']"),
     ("decompose", {"model": DAR_JSON, "y0": 0.2, "horizons": 2, "delta": 0.5}, "decompose: missing config keys ['T']"),
