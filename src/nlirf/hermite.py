@@ -25,13 +25,20 @@ __all__ = ["HermiteDecomposition", "hermite", "hermite_design", "decompose_irf"]
 DEFAULT_J = 5  # Hermite degrees fitted when the caller names none
 
 
+def _hermite_terms(x: np.ndarray, J: int):
+    """He_0(x), ..., He_J(x) in turn, holding two of them at a time."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)  # He_{-1} = 0 makes the first step give He_1 = x exactly
+    yield cur
+    for k in range(J):
+        prev, cur = cur, x * cur - k * prev
+        yield cur
+
+
 def hermite(j: int, x):
     """Value of the probabilists' Hermite polynomial He_j at x (scalar or array)."""
     _integer("j", j, 0)
-    x = _as_reals(x, "x")
-    prev, cur = np.zeros_like(x), np.ones_like(x)  # He_{-1} = 0 makes the first step give He_1 = x exactly
-    for k in range(j):
-        prev, cur = cur, x * cur - k * prev
+    for cur in _hermite_terms(_as_reals(x, "x"), j):
+        pass
     return cur if cur.ndim else float(cur)
 
 
@@ -46,10 +53,8 @@ def hermite_design(eps_draws, J: int) -> np.ndarray:
     if eps.size <= J + 1:
         raise ValueError(f"need more than J+1 = {J + 1} draws, got {eps.size}")
     X = np.empty((eps.size, J + 1))
-    X[:, 0] = 1.0
-    X[:, 1] = eps
-    for j in range(1, J):
-        X[:, j + 1] = eps * X[:, j] - j * X[:, j - 1]
+    for j, column in enumerate(_hermite_terms(eps, J)):
+        X[:, j] = column
     if np.linalg.matrix_rank(X) < J + 1:
         raise ValueError("Hermite design is rank deficient (duplicate draws)")
     return X

@@ -38,7 +38,7 @@ from scipy.special import ndtr
 from ._checks import _as_reals, _finite, _instance, _integer, _level, _number
 from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
 from .kernels import EPS_CLAMP, InsufficientLocalData, KernelConfig, _nw_lags, _QuantilePrep, _quantile_batch
-from .models import IrfCurve, TimeSeries, VarParams, _var_responses
+from .models import GaussianVar1, IrfCurve, TimeSeries, VarParams
 
 __all__ = [
     "IrfRequest",
@@ -331,7 +331,7 @@ def var_irf(params: VarParams, delta, h: int) -> np.ndarray:
     d = _as_reals(delta, "delta")
     if d.shape != (params.n,):
         raise ValueError(f"delta must have shape ({params.n},), got {d.shape}")
-    return _var_responses(params, d, h + 1)[-1]
+    return GaussianVar1(params).closed_form(None, h + 1, d)[-1]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -158,6 +158,10 @@ class _LocationScale:
     def step(self, y, e):
         return self.cond_mean(y) + self.cond_scale(y) * e
 
+    def closed_form(self, y0: np.ndarray, h: int, delta: np.ndarray) -> np.ndarray:
+        """Exact IRF of the leading horizons 1..k (k <= h, h >= 1) at y0, as (k, dim): none for a general law."""
+        return np.empty((0, 1))
+
 
 @dataclass(frozen=True)
 class Dar1(_LocationScale):
@@ -174,6 +178,10 @@ class Dar1(_LocationScale):
 
     def cond_scale(self, y):
         return np.sqrt(self.params.alpha + self.params.beta * y * y)
+
+    def closed_form(self, y0, h, delta):
+        """Horizon 1 only: delta times the conditional scale sqrt(alpha + beta*y0^2), fixed by y0."""
+        return (delta * self.cond_scale(y0))[None]
 
 
 @dataclass(frozen=True)
@@ -193,6 +201,10 @@ class GaussianAr1(_LocationScale):
 
     def cond_scale(self, y):
         return self.sigma
+
+    def closed_form(self, y0, h, delta):
+        """Every horizon: the shock propagates linearly, rho^(k-1)*sigma*delta at horizon k."""
+        return np.array([[self.rho ** (k - 1) * self.sigma * delta[0]] for k in range(1, h + 1)])
 
 
 @dataclass
@@ -231,6 +243,13 @@ class GaussianVar1:
     def step(self, y, e):
         """A y + D e, row-wise on (..., n) arrays."""
         return y @ self.params.A.T + e @ self.params.D.T
+
+    def closed_form(self, y0, h, delta):
+        """Every horizon, whatever y0: A^(k-1) D delta at horizon k as an (h, n) array, by repeated multiplication."""
+        vals = [self.params.D @ delta]
+        for _ in range(h - 1):
+            vals.append(self.params.A @ vals[-1])
+        return np.array(vals)
 
 
 @dataclass(frozen=True)
@@ -369,32 +388,6 @@ def simulate(model: ModelSpec, T: int, y0, seed: int, burn_in: int = 0) -> TimeS
 # True impulse responses
 # ---------------------------------------------------------------------------
 
-def _var_responses(params: VarParams, delta: np.ndarray, h: int) -> np.ndarray:
-    """Linear-VAR responses ``A^k D delta`` for k = 0..h-1 as an (h, n) array, by repeated multiplication."""
-    vals = np.empty((h, params.n))
-    v = params.D @ delta
-    for k in range(h):
-        vals[k] = v
-        v = params.A @ v
-    return vals
-
-
-def _closed_form_irf(model: ModelSpec, y0: np.ndarray, h: int, delta: np.ndarray) -> np.ndarray:
-    """Exact IRF values of the leading horizons that admit them, as a (k, n) array.
-
-    Gaussian AR/VAR: the shock propagates linearly, giving rho^(h-1)*sigma*delta
-    (resp. A^(h-1) D delta) at every horizon. DAR(1): at horizon 1 the response
-    is delta times the conditional scale sqrt(alpha + beta*y0^2), fixed by y0.
-    """
-    if isinstance(model, GaussianAr1):
-        return np.array([[model.rho ** (k - 1) * model.sigma * delta[0]] for k in range(1, h + 1)])
-    if isinstance(model, GaussianVar1):
-        return _var_responses(model.params, delta, h)
-    if isinstance(model, Dar1):
-        return (delta * model.cond_scale(y0))[None]
-    return np.empty((0, model.dim))
-
-
 def true_irf(
     model: ModelSpec,
     y0,
@@ -405,7 +398,7 @@ def true_irf(
 ) -> IrfCurve:
     """Model-implied IRF(k, delta) for k = 1..h, conditional on the state y0.
 
-    Uses the exact closed form when the model admits one (Gaussian AR/VAR
+    Uses the model's ``closed_form`` where it admits one (Gaussian AR/VAR
     at all horizons, DAR(1) at horizon 1) and common-random-number Monte
     Carlo over S paired paths otherwise; the per-horizon method is
     recorded in ``meta["method"]``.
@@ -416,8 +409,7 @@ def true_irf(
     y = _as_states(model, y0, ndim=1)
     d = _as_states(model, delta, "delta", ndim=1)
 
-    horizons = np.arange(1, h + 1)
-    exact = _closed_form_irf(model, y, h, d)
+    exact = model.closed_form(y, h, d)
     k = len(exact)
     meta = {"method": ["closed_form"] * k + ["monte_carlo"] * (h - k),
             "delta": d.tolist(), "y0": y.tolist(), "S": None, "rejected": [0] * h}
@@ -440,47 +432,35 @@ def true_irf(
         meta.update(S=S, seed=seed)
     if model.dim == 1:
         values, se = values[:, 0], se[:, 0]
-    return IrfCurve(horizons=horizons, values=values, mc_se=se, route="oracle", meta=meta)
+    return IrfCurve(horizons=np.arange(1, h + 1), values=values, mc_se=se, route="oracle", meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+# JSON variant -> (model class, the dataclass whose fields are its keys in order: its params or itself)
+_VARIANTS = {"dar1": (Dar1, DarParams), "gaussian_ar1": (GaussianAr1, GaussianAr1),
+             "gaussian_var1": (GaussianVar1, VarParams)}
+
+
 def model_to_json(model: ModelSpec) -> str:
-    if isinstance(model, Dar1):
-        p = model.params
-        obj = {"variant": "dar1", "rho": p.rho, "alpha": p.alpha, "beta": p.beta}
-    elif isinstance(model, GaussianAr1):
-        obj = {"variant": "gaussian_ar1", "rho": model.rho, "sigma": model.sigma}
-    elif isinstance(model, GaussianVar1):
-        p = model.params
-        obj = {"variant": "gaussian_var1", "A": p.A.tolist(), "D": p.D.tolist()}
-    elif isinstance(model, CondGaussian):
-        raise ValueError("conditionally Gaussian models with callable drift/scale are not JSON-serializable")
-    else:
-        raise TypeError(f"unknown model type {type(model).__name__}")
-    return json.dumps(obj)
-
-
-_MODEL_KEYS = {
-    "dar1": {"rho", "alpha", "beta"},
-    "gaussian_ar1": {"rho", "sigma"},
-    "gaussian_var1": {"A", "D"},
-}
+    """The variant name, then each key in field order; numpy numbers are written as Python ones."""
+    name = next((n for n, (cls, _) in _VARIANTS.items() if isinstance(model, cls)), None)
+    if name is None:
+        raise ValueError(f"model {type(model).__name__} is not JSON-serializable, expected one of {list(_VARIANTS)}")
+    cls, keys = _VARIANTS[name]
+    params = model if keys is cls else model.params
+    return json.dumps({"variant": name, **{f.name: np.asarray(getattr(params, f.name)).tolist() for f in fields(keys)}})
 
 
 def model_from_json(text_or_obj) -> ModelSpec:
     obj = dict(_object("model", json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj))
-    variant = _one_of(list(_MODEL_KEYS))("variant", obj.pop("variant", None))
-    extra = set(obj) - _MODEL_KEYS[variant]
-    missing = _MODEL_KEYS[variant] - set(obj)
-    if extra or missing:
+    variant = _one_of(list(_VARIANTS))("variant", obj.pop("variant", None))
+    cls, keys = _VARIANTS[variant]
+    names = {f.name for f in fields(keys)}
+    if set(obj) != names:
         raise ValueError(
-            f"model {variant!r}: unknown keys {sorted(extra)}, missing keys {sorted(missing)}"
+            f"model {variant!r}: unknown keys {sorted(set(obj) - names)}, missing keys {sorted(names - set(obj))}"
         )
-    if variant == "dar1":
-        return Dar1(DarParams(**obj))
-    if variant == "gaussian_ar1":
-        return GaussianAr1(**obj)
-    return GaussianVar1(VarParams(**obj))
+    return keys(**obj) if keys is cls else cls(keys(**obj))

@@ -16,6 +16,7 @@ import nlirf
 import nlirf.irf as irf_module
 from nlirf import (
     CondCdfTarget,
+    CondGaussian,
     Dar1,
     DarParams,
     GaussianAr1,
@@ -39,6 +40,7 @@ from nlirf import (
     lyapunov_exponent,
     markov_moment_test,
     model_from_json,
+    model_to_json,
     nadaraya_watson,
     recover_mixing,
     recover_mixing_from_acf,
@@ -120,6 +122,8 @@ BAD_CALLS = {
     "silverman_data_inf": (lambda: silverman_bandwidth([0.1, math.inf, -0.3]), "data"),
     "markov_basis_pair": (lambda: markov_moment_test(SERIES, basis=[(np.sin, np.sin)], B=20), "basis"),
     "markov_basis_not_callable": (lambda: markov_moment_test(SERIES, basis=[(1, 2, 3)], B=20), "basis"),
+    "model_to_json_not_a_model": (lambda: model_to_json(object()), "model"),
+    "model_to_json_cond_gaussian": (lambda: model_to_json(CondGaussian(drift=np.tanh, scale=np.cosh)), "model"),
 }
 
 

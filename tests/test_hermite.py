@@ -27,9 +27,46 @@ def eval_poly(coeffs, x):
     return sum(c * x**k for k, c in enumerate(coeffs))
 
 
+def loop_hermite(j, x):
+    """The recurrence as ``hermite`` ran it on its own, from He_{-1} = 0 and He_0 = 1."""
+    x = np.asarray(x, dtype=float)
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(j):
+        prev, cur = cur, x * cur - k * prev
+    return cur if cur.ndim else float(cur)
+
+
+def loop_design(eps, J):
+    """The recurrence as ``hermite_design`` ran it on its own, column by column."""
+    X = np.empty((eps.size, J + 1))
+    X[:, 0] = 1.0
+    X[:, 1] = eps
+    for j in range(1, J):
+        X[:, j + 1] = eps * X[:, j] - j * X[:, j - 1]
+    return X
+
+
 # ---------------------------------------------------------------------------
 # polynomial values
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(), (257,), (13, 9)])
+def test_hermite_is_the_design_column_bitwise(shape):
+    J, rng = 8, np.random.default_rng(21)
+    x = rng.standard_normal(shape) * 2.5
+    X = hermite_design(np.concatenate([x.ravel(), rng.standard_normal(20)]), J)  # a design needs > J + 1 draws
+    for j in range(J + 1):
+        got = np.asarray(hermite(j, x))
+        assert got.shape == shape and got.tobytes() == np.asarray(loop_hermite(j, x)).tobytes()
+        assert got.ravel().tobytes() == X[:x.size, j].tobytes()
+
+
+def test_design_equals_the_column_loop_bitwise():
+    eps = np.random.default_rng(22).standard_normal(1000)
+    for J in (1, 2, 5, 9):
+        X = hermite_design(eps, J)
+        assert X.flags.c_contiguous and X.tobytes() == loop_design(eps, J).tobytes()
+
 
 def test_tabulated_values():
     assert hermite(2, 0.0) == pytest.approx(-1.0, abs=1e-15)

@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 import nlirf.irf as irf_module
 import nlirf.kernels as kernels
-import nlirf.models as models
 from nlirf.hermite import decompose_irf
 from nlirf.irf import (
     Indicator,
@@ -316,7 +315,7 @@ def test_var_irf_and_closed_form_share_the_recursion_bitwise():
     M = rng.standard_normal((3, 3))
     p = VarParams(A=0.9 * M / np.max(np.abs(np.linalg.eigvals(M))), D=rng.standard_normal((3, 3)) + 3 * np.eye(3))
     delta = rng.standard_normal(3)
-    closed = models._closed_form_irf(GaussianVar1(p), np.zeros(3), 8, delta)  # horizon k is A^(k-1) D delta
+    closed = GaussianVar1(p).closed_form(np.zeros(3), 8, delta)  # horizon k is A^(k-1) D delta
     for h in (0, 1, 2, 5, 7):
         want = _ref_var_power(p, delta, h)
         assert var_irf(p, delta, h).tobytes() == want.tobytes() == closed[h].tobytes()

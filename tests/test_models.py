@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+import nlirf
 from nlirf.models import (
     CondGaussian,
     Dar1,
@@ -437,6 +440,29 @@ def test_true_irf_equals_replication_loop_reference(model):
     np.testing.assert_allclose(curve.mc_se[k:], diffs.std(axis=0, ddof=1)[k:] / math.sqrt(S), rtol=0, atol=1e-12)
 
 
+def _reference_closed_form(model, y0, h, delta):
+    """The type dispatch the models' ``closed_form`` methods replaced."""
+    if isinstance(model, GaussianAr1):
+        return np.array([[model.rho ** (k - 1) * model.sigma * delta[0]] for k in range(1, h + 1)])
+    if isinstance(model, GaussianVar1):
+        vals, v = np.empty((h, model.dim)), model.params.D @ delta
+        for k in range(h):
+            vals[k], v = v, model.params.A @ v
+        return vals
+    if isinstance(model, Dar1):
+        return (delta * model.cond_scale(y0))[None]
+    return np.empty((0, model.dim))
+
+
+@pytest.mark.parametrize("h", [1, 2, 7])
+@pytest.mark.parametrize("model", EQUALITY_MODELS, ids=lambda m: type(m).__name__)
+def test_closed_form_equals_type_dispatch_reference(model, h):
+    y0, delta = (np.array([0.7]), np.array([-1.3])) if model.dim == 1 else (np.array([0.2, -0.1]), np.array([0.9, 0.4]))
+    got = model.closed_form(y0, h, delta)
+    want = _reference_closed_form(model, y0, h, delta)
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_true_irf_steps_all_replications_per_transition_call(monkeypatch):
     import nlirf.models as models
 
@@ -464,7 +490,9 @@ def test_true_irf_validates_inputs():
 # ---------------------------------------------------------------------------
 
 def test_model_json_round_trip():
-    for model in (DAR, GaussianAr1(0.5, 1.0)):
+    # numpy numbers pass the constructors, so they must serialize too
+    for model in (DAR, GaussianAr1(0.5, 1.0), Dar1.of(np.float32(0.1), np.int64(1), 0.5),
+                  GaussianAr1(np.float32(0.5), np.float32(1.0))):
         back = model_from_json(model_to_json(model))
         assert back == model
     var = GaussianVar1(VarParams(A=0.5 * np.eye(2), D=np.eye(2)))
@@ -473,9 +501,47 @@ def test_model_json_round_trip():
     np.testing.assert_array_equal(back.params.D, var.params.D)
 
 
+# the strings the per-class converters wrote: key order, ints kept as ints, nested lists for VAR matrices
+JSON_PINS = [
+    (EQUALITY_MODELS[0], '{"variant": "dar1", "rho": 0.5, "alpha": 1.0, "beta": 0.3}'),
+    (Dar1.of(0.5, 1, 0), '{"variant": "dar1", "rho": 0.5, "alpha": 1, "beta": 0}'),
+    (EQUALITY_MODELS[1], '{"variant": "gaussian_ar1", "rho": 0.6, "sigma": 1.3}'),
+    (EQUALITY_MODELS[3],
+     '{"variant": "gaussian_var1", "A": [[0.5, 0.1], [-0.2, 0.3]], "D": [[1.0, 0.0], [0.4, 0.7]]}'),
+    (Dar1.of(np.float32(0.1), np.int64(1), 0.5),
+     '{"variant": "dar1", "rho": 0.10000000149011612, "alpha": 1, "beta": 0.5}'),
+    (GaussianAr1(np.float32(0.5), np.float32(1.0)), '{"variant": "gaussian_ar1", "rho": 0.5, "sigma": 1.0}'),
+]
+
+
+@pytest.mark.parametrize("model, text", JSON_PINS, ids=["dar1", "dar1_ints", "gaussian_ar1", "gaussian_var1",
+                                                        "dar1_numpy", "gaussian_ar1_numpy"])
+def test_model_to_json_strings_are_pinned(model, text):
+    assert model_to_json(model) == text
+
+
 def test_model_json_unknown_variant():
     with pytest.raises(ValueError):
         model_from_json('{"variant": "mystery"}')
+
+
+def test_model_to_json_refuses_callable_laws():
+    with pytest.raises(ValueError, match="^model CondGaussian is not JSON-serializable"):
+        model_to_json(EQUALITY_MODELS[2])
+
+
+def test_model_classes_are_dispatched_only_by_the_stationarity_guard():
+    # each model carries its closed form and the JSON table maps the variants, so no other code branches on a model
+    model_classes = {"Dar1", "GaussianAr1", "GaussianVar1", "CondGaussian"}
+    found = []
+    for path in sorted(Path(nlirf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node (ast.walk is breadth first); module level has none
+        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        found += [(path.name, owner.get(id(call))) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "isinstance"
+                  and {n.id for n in ast.walk(call.args[1]) if isinstance(n, ast.Name)} & model_classes]
+    assert found == [("models.py", "simulate")]
 
 
 def test_timeseries_csv_round_trip(tmp_path):
