@@ -22,7 +22,7 @@ from scipy.special import ndtr, ndtri
 
 from .irf import _ROUTES, IrfRequest, _route_irf
 from ._checks import _finite, _instance, _integer, _level, _nonempty_list
-from .kernels import KernelConfig, cond_cdf, cond_quantile
+from .kernels import KernelConfig, _a_config, cond_cdf, cond_quantile
 from .models import ModelSpec, TimeSeries, simulate, true_irf
 
 __all__ = [
@@ -123,7 +123,7 @@ class SweepSpec:
         _integer("seeds_per_size", self.seeds_per_size, 10)
         _instance(ModelSpec, "a model")("model", self.model)
         _instance(Target, "an IrfTarget, CondCdfTarget or CondQuantileTarget")("target", self.target)
-        _instance(KernelConfig, "a KernelConfig")("cfg", self.cfg)
+        _a_config("cfg", self.cfg)
         _finite("y0_sim", self.y0_sim)
 
 

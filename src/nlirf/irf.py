@@ -13,14 +13,14 @@ y_{t+h} | y_t = y0]:
   bandwidth and one kernel-weight evaluation serve all lags.
 
 Both routes produce one PathSimulation of paired outcomes, and every
-response and the Hermite decomposition reduce it. The paths share
-innovations (common random numbers), so a zero shock gives an exactly zero
-curve, and the routes coincide bitwise at horizon one, where the local
-projection applies the identity prediction to the very same simulated
-states. An outcome that leaves the estimable region (kernel mass below
-threshold) is NaN, and its replication is rejected at that horizon rather
-than extrapolated; estimation aborts when more than 10% of replications
-are rejected at some horizon.
+response reduces it; the Hermite decomposition reduces the baselines of a
+zero-shock pair. The paths share innovations (common random numbers), so a
+zero shock gives an exactly zero curve, and the routes coincide bitwise at
+horizon one, where the local projection applies the identity prediction to
+the very same simulated states. An outcome whose path leaves the estimable
+region (kernel mass below threshold) is NaN, and its replication is
+rejected at that horizon rather than extrapolated; estimation aborts when
+more than 10% of replications are rejected at some horizon.
 
 Closed-form linear-VAR responses and the identifiable maximal response
 over unit-norm shocks are also provided for multivariate diagnostics.
@@ -29,7 +29,7 @@ over unit-norm shocks are also provided for multivariate diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Union
 
 import numpy as np
@@ -37,7 +37,8 @@ from scipy.special import ndtr
 
 from ._checks import _as_reals, _finite, _instance, _integer, _level, _number
 from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
-from .kernels import EPS_CLAMP, InsufficientLocalData, KernelConfig, _nw_lags, _QuantilePrep, _quantile_batch
+from .kernels import (EPS_CLAMP, InsufficientLocalData, KernelConfig, _a_config, _a_series, _nw_lags, _QuantilePrep,
+                      _quantile_batch)
 from .models import GaussianVar1, IrfCurve, TimeSeries, VarParams
 
 __all__ = [
@@ -77,17 +78,25 @@ class IrfRequest:
             _finite(name, getattr(self, name))
         for name, least in (("horizons", 1), ("S", 1), ("seed", 0)):
             _integer(name, getattr(self, name), least)
-        _instance(KernelConfig, "a KernelConfig")("cfg", self.cfg)
+        _a_config("cfg", self.cfg)
+
+
+def _check_inputs(series: TimeSeries, req: IrfRequest) -> None:
+    """Refuse a ``series`` that is not a TimeSeries or a ``req`` that is not an IrfRequest, before either is read."""
+    _a_series("series", series)
+    _instance(IrfRequest, "an IrfRequest")("req", req)
 
 
 @dataclass
 class PathSimulation:
     """Paired (baseline, shocked) outcomes of S replications at horizons 1..H, from either route.
 
-    ``paths[:, s, h-1]`` holds the (baseline, shocked) horizon-h outcomes of replication s, NaN
-    exactly where it has left the estimable region; ``base`` and ``shock`` view its first and last
-    row, and ``valid`` marks the pairs with both. ``eps1`` holds the step-one innovations shared by
-    both paths before the shock, and ``bandwidth`` is the kernel bandwidth.
+    ``paths[:, s, h-1]`` holds the (baseline, shocked) horizon-h outcomes of replication s, each NaN exactly
+    where its own path has left the estimable region; ``base`` and ``shock`` view the two rows, and ``valid``
+    marks the pairs with both. ``eps1`` holds the step-one innovations shared by both paths before the shock,
+    and ``bandwidth`` is the kernel bandwidth. A baseline does not depend on the shock, so a decomposition
+    reads the baselines of a zero-shock pair, whose shocked row adds no kernel row, and ``req.delta`` only
+    scales its contributions.
     """
 
     paths: np.ndarray
@@ -100,7 +109,7 @@ class PathSimulation:
 
     @property
     def shock(self) -> np.ndarray:
-        return self.paths[-1]
+        return self.paths[1]
 
     @property
     def S(self) -> int:
@@ -145,37 +154,33 @@ def _simulate_step1(series: TimeSeries, req: IrfRequest):
 
 
 def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
-    """Simulate S paired (baseline, shocked) paths of length H through g_hat."""
+    """Simulate S paired (baseline, shocked) paths of length H through g_hat; each path steps until it leaves."""
+    _check_inputs(series, req)
     prep, rng, eps1, step1 = _simulate_step1(series, req)
     paths = np.full((2, req.S, req.horizons), np.nan)
     paths[:, :, 0] = step1
 
     for k in range(1, req.horizons):
         eps_k = rng.standard_normal(req.S)
-        idx = np.flatnonzero(np.isfinite(paths[0, :, k - 1]))  # a pair leaves together, so the baseline tells
-        ys, alphas = paths[:, idx, k - 1].ravel(), np.tile(_rank(eps_k[idx]), 2)
-        vals, ok, _ = _quantile_batch(prep, ys, alphas, keep=k + 1 < req.horizons)  # rows that a later step reads
-        pair = ok.reshape(2, -1).all(axis=0)
-        paths[:, idx[pair], k] = vals.reshape(2, -1)[:, pair]
+        row, rep = np.nonzero(np.isfinite(paths[:, :, k - 1]))  # either row's outcomes, each on its own path
+        keep = k + 1 < req.horizons  # the rows that a later step reads
+        paths[row, rep, k] = _quantile_batch(prep, paths[row, rep, k - 1], _rank(eps_k)[rep], keep)[0]
 
     return PathSimulation(paths, eps1, prep.bandwidth)
 
 
-def _lp_paths(series: TimeSeries, req: IrfRequest, paired: bool = True) -> PathSimulation:
-    """The local projection's outcomes: the step-one states, then their (h-1)-step predictions.
-
-    Both rows of step-one states are fitted if ``paired``; otherwise only the baseline row, and
-    ``shock`` is ``base``. A prediction that fails the mass rule is NaN.
-    """
+def _lp_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
+    """The local projection's outcomes: the step-one states, then their (h-1)-step predictions, NaN where
+    a prediction fails the mass rule."""
+    _check_inputs(series, req)
     if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
         raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
     prep, _, eps1, step1 = _simulate_step1(series, req)
-    points = step1 if paired else step1[:1]
-    vals = np.empty((req.horizons, points.size))
-    vals[0] = points.ravel()
+    vals = np.empty((req.horizons, step1.size))
+    vals[0] = step1.ravel()
     if req.horizons > 1:
         vals[1:] = _nw_lags(series, req.cfg, vals[0], range(1, req.horizons), prep.bandwidth)[0]
-    return PathSimulation(vals.reshape(req.horizons, *points.shape).transpose(1, 2, 0), eps1, prep.bandwidth)
+    return PathSimulation(vals.reshape(req.horizons, 2, req.S).transpose(1, 2, 0), eps1, prep.bandwidth)
 
 
 def _reduce(sim: PathSimulation, req: IrfRequest, route: str, stat, **meta) -> IrfCurve:
@@ -307,6 +312,7 @@ def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     Requires H >= 2; at horizon one the lagged state is the conditioning
     value y0 itself, shared by both paths.
     """
+    _check_inputs(series, req)
     if req.horizons < 2:
         raise ValueError("dynamic response needs horizons >= 2")
     sim = simulate_paths(series, req)
@@ -373,7 +379,7 @@ def _decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[Hermite
     """Regress each horizon's baseline outcomes on the Hermite polynomials of their step-one innovations.
 
     Replications are selected by the baseline outcome alone: requiring the shocked one too
-    would select on eps1 and bias the fit.
+    would select on eps1 and bias the fit. ``req.delta`` only scales the contributions.
     """
     kept = np.isfinite(sim.base)
     _check_rejections(sim.S - kept.sum(axis=0), sim.S)
@@ -382,12 +388,14 @@ def _decomposition(sim: PathSimulation, req: IrfRequest, J: int) -> List[Hermite
 
 
 def decompose_direct_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
-    """Hermite decomposition of the direct-route response, one entry per horizon."""
+    """Hermite decomposition of the direct-route response, per horizon; ``req.delta`` only scales the contributions."""
     _integer("J", J, 1)
-    return _decomposition(simulate_paths(series, req), req, J)
+    _check_inputs(series, req)
+    return _decomposition(simulate_paths(series, replace(req, delta=0.0)), req, J)
 
 
 def decompose_lp_irf(series: TimeSeries, req: IrfRequest, J: int = DEFAULT_J) -> List[HermiteDecomposition]:
-    """Hermite decomposition of the local-projection route, per horizon; fits the baseline states only."""
+    """Hermite decomposition of the local-projection route, per horizon; ``req.delta`` only scales the contributions."""
     _integer("J", J, 1)
-    return _decomposition(_lp_paths(series, req, paired=False), req, J)
+    _check_inputs(series, req)
+    return _decomposition(_lp_paths(series, replace(req, delta=0.0)), req, J)

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.special import ndtr
 
-from ._checks import _as_reals, _finite, _integer, _level, _number, _object, _one_of, _positive_finite
+from ._checks import _as_reals, _finite, _instance, _integer, _level, _number, _object, _one_of, _positive_finite
 from .models import TimeSeries
 
 __all__ = [
@@ -149,6 +149,9 @@ class KernelConfig:
         return cls(**obj)
 
 
+_a_series, _a_config = _instance(TimeSeries, "a TimeSeries"), _instance(KernelConfig, "a KernelConfig")
+
+
 @dataclass(frozen=True)
 class ConditionalEstimate:
     """A conditional estimate plus local-mass diagnostics."""
@@ -186,6 +189,7 @@ def kde(data: Sequence[float], at: float, cfg: KernelConfig = KernelConfig()) ->
     if x.size < 2:
         raise ValueError("need at least 2 observations")
     _number("at", at)  # +-inf stay legal and give a zero density
+    _a_config("cfg", cfg)
     b = _resolve_bandwidth(cfg, x)
     return float(_density(x, np.array([at], dtype=float), b, cfg.kernel)[0])
 
@@ -440,6 +444,8 @@ def cond_cdf(
     """
     _number("z", z)  # +-inf stay legal and give exactly 0 or 1
     _number("y", y)  # +-inf stay legal and have no local data
+    _a_series("series", series)
+    _a_config("cfg", cfg)
     prep = _QuantilePrep.from_series(series, cfg)
     w = next(_weight_blocks(prep.x, np.array([y], dtype=float), prep.bandwidth, prep.kernel))[2][0]
     max_w = float(w.max())
@@ -467,6 +473,8 @@ def cond_quantile(
     """
     _level("alpha", alpha)
     _number("y", y)
+    _a_series("series", series)
+    _a_config("cfg", cfg)
     prep = _QuantilePrep.from_series(series, cfg)
     (value,), (good,), (mass,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
     if not good:
@@ -484,6 +492,8 @@ def g_hat(
     for fixed y and data.
     """
     _finite("eps", eps)
+    _a_series("series", series)
+    _a_config("cfg", cfg)
     if abs(eps) > EPS_CLAMP:
         warnings.warn(
             f"shock {eps:.3g} clamped to [-{EPS_CLAMP:.0f}, {EPS_CLAMP:.0f}]",
@@ -500,6 +510,8 @@ def nadaraya_watson(
     """Nadaraya-Watson estimate of the h-step prediction E[y_{t+h} | y_t = y], bandwidth from y[:T-h]."""
     _integer("h", h, 1)
     _number("y", y)
+    _a_series("series", series)
+    _a_config("cfg", cfg)
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
     if not ok.item():
         raise InsufficientLocalData(

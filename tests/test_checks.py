@@ -7,6 +7,7 @@ never silently run. Numpy scalars pass like Python ones.
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,13 @@ from nlirf import (
     decompose_direct_irf,
     decompose_irf,
     decompose_lp_irf,
+    g_hat,
     hermite,
     hermite_design,
+    irf_direct,
+    irf_dynamic,
+    irf_joint,
+    irf_lp,
     irf_transformed,
     kde,
     lyapunov_exponent,
@@ -47,6 +53,7 @@ from nlirf import (
     run_sweep,
     silverman_bandwidth,
     simulate,
+    simulate_paths,
     true_irf,
     var_irf,
     var_max_irf,
@@ -124,6 +131,11 @@ BAD_CALLS = {
     "markov_basis_not_callable": (lambda: markov_moment_test(SERIES, basis=[(1, 2, 3)], B=20), "basis"),
     "model_to_json_not_a_model": (lambda: model_to_json(object()), "model"),
     "model_to_json_cond_gaussian": (lambda: model_to_json(CondGaussian(drift=np.tanh, scale=np.cosh)), "model"),
+    "irf_direct_series_str": (lambda: irf_direct("x", REQ), "series"),
+    "irf_lp_req_dict": (lambda: irf_lp(SERIES, {"y0": 0.2}), "req"),
+    "cond_quantile_cfg_dict": (lambda: cond_quantile(SERIES, 0.5, 0.0, cfg={"kernel": "gaussian"}), "cfg"),
+    "kde_cfg_str": (lambda: kde(SERIES.y, 0.1, cfg="x"), "cfg"),
+    "cond_cdf_series_list": (lambda: cond_cdf([0.1, 0.2, 0.3], 0.1, 0.1), "series"),
 }
 
 
@@ -168,6 +180,29 @@ def test_J_is_checked_before_any_path_is_simulated(monkeypatch, decompose):
         monkeypatch.setattr(irf_module, name, lambda *a: pytest.fail("simulated"))
     with pytest.raises(ValueError, match="^J "):
         decompose(SERIES, REQ, J=0)
+
+
+@pytest.mark.parametrize("call", [simulate_paths, irf_direct, irf_lp, irf_dynamic, irf_joint, decompose_direct_irf,
+                                  decompose_lp_irf, lambda series, req: irf_transformed(series, req, Indicator(0.0))])
+def test_series_and_request_are_checked_before_any_path_is_simulated(monkeypatch, call):
+    monkeypatch.setattr(irf_module, "_simulate_step1", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="^series must be a TimeSeries"):
+        call(SERIES.y, REQ)
+    with pytest.raises(ValueError, match="^req must be an IrfRequest"):
+        call(SERIES, {"y0": 0.2, "horizons": 2, "delta": 0.5})
+
+
+@pytest.mark.parametrize("call", [lambda series, cfg: cond_cdf(series, 0.1, 0.1, cfg),
+                                  lambda series, cfg: cond_quantile(series, 0.5, 0.1, cfg),
+                                  lambda series, cfg: g_hat(series, 0.1, 9.0, cfg),  # a shock it would clamp
+                                  lambda series, cfg: nadaraya_watson(series, 1, 0.1, cfg)])
+def test_series_and_kernel_config_are_checked_before_any_estimate(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the clamp warns
+        with pytest.raises(ValueError, match="^series must be a TimeSeries"):
+            call(list(SERIES.y), KernelConfig())
+        with pytest.raises(ValueError, match="^cfg must be a KernelConfig"):
+            call(SERIES, KernelConfig().to_json_obj())
 
 
 def test_argument_checks_have_one_home():

@@ -246,6 +246,26 @@ def test_decompose_lp_fits_once(tmp_path, monkeypatch):
     assert coefficients == [c for d in decompose_lp_irf(series, req, J=3) for c in d.coefficients[1:]]
 
 
+def test_decompose_direct_with_shocked_exits_matches_the_library(tmp_path):
+    # a threshold that takes some shocked paths out of the estimable region and keeps their
+    # baselines: the CLI's paired simulation has the baselines of the library's zero-shock pair
+    from nlirf.irf import IrfRequest, decompose_direct_irf, simulate_paths
+    from nlirf.kernels import KernelConfig
+
+    series = simulate(Dar1.of(0.5, 1.0, 0.5), T=800, y0=0.2, seed=3)
+    series.to_csv(tmp_path / "s.csv")
+    config = {"input": str(tmp_path / "s.csv"), "y0": 0.2, "horizons": 7, "delta": 0.5, "S": 300, "J": 3,
+              "kernel": {"min_weight_sum": 5.0}}
+    run("decompose", config, tmp_path / "out", master_seed=3)
+    req = IrfRequest(y0=0.2, horizons=7, delta=0.5, S=300, seed=derive_seed(3, "decompose"),
+                     cfg=KernelConfig(min_weight_sum=5.0))
+    live = np.isfinite(simulate_paths(series, req).paths)
+    assert (live[0] & ~live[1]).any()
+    body = [ln.split(",") for ln in (tmp_path / "out" / "decompose.csv").read_text().splitlines()[2:]]
+    coefficients = [float(row[3]) for row in body if row[2] in ("1", "2", "3")]
+    assert coefficients == [c for d in decompose_direct_irf(series, req, J=3) for c in d.coefficients[1:]]
+
+
 # sha256 of manifest.json as written when the CLI restated the library defaults
 # (S=10_000, the bench target's S=2000 and routes, the QMLE grid, J=5, max_lag=5,
 # B=500, level=0.05, the 201-point density grid)

@@ -104,7 +104,9 @@ def _square(u):
 # recorded under ENVIRONMENT: sha256 of the curve's values then mc_se bytes, or of the
 # horizons' Hermite coefficients in order; decompose_lp_irf/gaussian (formerly b9b92bec6f83774b...)
 # and irf_lp/epanechnikov (formerly 930f1bea82f7f93d...) moved in their last bits when the local
-# projection came to fit each distinct step-one state once, since the matvec's row count changed
+# projection came to fit each distinct step-one state once, since the matvec's row count changed;
+# decompose_direct_irf (formerly cf051281c049eb02...) moved when it came to read the baselines of a
+# zero-shock pair, which keeps the replications whose shocked partner left
 CURVE_GOLDEN = {
     "irf_lp/gaussian": "88e172b35668ac77fcdc29d9dda7a8e7aaca477b243cab27f1ea36c55f6f4cdc",
     "decompose_lp_irf/gaussian": "58c16a71da816d02420d088e87f9ecfa94459cc8b96290c9eae54daf9629c010",
@@ -115,7 +117,7 @@ CURVE_GOLDEN = {
     "irf_transformed/callable": "5cafca0e243c848e71fc09b861f959672850d8cd01199990081d5c6d4359b3d7",
     "irf_dynamic": "f84a28a6cf98ab2390a0f6f8a5d3e32994d64a027c21db57019fb643e7f4cc5c",
     "irf_joint": "bdae786562a80416e68d3f610f0fbd196d133cfa1fcc4748ccbd13a8ddec0a12",
-    "decompose_direct_irf": "cf051281c049eb0276350ba6a6bff276b8bb3c84f94162783962e5de3093cf05",
+    "decompose_direct_irf": "eba2801f52cebac02232532774c1d6f15b14ba8a0fea36c7631cd9575491f77c",
 }
 
 
@@ -157,7 +159,9 @@ REJECTED = {"direct": [0, 0, 3, 11, 18, 24, 27], "local_projection": [0, 3, 3, 3
 # recorded under ENVIRONMENT, as CURVE_GOLDEN and GOLDEN, on the code before every response
 # came to reduce one PathSimulation; irf_lp (formerly e246fd98141a0121...), decompose_lp_irf
 # (formerly b9b92bec6f83774b...) and decompose_lp/decompose.csv (formerly 2067c3e1438ff424...)
-# moved in their last bits when the local projection came to fit each distinct state once
+# moved in their last bits when the local projection came to fit each distinct state once;
+# decompose_direct_irf (formerly f7ec10ff3ca120b8...) moved when it came to read the baselines of a
+# zero-shock pair, which keeps the replications whose shocked partner left
 REJECTION_GOLDEN = {
     "irf_direct": "8354f8d7eecc76c383469f89504b96622881dba7cdaaa4e74ad20585e9fb9571",
     "irf_joint": "0235c28b979d1b540ef683a25ae3b2fa40914e0326d2d11c5b3038947aa4a24c",
@@ -165,7 +169,7 @@ REJECTION_GOLDEN = {
     "irf_transformed/indicator": "48d8a82c8c04d2126c607f297a4e16665db5245f27ae816a09bc3dda0ac8dd5e",
     "irf_transformed/quantile_level": "875e584d6008c4bb297ce14f1ab397e24dcbd02a53070a608c6eaaf070932838",
     "irf_lp": "c2def0c538e185d770e54aa844bcd23e41cc28fde4c8f16a7662da5634c69055",
-    "decompose_direct_irf": "f7ec10ff3ca120b80d3423b4382681a9d70df0c98a1960e226d116f4c562e569",
+    "decompose_direct_irf": "a0304dbff3725f82a8e7ff5b292955869107f5e4e9fe01a50b65333e89fa04e0",
     "decompose_lp_irf": "58c16a71da816d02420d088e87f9ecfa94459cc8b96290c9eae54daf9629c010",
     "decompose_lp/decompose.csv": "a4d6a2a89ca6dbdc3b777415a0f4ace4653bd9a6dcff633484edf921214f9776",
     "decompose_lp/manifest.json": "59fc66df972469915a9cedbf06a3dc8a698f2d522c8e8b392e88d13c21ca27b5",

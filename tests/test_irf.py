@@ -1,8 +1,10 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import nlirf.irf as irf_module
@@ -248,17 +250,19 @@ def test_mass_threshold_rejections_counted_or_fatal(dar_series):
 
 
 def test_decompositions_refuse_to_extrapolate(dar_series):
-    # the same thresholds that abort the plain routes abort their decompositions
+    # a huge shock takes every shocked path out of the estimable region, which aborts the direct
+    # route; the decompositions read baselines alone, and too few of those leave to abort them
     req = IrfRequest(y0=0.2, horizons=4, delta=8.0, S=300, seed=15, cfg=KernelConfig(min_weight_sum=30.0))
     with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
         irf_direct(dar_series, req)
-    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
-        decompose_direct_irf(dar_series, req)
+    assert (~np.isfinite(simulate_paths(dar_series, req).shock[:, 1:])).all()
+    assert len(decompose_direct_irf(dar_series, req)) == len(decompose_lp_irf(dar_series, req)) == 4
+    # a threshold that removes baselines too aborts both routes and both decompositions
     req = IrfRequest(y0=0.2, horizons=3, delta=0.5, S=300, seed=15, cfg=KernelConfig(min_weight_sum=200.0))
-    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
-        irf_lp(dar_series, req)
-    with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
-        decompose_lp_irf(dar_series, req)
+    assert (~np.isfinite(simulate_paths(dar_series, req).base)).sum(axis=0).max() > 0.1 * req.S
+    for fn in (irf_direct, decompose_direct_irf, irf_lp, decompose_lp_irf):
+        with pytest.raises(InsufficientLocalData, match="refusing to extrapolate"):
+            fn(dar_series, req)
 
 
 def test_path_simulation_bookkeeping(dar_series):
@@ -266,11 +270,41 @@ def test_path_simulation_bookkeeping(dar_series):
     req = IrfRequest(y0=0.2, horizons=5, delta=2.0, S=200, seed=16, cfg=KernelConfig(min_weight_sum=30.0))
     sim = simulate_paths(dar_series, req)
     assert sim.base.shape == sim.shock.shape == sim.valid.shape == (200, 5)
-    # a pair leaves the estimable region together, and its outcomes are NaN exactly from then on
-    np.testing.assert_array_equal(sim.valid, np.isfinite(sim.base))
-    np.testing.assert_array_equal(sim.valid, np.isfinite(sim.shock))
-    assert sim.valid[:, 0].all() and 0 < sim.valid[:, -1].sum() < sim.S
-    assert np.all(sim.valid[:, 1:] <= sim.valid[:, :-1])  # each row is a prefix: once invalid, always
+    # each path steps on its own, so its outcomes are NaN exactly from the step it leaves, and a
+    # replication is valid where both of its paths live
+    live = np.isfinite(sim.paths)
+    assert live[:, :, 0].all() and np.all(live[:, :, 1:] <= live[:, :, :-1])  # each path is a prefix
+    np.testing.assert_array_equal(sim.valid, live.all(axis=0))
+    assert 0 < sim.valid[:, -1].sum() < sim.S
+    assert (live[0] & ~live[1]).any() and (live[1] & ~live[0]).any()  # either path may outlive the other
+
+
+SERIES_800 = simulate(DAR, T=800, y0=0.2, seed=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), delta=st.floats(-3.0, 3.0), kernel=st.sampled_from(["gaussian", "epanechnikov"]),
+       mass=st.sampled_from([None, 5.0, 10.0, 30.0]))
+def test_baselines_do_not_depend_on_the_shock(seed, delta, kernel, mass):
+    # which shocked states share a step's batch never moves a quantile, and a baseline steps on
+    # its own, so it has the same bits, NaN included, at every shock
+    req = IrfRequest(y0=0.2, horizons=5, delta=delta, S=100, seed=seed, cfg=KernelConfig(kernel, min_weight_sum=mass))
+    base = simulate_paths(SERIES_800, req).base
+    assert base.tobytes() == simulate_paths(SERIES_800, replace(req, delta=0.0)).base.tobytes()
+
+
+@pytest.mark.parametrize("delta, shock_only", [(0.5, [0, 0, 1, 3, 4, 3, 3]), (1.5, [0, 3, 20, 21, 22, 21, 21])])
+def test_direct_decomposition_reads_the_baselines_of_any_shock(delta, shock_only):
+    # the decomposition simulates a zero-shock pair; the pair at the real shock has the same
+    # baselines, so the same fit, although some of their shocked partners leave
+    req = IrfRequest(y0=0.2, horizons=7, delta=delta, S=300, seed=5, cfg=KernelConfig(min_weight_sum=5.0))
+    sim = simulate_paths(SERIES_800, req)
+    live = np.isfinite(sim.paths)
+    assert (live[0] & ~live[1]).sum(axis=0).tolist() == shock_only
+    assert np.any(live[0].sum(axis=0) > sim.valid.sum(axis=0))  # kept beyond the valid pairs
+    for got, want in zip(decompose_direct_irf(SERIES_800, req), irf_module._decomposition(sim, req, J=5)):
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+        assert got.coef_se.tobytes() == want.coef_se.tobytes()
 
 
 # ---------------------------------------------------------------------------

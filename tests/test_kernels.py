@@ -796,11 +796,11 @@ def _ref_simulate_paths(series, req):
     paths[:, :, 0] = vals.reshape(2, req.S)
     for k in range(1, req.horizons):
         eps_k = rng.standard_normal(req.S)
-        idx = np.flatnonzero(np.isfinite(paths[0, :, k - 1]))
-        ys, alphas = paths[:, idx, k - 1].ravel(), np.tile(irf._rank(eps_k[idx]), 2)
-        vals, ok = _ref_quantile_batch(kernels._QuantilePrep.from_series(series, req.cfg), ys, alphas)
-        pair = ok.reshape(2, -1).all(axis=0)
-        paths[:, idx[pair], k] = vals.reshape(2, -1)[:, pair]
+        for path in paths:  # each row steps on its own until its path leaves
+            idx = np.flatnonzero(np.isfinite(path[:, k - 1]))
+            vals, ok = _ref_quantile_batch(kernels._QuantilePrep.from_series(series, req.cfg), path[idx, k - 1],
+                                           irf._rank(eps_k[idx]))
+            path[idx[ok], k] = vals[ok]
     return paths
 
 
@@ -1032,6 +1032,38 @@ def _ref_decompose_lp(series, req, bandwidth=None, distinct=True):
     _, _, eps1, (base1, _) = irf._simulate_step1(series, req)
     fits = _ref_lp_predictions(series, req, base1, bandwidth, distinct)
     return [decompose_irf(v[ok], eps1[ok], req.delta, J=4, h=h) for h, (v, ok) in enumerate(fits, start=1)]
+
+
+def _unpaired_lp_decomposition(series, req, J):
+    """decompose_lp_irf as it was before it read a zero-shock pair: ``_lp_paths(paired=False)`` fitted the
+    S baseline step-one states alone, as a one-row simulation, and ``_decomposition`` reduced it."""
+    prep, _, eps1, step1 = irf._simulate_step1(series, req)
+    points = step1[:1]
+    vals = np.empty((req.horizons, points.size))
+    vals[0] = points.ravel()
+    if req.horizons > 1:
+        vals[1:] = kernels._nw_lags(series, req.cfg, vals[0], range(1, req.horizons), prep.bandwidth)[0]
+    base = vals.reshape(req.horizons, *points.shape).transpose(1, 2, 0)[0]
+    kept = np.isfinite(base)
+    irf._check_rejections(req.S - kept.sum(axis=0), req.S)
+    return [decompose_irf(base[m, h - 1], eps1[m], req.delta, J=J, h=h) for h, m in enumerate(kept.T, start=1)]
+
+
+@pytest.mark.parametrize("case", [*KERNEL_CASES, "shocked_exits"])
+def test_lp_decomposition_matches_the_unpaired_fit(small_dar, chunking, case):
+    # the zero-shock pair's 2S step-one states are S distinct states twice, so _nw_fit gets the call
+    # the unpaired fit made, and the coefficients keep their bits
+    if case == "shocked_exits":  # at delta=1.5 three shocked step-one states leave, no baseline one
+        series = simulate(DAR, T=800, y0=0.2, seed=3)
+        req = IrfRequest(y0=0.2, horizons=3, delta=1.5, S=300, seed=5, cfg=KernelConfig(min_weight_sum=5.0))
+        assert (~irf._lp_paths(series, req).valid).sum(axis=0).tolist() == [0, 3, 3]
+    else:
+        series, (kern, mass) = small_dar, case
+        req = IrfRequest(y0=0.2, horizons=5, delta=0.5, S=40, seed=108, cfg=KernelConfig(kern, min_weight_sum=mass))
+    for got, want in zip(decompose_lp_irf(series, req, J=4), _unpaired_lp_decomposition(series, req, J=4),
+                         strict=True):
+        assert_same_bits(got.coefficients, want.coefficients)
+        assert_same_bits(got.coef_se, want.coef_se)
 
 
 def _decomposition_bits(decs):
