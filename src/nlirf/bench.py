@@ -169,6 +169,7 @@ def run_sweep(spec: SweepSpec, master_seed: int = 0) -> SweepReport:
     Estimator failures in individual cells are recorded, not fatal,
     unless more than half the seeds at some sample size fail.
     """
+    _instance(SweepSpec, "a SweepSpec")("spec", spec)
     _integer("master_seed", master_seed, 0)
     oracle = spec.target.oracle(spec.model)
     cells: List[CellResult] = []

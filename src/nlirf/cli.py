@@ -285,7 +285,7 @@ def _run_bench(config: Dict, seed: int, w: _Writer) -> None:
         (
             [str(c.T), str(c.seed_index), c.route, tname,
              _fmt(c.estimate), _fmt(c.oracle),
-             _fmt(c.abs_err) if c.error is None else "nan"]
+             _fmt(c.abs_err)]
             for c in report.cells
         ),
     )
@@ -293,7 +293,7 @@ def _run_bench(config: Dict, seed: int, w: _Writer) -> None:
     for (T, route), rmse in sorted(report.rmse.items()):
         summary.append([str(T), route, "rmse", _fmt(rmse)])
     for route, slope in sorted(report.slope.items()):
-        summary.append(["", route, "loglog_slope", _fmt(slope) if not math.isnan(slope) else "nan"])
+        summary.append(["", route, "loglog_slope", _fmt(slope)])
     for T, ratio in sorted(report.direct_lp_ratio.items()):
         summary.append([str(T), "", "direct_lp_rmse_ratio", _fmt(ratio)])
     w.csv("bench_summary.csv", "T,route,quantity,value", summary)

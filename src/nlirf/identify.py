@@ -29,8 +29,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaincinv
 
-from ._checks import _as_reals, _integer, _level, _triples
-from .kernels import _nw_fit, silverman_bandwidth
+from ._checks import _as_reals, _instance, _integer, _level, _triples
+from .kernels import _a_series, _nw_fit, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -93,6 +93,7 @@ def recover_mixing_from_acf(
     sequences are numerically collinear, in which case the mixing is not
     identified.
     """
+    _instance((np.ndarray, type(None)), "an array or None")("observations", observations)
     g11, g22, g12 = _as_reals(gamma11, "gamma11"), _as_reals(gamma22, "gamma22"), _as_reals(gamma12, "gamma12")
     if not (len(g11) == len(g22) == len(g12)) or len(g11) < 2:
         raise ValueError("need autocovariances at the same lags, at least two of them")
@@ -159,7 +160,7 @@ def recover_mixing(series: TimeSeries, max_lag: int = 5) -> MixingEstimate:
     population values coincide for independent sources), which roughly
     halves its sampling noise.
     """
-    if series.n != 2:
+    if _a_series("series", series).n != 2:
         raise ValueError(f"need a bivariate series, got {series.n} columns")
     _integer("max_lag", max_lag, 2)
     if series.T < max_lag + 2:
@@ -186,7 +187,7 @@ def default_markov_basis(series: TimeSeries) -> List[BasisTriple]:
     common alternatives and reproducibility (any integrable functions
     would be admissible).
     """
-    med = float(np.median(series.y))
+    med = float(np.median(_a_series("series", series).y))
     one = lambda x: np.ones_like(x)
     ind = lambda x: (x > med).astype(float)
     sq = lambda x: x * x
@@ -240,7 +241,7 @@ def markov_moment_test(
     blocks of ``block_len`` < T - 2) and referred to a chi-square with one
     degree of freedom per triple at size ``level`` in (0, 1).
     """
-    if series.T < 100:
+    if _a_series("series", series).T < 100:
         raise ValueError("need at least 100 observations")
     y = series.y
     if basis is None:

@@ -39,7 +39,7 @@ from ._checks import _as_reals, _finite, _instance, _integer, _level, _number
 from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
 from .kernels import (EPS_CLAMP, InsufficientLocalData, KernelConfig, _a_config, _a_series, _nw_lags, _QuantilePrep,
                       _quantile_batch)
-from .models import GaussianVar1, IrfCurve, TimeSeries, VarParams
+from .models import GaussianVar1, IrfCurve, TimeSeries, VarParams, true_irf
 
 __all__ = [
     "IrfRequest",
@@ -332,12 +332,9 @@ def irf_joint(series: TimeSeries, req: IrfRequest) -> IrfCurve:
 # ---------------------------------------------------------------------------
 
 def var_irf(params: VarParams, delta, h: int) -> np.ndarray:
-    """Response A^h D delta of a linear VAR, by repeated multiplication."""
+    """Response A^h D delta of a linear VAR: ``true_irf`` at horizon h + 1, from ``GaussianVar1.closed_form``."""
     _integer("h", h, 0)
-    d = _as_reals(delta, "delta")
-    if d.shape != (params.n,):
-        raise ValueError(f"delta must have shape ({params.n},), got {d.shape}")
-    return GaussianVar1(params).closed_form(None, h + 1, d)[-1]
+    return np.atleast_1d(true_irf(GaussianVar1(params), np.zeros(params.n), h + 1, delta).values[-1])
 
 
 @dataclass(frozen=True)
@@ -350,21 +347,20 @@ class MaxIrfResult:
 def var_max_irf(params: VarParams, a, h: int) -> MaxIrfResult:
     """Maximal response of a'y at horizon h over unit-norm shocks.
 
-    The maximum of a'A^h D delta subject to |delta| = 1 equals
-    sqrt(a' A^h D D' A'^h a), attained at delta* proportional to
-    D'A'^h a; the value depends on D only through DD', hence is invariant
-    to D -> DQ for orthogonal Q. A zero value (a'A^h D = 0) is returned
-    flagged, with no well-defined maximizer.
+    The maximum of a'A^h D delta subject to |delta| = 1 equals |(A^h D)'a|,
+    attained at delta* proportional to (A^h D)'a, where A^h D is the impulse
+    matrix ``GaussianVar1.closed_form`` gives for unit shocks, as in ``var_irf``.
+    The value depends on D only through DD', hence is invariant to D -> DQ
+    for orthogonal Q. A zero value is returned flagged, with no maximizer.
     """
     _integer("h", h, 0)
+    model = GaussianVar1(params)
     w = _as_reals(a, "a")
     if w.shape != (params.n,):
         raise ValueError(f"a must have shape ({params.n},), got {w.shape}")
     if not np.any(w):
         raise ValueError("a must be nonzero")
-    for _ in range(h):
-        w = params.A.T @ w
-    w = params.D.T @ w
+    w = model.closed_form(None, h + 1, np.eye(params.n))[-1].T @ w
     value = float(np.linalg.norm(w))
     if value == 0.0:
         return MaxIrfResult(value=0.0, delta_star=np.zeros(params.n), degenerate=True)

@@ -434,6 +434,11 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
 # public single-point operations
 # ---------------------------------------------------------------------------
 
+def _refuse_thin(ok: bool, mass: float, y: float) -> None:
+    if not ok:
+        raise InsufficientLocalData(f"kernel mass {mass:.3g} at y={y:.6g} is below the local-data threshold")
+
+
 def cond_cdf(
     series: TimeSeries, z: float, y: float, cfg: KernelConfig = KernelConfig()
 ) -> ConditionalEstimate:
@@ -451,10 +456,7 @@ def cond_cdf(
     max_w = float(w.max())
     cw = np.cumsum(w, out=w)
     sum_w = float(cw[-1])
-    if not _mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum):
-        raise InsufficientLocalData(
-            f"kernel mass {sum_w:.3g} at y={y:.6g} is below the local-data threshold"
-        )
+    _refuse_thin(_mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum), sum_w, y)
     # count strictly smaller responses on the cumulative scale: bounds in
     # [0, 1] and monotonicity in z then hold exactly, not just in theory
     idx = int(np.searchsorted(prep.v, z, side="left"))
@@ -477,8 +479,7 @@ def cond_quantile(
     _a_config("cfg", cfg)
     prep = _QuantilePrep.from_series(series, cfg)
     (value,), (good,), (mass,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
-    if not good:
-        raise InsufficientLocalData(f"kernel mass {mass:.3g} at y={y:.6g} is below the local-data threshold")
+    _refuse_thin(good, mass, y)
     return ConditionalEstimate(value=float(value), effective_weight=float(mass), bandwidth_used=prep.bandwidth)
 
 
@@ -513,8 +514,5 @@ def nadaraya_watson(
     _a_series("series", series)
     _a_config("cfg", cfg)
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
-    if not ok.item():
-        raise InsufficientLocalData(
-            f"kernel mass {weights.item():.3g} at y={y:.6g} is below the local-data threshold"
-        )
+    _refuse_thin(ok.item(), weights.item(), y)
     return ConditionalEstimate(value=values.item(), effective_weight=weights.item(), bandwidth_used=b)

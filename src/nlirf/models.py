@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ._checks import _as_reals, _finite, _integer, _object, _one_of, _positive_finite
+from ._checks import _as_reals, _finite, _instance, _integer, _object, _one_of, _positive_finite
 
 __all__ = [
     "DarParams",
@@ -236,6 +236,9 @@ class GaussianVar1:
 
     params: VarParams
 
+    def __post_init__(self) -> None:
+        _instance(VarParams, "a VarParams")("params", self.params)
+
     @property
     def dim(self) -> int:
         return self.params.n
@@ -266,6 +269,10 @@ class CondGaussian(_LocationScale):
 
     drift: Callable
     scale: Callable
+
+    def __post_init__(self) -> None:
+        for name in ("drift", "scale"):
+            _instance(Callable, "callable")(name, getattr(self, name))
 
     def cond_mean(self, y):
         m = self.drift(y)
@@ -306,6 +313,7 @@ class LyapunovEstimate:
 
 def _as_states(model: ModelSpec, y, what: str = "state", ndim: Optional[int] = None) -> np.ndarray:
     """``y`` as a finite float array of shape (..., n), with ``ndim`` axes if given; a scalar counts as (1,)."""
+    _instance(ModelSpec, "a model")("model", model)
     y = np.atleast_1d(_as_reals(y, what))
     if y.shape[-1] != model.dim or ndim is not None and y.ndim != ndim:
         shape = f"({model.dim},)" if ndim == 1 else f"(..., {model.dim})"
@@ -320,7 +328,8 @@ def transition_g(model: ModelSpec, y_prev, eps) -> np.ndarray:
     (..., n) with broadcastable leading axes (a scalar is one univariate
     state), and the result has their broadcast shape.
     """
-    return model.step(_as_states(model, y_prev), _as_states(model, eps, "shock"))
+    y_prev, eps = _as_states(model, y_prev), _as_states(model, eps, "shock")
+    return model.step(y_prev, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +343,7 @@ def lyapunov_exponent(params: DarParams, M: int = 1_000_000, seed: int = 0) -> L
     model. With beta = 0 the expectation is log|rho| exactly and the
     standard error is zero.
     """
+    _instance(DarParams, "a DarParams")("params", params)
     _integer("M", M, 10_000)
     _integer("seed", seed, 0)
     if params.beta == 0:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from ._checks import _as_reals
+from ._checks import _as_reals, _instance
+from .kernels import _a_series
 from .models import DarParams, TimeSeries
 
 __all__ = ["GridSpec", "QmleResult", "dar_quasi_loglik", "qmle_grid_search", "DEFAULT_GRID"]
@@ -71,7 +72,8 @@ class QmleResult:
 
 def dar_quasi_loglik(params: DarParams, series: TimeSeries) -> float:
     """Gaussian quasi log-likelihood of a DAR(1) parameter point."""
-    y = series.y
+    _instance(DarParams, "a DarParams")("params", params)
+    y = _a_series("series", series).y
     x, yy = y[:-1], y[1:]
     v = params.alpha + params.beta * x * x
     resid = yy - params.rho * x
@@ -86,7 +88,8 @@ def qmle_grid_search(series: TimeSeries, grid: GridSpec = DEFAULT_GRID) -> QmleR
     ``dar_quasi_loglik`` so it is exactly the objective at those
     parameters.
     """
-    y = series.y
+    y = _a_series("series", series).y
+    _instance(GridSpec, "a GridSpec")("grid", grid)
     x, yy = y[:-1], y[1:]
     x2 = x * x
     y2 = yy * yy

@@ -1,0 +1,58 @@
+"""The pair summary of ``tools/bench_pairs.py`` on synthetic result lines; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "run_s", "better": "lower", "bound": 0.25},
+           {"name": "rep_horizons_per_s", "better": "higher", "bound": 0.25}]
+
+
+def _line(run_s, rate, failed=0):
+    """A runner's last output line."""
+    metrics = {"run_s": {"value": run_s, "unit": "s"}, "rep_horizons_per_s": {"value": rate, "unit": "1/s"}}
+    return json.dumps({"correct": True, "attempted": 40, "failed": failed, "metrics": metrics})
+
+
+def _pairs(parent, change):
+    return [{"pair": i, "parent": bench_pairs.parse_result(_line(*p)), "change": bench_pairs.parse_result(_line(*c))}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_parse_result_reads_counts_and_values():
+    assert bench_pairs.parse_result(_line(0.5, 100.0, failed=2)) == {
+        "failed": 2, "attempted": 40, "run_s": 0.5, "rep_horizons_per_s": 100.0}
+
+
+def test_summary_gives_medians_quartiles_wins_and_ties():
+    parent = [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0), (5.0, 50.0)]
+    change = [(0.5, 10.0), (2.0, 25.0), (2.5, 30.0), (4.5, 30.0), (4.0, 60.0)]
+    summary = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    run_s, rate = summary["run_s"], summary["rep_horizons_per_s"]
+    assert run_s["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert run_s["change"] == {"q1": 2.0, "median": 2.5, "q3": 4.0}
+    # lower is better: pairs 0, 2 and 4 are wins, pair 1 a tie, pair 3 a loss
+    assert (run_s["change_wins"], run_s["ties"], run_s["pairs"]) == (3, 1, 5)
+    assert run_s["median_change_rel"] == pytest.approx(-1 / 6)
+    assert not run_s["median_gap_exceeds_parent_iqr"] and run_s["within_bound"]
+    # higher is better: pairs 1 and 4 are wins, 0 and 2 ties
+    assert (rate["change_wins"], rate["ties"]) == (2, 2)
+    assert rate["parent"]["median"] == rate["change"]["median"] == 30.0
+    assert rate["median_change_rel"] == 0.0 and rate["within_bound"]
+
+
+def test_summary_flags_a_gap_wider_than_the_iqr_and_beyond_the_bound():
+    parent = [(1.0, 100.0), (1.1, 101.0), (1.2, 102.0), (1.3, 103.0)]
+    change = [(1.6, 70.0), (1.7, 71.0), (1.8, 72.0), (1.9, 73.0)]
+    summary = bench_pairs.summarize(_pairs(parent, change), METRICS)
+    for name in ("run_s", "rep_horizons_per_s"):
+        assert summary[name]["change_wins"] == 0
+        assert summary[name]["median_gap_exceeds_parent_iqr"]
+        assert not summary[name]["within_bound"]  # 1.75 / 1.15 and 71.5 / 101.5 are both beyond 25%
+

@@ -31,9 +31,11 @@ from nlirf import (
     VarParams,
     cond_cdf,
     cond_quantile,
+    dar_quasi_loglik,
     decompose_direct_irf,
     decompose_irf,
     decompose_lp_irf,
+    default_markov_basis,
     g_hat,
     hermite,
     hermite_design,
@@ -48,12 +50,14 @@ from nlirf import (
     model_from_json,
     model_to_json,
     nadaraya_watson,
+    qmle_grid_search,
     recover_mixing,
     recover_mixing_from_acf,
     run_sweep,
     silverman_bandwidth,
     simulate,
     simulate_paths,
+    transition_g,
     true_irf,
     var_irf,
     var_max_irf,
@@ -136,6 +140,25 @@ BAD_CALLS = {
     "cond_quantile_cfg_dict": (lambda: cond_quantile(SERIES, 0.5, 0.0, cfg={"kernel": "gaussian"}), "cfg"),
     "kde_cfg_str": (lambda: kde(SERIES.y, 0.1, cfg="x"), "cfg"),
     "cond_cdf_series_list": (lambda: cond_cdf([0.1, 0.2, 0.3], 0.1, 0.1), "series"),
+    "simulate_model_str": (lambda: simulate("x", T=50, y0=0.0, seed=0), "model"),
+    "true_irf_model_object": (lambda: true_irf(object(), y0=0.2, h=2, delta=0.5), "model"),
+    "transition_g_model_tuple": (lambda: transition_g((0.5, 1.0), 0.0, 0.1), "model"),
+    "lyapunov_params_tuple": (lambda: lyapunov_exponent((0.5, 1.0, 0.5)), "params"),
+    "dar_quasi_loglik_params_tuple": (lambda: dar_quasi_loglik((0.5, 1.0, 0.5), SERIES), "params"),
+    "var_irf_params_tuple": (lambda: var_irf((0.5 * np.eye(2), np.eye(2)), [1.0, 0.0], 1), "params"),
+    "var_max_irf_params_str": (lambda: var_max_irf("x", [1.0, 0.0], 1), "params"),
+    "qmle_series_array": (lambda: qmle_grid_search(SERIES.y), "series"),
+    "dar_quasi_loglik_series_str": (lambda: dar_quasi_loglik(DAR.params, "x"), "series"),
+    "markov_test_series_object": (lambda: markov_moment_test(object(), B=20), "series"),
+    "recover_mixing_series_tuple": (lambda: recover_mixing((1.0, 2.0)), "series"),
+    "markov_basis_series_str": (lambda: default_markov_basis("x"), "series"),
+    "qmle_grid_str": (lambda: qmle_grid_search(SERIES, grid="x"), "grid"),
+    "run_sweep_spec_str": (lambda: run_sweep("x"), "spec"),
+    "recover_mixing_from_acf_observations_str": (
+        lambda: recover_mixing_from_acf([0.5, 0.25, 0.1], [0.2, 0.3, 0.2], [0.1, 0.1, 0.05], observations="x"),
+        "observations"),
+    "cond_gaussian_drift_float": (lambda: CondGaussian(drift=1.0, scale=np.cosh), "drift"),
+    "cond_gaussian_scale_str": (lambda: CondGaussian(drift=np.tanh, scale="x"), "scale"),
 }
 
 

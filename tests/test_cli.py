@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -337,6 +338,24 @@ def test_bench_subcommand(tmp_path):
     summary = (tmp_path / "bench_summary.csv").read_text().splitlines()
     assert summary[1] == "T,route,quantity,value"
     assert any("loglog_slope" in ln for ln in summary)
+
+
+def test_bench_writes_nan_for_a_failed_cell_and_a_degenerate_slope(tmp_path, monkeypatch):
+    # a failed cell's estimate and error are NaN, as is the slope of a route with a zero RMSE
+    def sweep(spec, master_seed):
+        cells = [nlirf.bench.CellResult(T=T, seed_index=0, route="kernel", estimate=est, oracle=0.5, error=err)
+                 for T, est, err in ((500, math.nan, "InsufficientLocalData: thin"), (1000, 0.5, None))]
+        return nlirf.bench.SweepReport(spec=spec, master_seed=master_seed, cells=cells, rmse={(1000, "kernel"): 0.0},
+                                       slope={"kernel": math.nan}, slope_degenerate=True, direct_lp_ratio={})
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    config = {"model": {"variant": "gaussian_ar1", "rho": 0.5, "sigma": 1.0}, "sample_sizes": [500, 1000],
+              "seeds_per_size": 10, "target": {"kind": "cond_cdf", "z": 0.3, "y": 0.5}}
+    run("bench", config, tmp_path, master_seed=2)
+    cells = (tmp_path / "bench_cells.csv").read_text().splitlines()[2:]
+    assert cells == ["500,0,kernel,cond_cdf,nan,0.5,nan", "1000,0,kernel,cond_cdf,0.5,0.5,0"]
+    summary = (tmp_path / "bench_summary.csv").read_text().splitlines()[2:]
+    assert summary == ["1000,kernel,rmse,0", ",kernel,loglog_slope,nan"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,19 @@ decomposition at seven horizons under both kernels, the transformed, dynamic and
 responses and the direct decomposition. The rejection pins repeat most of them, with a CLI
 local-projection ``decompose`` run, under a mass threshold that rejects replications without
 aborting. A change that is meant to keep outputs bitwise must leave every digest as it is; a
-stated numerical change updates the digests it moves, together with a CHANGES.md entry naming
-them and the reason.
+stated numerical change updates the digests it moves, in both dispatch sets, together with a
+CHANGES.md entry naming them and the reason.
 
 Bitwise outputs depend on the numeric stack, so the digests hold for the numpy, scipy and BLAS
-recorded in ``ENVIRONMENT``, and the test skips, naming the mismatch, under any other.
+recorded in ``ENVIRONMENT`` and for the two SIMD dispatches of ``np.exp`` recorded there and in
+``DISPATCH_MOVES``, and the tests skip, naming the mismatch, under any other. A CPU with AVX-512
+checks numpy's baseline dispatch too, in a subprocess that turns those features off.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +27,7 @@ import numpy as np
 import pytest
 import scipy
 
+import nlirf
 from nlirf.cli import run
 from nlirf.irf import (IrfRequest, Indicator, QuantileLevel, decompose_direct_irf, decompose_lp_irf, irf_direct,
                        irf_dynamic, irf_joint, irf_lp, irf_transformed)
@@ -34,7 +40,41 @@ def _blas() -> str:
     return f"{blas['name']} {blas['version']}"
 
 
-ENVIRONMENT = {"numpy": "2.4.6", "scipy": "1.17.1", "blas": "scipy-openblas 0.3.31.188.0"}
+def _dispatch() -> str:
+    """Fingerprint of the SIMD loop numpy runs ``np.exp`` in: the sha256 of its values over the kernel's exponents."""
+    return hashlib.sha256(np.exp(np.linspace(-40.0, 0.0, 4001)).tobytes()).hexdigest()[:16]
+
+
+# the digests below were recorded under numpy's AVX-512 dispatch ("dispatch"); DISPATCH_MOVES holds, per
+# other recorded dispatch, the pins that differ there
+ENVIRONMENT = {"numpy": "2.4.6", "scipy": "1.17.1", "blas": "scipy-openblas 0.3.31.188.0", "dispatch": "6618bad03907d3be"}
+
+# numpy's baseline dispatch on a CPU with AVX-512; the variable acts only on the process it is set for
+BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+# recorded under BASELINE_DISPATCH, where numpy's exp is libm's: the sums of Gaussian weights (NW fits,
+# density, Markov moments) move in their last bits, while a quantile index, so every direct-route pin and
+# REJECTED, holds; the other 31 pins are the same on both
+DISPATCH_MOVES = {
+    "f9eef7057ffbd19c": {
+        "GOLDEN": {
+            "decompose_lp/decompose.csv": "cf6d54ba8e70503a3544bf198493b450ef10bc3cac8de9f4f0724d3d645bef5c",
+            "irf/irf_delta_-1.csv": "9d07c7b105c91d89bcec18c7941f369a4f58aec942b1f9dcd6711cfbe5a89446",
+            "irf/irf_delta_0.5.csv": "a25ae19ce67d1d0c84957083e0cb35461061ad37a95110b453b683d70f1e73a2",
+            "markov-test/markov_test.json": "cb1f2a71b0adb7a671dc8628435a7ac9e2e92257227198a06fa1aa15cdf23b1d",
+            "simulate/density.csv": "1c47cc42bfeec69cdf94833f9c5da0aff9e9c633550a976ba650908f779cef5f",
+        },
+        "CURVE_GOLDEN": {
+            "irf_lp/gaussian": "a332d3fcd0144c4aebebdc8b8dd088de512dcc75c192c27c24bcf65b35e78ee1",
+            "decompose_lp_irf/gaussian": "e1e3b5d36592fbdbc7db161eee8e706057986f2a83f3cf7b7a143bbd96a98095",
+        },
+        "REJECTION_GOLDEN": {
+            "irf_lp": "7f840ce6c85ce5288cc98a9102aa921148619bc405ac31be421a8772996d6449",
+            "decompose_lp_irf": "e1e3b5d36592fbdbc7db161eee8e706057986f2a83f3cf7b7a143bbd96a98095",
+            "decompose_lp/decompose.csv": "4fd7549d86f7ccc0446c5ff365326fc09e682e4059186a514a9243539c7e9da3",
+        },
+    },
+}
 
 DAR_JSON = {"variant": "dar1", "rho": 0.5, "alpha": 1.0, "beta": 0.5}
 SERIES = "simulate/trajectory.csv"  # the simulate run's output feeds the input-driven runs
@@ -198,28 +238,51 @@ def rejection_digests(root):
     return out, {name: c.meta["rejected"] for name, c in curves.items()}
 
 
-def _require_recorded_stack():
-    found = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas()}
-    mismatch = {k: (found[k], v) for k, v in ENVIRONMENT.items() if found[k] != v}
+def _recorded(pins: dict, name: str) -> dict:
+    """The pin set ``pins``, named ``name`` in DISPATCH_MOVES, as recorded under the running dispatch; skips,
+    naming the mismatch, under any unrecorded stack."""
+    found = {"numpy": np.__version__, "scipy": scipy.__version__, "blas": _blas(), "dispatch": _dispatch()}
+    moves = {ENVIRONMENT["dispatch"]: {}, **DISPATCH_MOVES}
+    mismatch = {k: (found[k], v) for k, v in ENVIRONMENT.items() if found[k] != v and k != "dispatch"}
+    if found["dispatch"] not in moves:
+        mismatch["dispatch"] = (found["dispatch"], " or ".join(moves))
     if mismatch:
         pytest.skip("golden digests were recorded under another numeric stack: " + ", ".join(
             f"{k} {got} here, {want} recorded" for k, (got, want) in mismatch.items()))
+    return {**pins, **moves[found["dispatch"]].get(name, {})}
 
 
 def test_library_curves_match_golden_digests():
-    _require_recorded_stack()
-    assert curve_digests() == CURVE_GOLDEN
+    expected = _recorded(CURVE_GOLDEN, "CURVE_GOLDEN")
+    assert curve_digests() == expected
 
 
 def test_cli_artifacts_match_golden_digests(tmp_path, monkeypatch):
-    _require_recorded_stack()
+    expected = _recorded(GOLDEN, "GOLDEN")
     monkeypatch.chdir(tmp_path)  # relative inputs keep the manifests, and so every digest, path-free
-    assert run_all(Path(".")) == GOLDEN
+    assert run_all(Path(".")) == expected
 
 
 def test_rejecting_responses_match_golden_digests(tmp_path, monkeypatch):
-    _require_recorded_stack()
+    expected = _recorded(REJECTION_GOLDEN, "REJECTION_GOLDEN")
     monkeypatch.chdir(tmp_path)
     digests, rejected = rejection_digests(Path("."))
     assert rejected == {name: REJECTED["local_projection" if name == "irf_lp" else "direct"] for name in rejected}
-    assert digests == REJECTION_GOLDEN
+    assert digests == expected
+
+
+def test_golden_digests_hold_under_baseline_dispatch():
+    # where numpy dispatches exp to AVX-512, the same three tests run again at its baseline, which must be
+    # the recorded baseline fingerprint, and pass rather than skip
+    if _dispatch() != ENVIRONMENT["dispatch"]:
+        pytest.skip(f"dispatch {_dispatch()} here: only the AVX-512 one ({ENVIRONMENT['dispatch']}) runs both sets")
+    src = str(Path(nlirf.__file__).parents[1])
+    env = {**os.environ, **BASELINE_DISPATCH, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    probe = f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_golden as g; print(g._dispatch())"
+    found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert found.stdout.strip() in DISPATCH_MOVES
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider", __file__,
+                           "-k", "match_golden_digests"], env=env, capture_output=True, text=True,
+                          cwd=Path(__file__).parents[1])
+    assert proc.returncode == 0 and "3 passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout

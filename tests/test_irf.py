@@ -1,6 +1,8 @@
+import ast
 import math
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,6 +398,74 @@ def test_var_max_irf_degenerate_flagged():
     res = var_max_irf(p, np.array([1.0, 0.0]), h=2)  # A^2 = 0
     assert res.value == 0.0
     assert res.degenerate
+    np.testing.assert_array_equal(res.delta_star, np.zeros(2))
+
+
+def _random_stable_vars(seed, count=200):
+    """``count`` random (VarParams, h) with n = 1..4 and h = 0..7: spectral radius below one, D invertible."""
+    rng = np.random.default_rng(seed)
+    while count:
+        n, h = int(rng.integers(1, 5)), int(rng.integers(0, 8))
+        M = rng.standard_normal((n, n))
+        A = rng.uniform(0.1, 0.99) * M / np.max(np.abs(np.linalg.eigvals(M)))
+        D = rng.standard_normal((n, n)) + 2 * np.eye(n)
+        if abs(np.linalg.det(D)) > 1e-6:
+            count -= 1
+            yield VarParams(A=A, D=D), h, rng
+
+
+def _former_var_irf(params, delta, h):
+    """var_irf's former body: its own shape check, then the last horizon of the closed form."""
+    d = np.asarray(delta, dtype=float)
+    if d.shape != (params.n,):
+        raise ValueError(f"delta must have shape ({params.n},), got {d.shape}")
+    return GaussianVar1(params).closed_form(None, h + 1, d)[-1]
+
+
+def _former_var_max_direction(params, a, h):
+    """var_max_irf's former transposed loop: D'A'^h a."""
+    w = np.asarray(a, dtype=float)
+    for _ in range(h):
+        w = params.A.T @ w
+    return params.D.T @ w
+
+
+def test_var_irf_equals_its_former_body_bitwise():
+    for p, h, rng in _random_stable_vars(21):
+        delta = rng.standard_normal(p.n)
+        got, want = var_irf(p, delta, h), _former_var_irf(p, delta, h)
+        assert got.shape == want.shape == (p.n,)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("delta", [[1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0])
+def test_var_irf_rejects_a_wrong_shape_delta(delta):
+    with pytest.raises(ValueError, match=r"^delta must have shape \(2,\)"):
+        var_irf(VarParams(A=0.5 * np.eye(2), D=np.eye(2)), delta, 1)
+
+
+def test_var_irf_takes_a_scalar_delta_in_one_dimension():
+    # the shock's shape rule is true_irf's, which reads a scalar as one univariate shock
+    p = VarParams(A=[[0.5]], D=[[2.0]])
+    assert var_irf(p, 1.5, 2).tobytes() == var_irf(p, [1.5], 2).tobytes() == np.array([0.75]).tobytes()
+
+
+def test_var_max_irf_reads_the_closed_form_impulse_matrix():
+    for p, h, rng in _random_stable_vars(22):
+        a = rng.standard_normal(p.n)
+        res = var_max_irf(p, a, h)
+        impulse = GaussianVar1(p).closed_form(None, h + 1, np.eye(p.n))[-1]  # A^h D
+        assert res.value == np.linalg.norm(impulse.T @ a)
+        former = np.linalg.norm(_former_var_max_direction(p, a, h))
+        assert abs(res.value - former) <= 1e-14 * former
+        assert not res.degenerate
+        assert np.linalg.norm(res.delta_star) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_var_recursion_has_one_home():
+    # irf.py reads no VarParams matrix: A^h D is built by GaussianVar1.closed_form alone
+    tree = ast.parse(Path(irf_module.__file__).read_text())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in ("A", "D")]
 
 
 def test_var_max_irf_rejects_zero_direction():

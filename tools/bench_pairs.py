@@ -1,0 +1,160 @@
+"""Alternating parent-vs-change benchmark pairs, written as ``BENCH_<pr>.json``.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pairs.py --parent <sha> --pr 21 --scratch DIR \\
+        --seeds direct_paths=5101 local_projection=5201 cli_diagnostics=5301 --change "what changed"
+
+The parent commit is exported with ``git archive <sha> | tar -x`` into ``DIR/parent`` and the
+working tree's ``src/`` and ``perfbench/`` are copied into ``DIR/change``, so each side runs from
+its own copy (the runner writes ``.perfbench/results/`` into the tree it runs in). For each
+workload, pair i of 10 runs ``python3 perfbench/run.py --workload W --seed S+i --seconds N
+--trace 0`` once per side, N being the ``run_seconds`` of ``BENCHMARK.json``, the parent first in
+even pairs, and reads each run's last output line. The summary gives per end-to-end metric of
+``BENCHMARK.json`` both sides' medians and quartiles (numpy.quantile, linear), the pairs the change
+wins (ties count for neither side), the median relative change, whether that gap exceeds the
+parent's interquartile range, and whether the change's median is within the metric's bound of the
+parent's. The report claims no gain. The benchmark itself is a black box.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+PAIRS = 10  # per workload, the fewest that can show "no regression" on a noisy box
+
+
+def environment() -> Dict:
+    """Interpreter, numeric stack and CPU dispatch of this process, which the runs inherit; the dispatch
+    fingerprint is the one ``tests/test_golden.py`` keys its digests by."""
+    try:  # the private module's home since numpy 2.0
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from test_golden import _dispatch
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]}, "nproc": os.cpu_count(),
+            "machine": platform.machine(), "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+            "dispatch_fingerprint": _dispatch()}
+
+
+def parse_result(line: str) -> Dict:
+    """One run's record from the runner's last output line: its operation counts and end-to-end values."""
+    result = json.loads(line)
+    return {"failed": result["failed"], "attempted": result["attempted"],
+            **{k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def summarize(pairs: List[Dict], metrics: List[Dict]) -> Dict:
+    """Per metric (``name``, ``better``, ``bound`` as in BENCHMARK.json), both sides' spread and the pairs' verdict."""
+    out = {}
+    for m in metrics:
+        sign = 1.0 if m["better"] == "higher" else -1.0
+        values = {side: np.array([p[side][m["name"]] for p in pairs], dtype=float) for side in SIDES}
+        spread = {side: dict(zip(("q1", "median", "q3"), map(float, np.quantile(v, [0.25, 0.5, 0.75]))))
+                  for side, v in values.items()}
+        gain = sign * (values["change"] - values["parent"])
+        parent, change = spread["parent"]["median"], spread["change"]["median"]
+        diff = change - parent
+        rel = diff / abs(parent) if parent else math.copysign(math.inf, diff) if diff else 0.0
+        out[m["name"]] = {
+            "better": m["better"], **spread, "change_wins": int((gain > 0).sum()), "ties": int((gain == 0).sum()),
+            "pairs": len(pairs), "median_change_rel": rel,
+            "median_gap_exceeds_parent_iqr": abs(diff) > spread["parent"]["q3"] - spread["parent"]["q1"],
+            "bound": m["bound"], "within_bound": -sign * rel <= m["bound"],
+        }
+    return out
+
+
+def prepare(parent: str, scratch: Path) -> Dict[str, Path]:
+    """The two sides' trees: the parent exported from git, the change copied from the working tree."""
+    trees = {side: scratch / side for side in SIDES}
+    for tree in trees.values():
+        shutil.rmtree(tree, ignore_errors=True)
+        tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", parent], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive, check=True)
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, trees["change"] / name, ignore=ignore)
+    return trees
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    return parse_result(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="the parent commit")
+    p.add_argument("--pr", required=True, help="the number in BENCH_<pr>.json")
+    p.add_argument("--scratch", required=True, type=Path, help="directory for the two sides' trees")
+    p.add_argument("--seeds", nargs="+", required=True, help="WORKLOAD=FIRST_SEED, in the order to run")
+    p.add_argument("--change", required=True, help="what the change does")
+    args = p.parse_args(argv)
+    first_seeds = {w: int(s) for w, s in (item.split("=") for item in args.seeds)}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    trees = prepare(args.parent, args.scratch)
+
+    workloads = {}
+    for workload, first in first_seeds.items():
+        pairs = []
+        for i in range(PAIRS):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"pair": i, "seed": first + i, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], workload, first + i, seconds)
+                print(workload, i, side, json.dumps(pair[side]), flush=True)
+            pairs.append(pair)
+        workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, metrics),
+                               "failed_total": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
+
+    seeds = ", ".join(f"{first}-{first + PAIRS - 1} ({w})" for w, first in first_seeds.items())
+    report = {
+        "change": args.change,
+        "parent_commit": args.parent,
+        "claim": None,
+        "method": {
+            "command": f"python3 perfbench/run.py --workload W --seed SEED --seconds {seconds} --trace 0",
+            "sides": "the parent commit exported by git archive, and the change's src/ and perfbench/, "
+                     "each run from its own copy",
+            "order": "pairs alternate which side runs first, parent first in pair 0",
+            "metrics": "the end-to-end metrics of BENCHMARK.json from each run's last output line; 'failed' and "
+                       "'attempted' are the run's operation counts",
+            "quartiles": "numpy.quantile, linear interpolation",
+            "wins": "pairs in which the change is better; equal values are ties and count for neither side",
+            "within_bound": "the change's median is worse than the parent's by at most the metric's bound",
+            "script": "tools/bench_pairs.py",
+        },
+        "environment": environment(),
+        "sessions": [{"name": "final", "note": f"seeds {seeds}; workloads run one after another in that order",
+                      "workloads": workloads}],
+        "diagnostic_runs": [],
+    }
+    (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
