@@ -234,7 +234,8 @@ def markov_moment_test(
 
     For each basis triple (a, b, c), the sample moment averages
     [a(y_t) - E_hat(a | y_{t-1})] [b(y_{t-2}) - E_hat(b | y_{t-1})] c(y_{t-1})
-    over t, which has mean zero under the Markov property. Both conditional
+    over t, which has mean zero under the Markov property. Basis functions must work
+    elementwise, as a(y_t) means, since each is evaluated once, on the series. Both conditional
     means are Gaussian Nadaraya-Watson fits at the Silverman bandwidth of y,
     read as two column windows of one kernel-weight block. The moment vector is
     studentized with a circular-block-bootstrap covariance (``B`` replications,
@@ -270,8 +271,8 @@ def markov_moment_test(
     windows = [(slice(None, -1), fwd_targets), (slice(1, None), bwd_targets)]
     fwd_fit, bwd_fit = _nw_fit(y, points, bandwidth, "gaussian", windows, maxima=False)[0]
 
-    ra = np.column_stack([fa(y[2:]) for fa, _, _ in basis]) - fwd_fit
-    rb = np.column_stack([fb(y[:-2]) for _, fb, _ in basis]) - bwd_fit
+    ra = fwd_targets[1:] - fwd_fit  # a(y_t) and b(y_{t-2}), t = 3..T: pointwise, so rows of the targets
+    rb = bwd_targets[:-1] - bwd_fit
     contrib = ra * rb * cvals
     moments = contrib.mean(axis=0)
     boot_means = _block_bootstrap_means(contrib, block_len, B, np.random.default_rng(seed))

@@ -140,47 +140,42 @@ def _check_rejections(rejected: np.ndarray, S: int) -> None:
 
 
 def _simulate_step1(series: TimeSeries, req: IrfRequest):
-    """Step-one states (2, S) of the baseline and shocked paths, from one weight row at y0."""
+    """Step one of both routes: the prep, the generator, and the (2, S, H) simulation, horizon one from y0's row."""
     prep = _QuantilePrep.from_series(series, req.cfg)
     rng = np.random.default_rng(req.seed)
     eps1 = rng.standard_normal(req.S)
     alphas = _rank(np.concatenate([eps1, eps1 + req.delta]))
     vals, ok, _ = _quantile_batch(prep, np.full(2 * req.S, req.y0, dtype=float), alphas)
     if not ok.all():
-        raise InsufficientLocalData(
-            f"conditioning state y0={req.y0:.6g} has insufficient kernel mass"
-        )
-    return prep, rng, eps1, vals.reshape(2, req.S)
+        raise InsufficientLocalData(f"conditioning state y0={req.y0:.6g} has insufficient kernel mass")
+    sim = PathSimulation(np.full((2, req.S, req.horizons), np.nan), eps1, prep.bandwidth)
+    sim.paths[:, :, 0] = vals.reshape(2, req.S)
+    return prep, rng, sim
 
 
 def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     """Simulate S paired (baseline, shocked) paths of length H through g_hat; each path steps until it leaves."""
     _check_inputs(series, req)
-    prep, rng, eps1, step1 = _simulate_step1(series, req)
-    paths = np.full((2, req.S, req.horizons), np.nan)
-    paths[:, :, 0] = step1
-
+    prep, rng, sim = _simulate_step1(series, req)
     for k in range(1, req.horizons):
         eps_k = rng.standard_normal(req.S)
-        row, rep = np.nonzero(np.isfinite(paths[:, :, k - 1]))  # either row's outcomes, each on its own path
+        row, rep = np.nonzero(np.isfinite(sim.paths[:, :, k - 1]))  # either row's outcomes, each on its own path
         keep = k + 1 < req.horizons  # the rows that a later step reads
-        paths[row, rep, k] = _quantile_batch(prep, paths[row, rep, k - 1], _rank(eps_k)[rep], keep)[0]
-
-    return PathSimulation(paths, eps1, prep.bandwidth)
+        sim.paths[row, rep, k] = _quantile_batch(prep, sim.paths[row, rep, k - 1], _rank(eps_k)[rep], keep)[0]
+    return sim
 
 
 def _lp_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     """The local projection's outcomes: the step-one states, then their (h-1)-step predictions, NaN where
-    a prediction fails the mass rule."""
+    a prediction fails the mass rule. The states are fitted in step one's order, baselines then shocked."""
     _check_inputs(series, req)
     if series.T <= req.horizons + 1:  # checked before simulating: lag H-1 needs T >= H + 2
         raise ValueError(f"series too short (T={series.T}) for {req.horizons} horizons")
-    prep, _, eps1, step1 = _simulate_step1(series, req)
-    vals = np.empty((req.horizons, step1.size))
-    vals[0] = step1.ravel()
+    _, _, sim = _simulate_step1(series, req)
     if req.horizons > 1:
-        vals[1:] = _nw_lags(series, req.cfg, vals[0], range(1, req.horizons), prep.bandwidth)[0]
-    return PathSimulation(vals.reshape(req.horizons, 2, req.S).transpose(1, 2, 0), eps1, prep.bandwidth)
+        fits = _nw_lags(series, req.cfg, sim.paths[:, :, 0].ravel(), range(1, req.horizons), sim.bandwidth)[0]
+        sim.paths[:, :, 1:] = fits.T.reshape(2, req.S, -1)
+    return sim
 
 
 def _reduce(sim: PathSimulation, req: IrfRequest, route: str, stat, **meta) -> IrfCurve:
@@ -316,7 +311,7 @@ def irf_dynamic(series: TimeSeries, req: IrfRequest) -> IrfCurve:
     if req.horizons < 2:
         raise ValueError("dynamic response needs horizons >= 2")
     sim = simulate_paths(series, req)
-    lagged = np.concatenate([np.full((2, sim.S, 1), req.y0), sim.paths[:, :, :-1]], axis=2)
+    lagged = np.concatenate([np.full_like(sim.paths[:, :, :1], req.y0), sim.paths[:, :, :-1]], axis=2)
     product = sim.paths * lagged
     return _reduce(sim, req, "dynamic", _mean(product[1] - product[0]))
 

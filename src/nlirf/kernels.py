@@ -5,8 +5,8 @@ Nadaraya-Watson regression estimators, plus the estimated nonlinear
 autoregressive map ``g_hat(y, eps) = Q_hat(Phi(eps) | y)`` obtained by
 inverting the estimated conditional distribution at a Gaussian rank.
 Every weight comes from one chunked primitive that evaluates (points x T)
-kernel blocks in place, in a buffer allocated per call and bounded by
-``_CHUNK_CELLS`` cells (8 MB), so concurrent calls share no scratch memory.
+kernel blocks in place, in a buffer allocated per call of ``_CHUNK_CELLS`` cells
+(8 MB) or 16 rows, whichever is more, so concurrent calls share no scratch memory.
 Every weight block is evaluated here, by three batch passes (density,
 weighted-quantile scan, NW fit); the scan and the fit take one row per
 distinct conditioning point. The scan finds a row's crossings from
@@ -96,9 +96,9 @@ def _kernel(u: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
 def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
     """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth)``.
 
-    Blocks of at most ``_CHUNK_CELLS`` cells (8 MB) are evaluated in place by _kernel into one buffer
-    per call, which the next block overwrites. A row costs T cells whether or not its point repeats,
-    so callers pass distinct points.
+    Blocks of ``max(16, _CHUNK_CELLS // len(x))`` rows, at most ``_CHUNK_CELLS`` cells (8 MB) up to 62,500
+    columns and 16 rows beyond (12.8 MB at 100,000), are evaluated in place by _kernel into one buffer per call,
+    which the next block overwrites. A row costs T cells whether or not its point repeats, so pass distinct points.
     """
     m, n = len(x), len(points)
     chunk = max(1, min(n, max(16, _CHUNK_CELLS // m)))
@@ -272,11 +272,11 @@ def _gamma(n: int) -> float:
 
 
 def _two_level(prep: _QuantilePrep, summaries: np.ndarray, rows: np.ndarray, points: np.ndarray,
-               levels: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndarray:
+               levels: np.ndarray) -> np.ndarray:
     """Certified crossings of ``levels * sum_w`` on the weight rows at ``points``, summarized by ``summaries[rows]``.
 
     Each target is bisected to the first ``_SCAN_BLOCK``-column block whose computed prefix reaches
-    it, and that block's weights, read from the rows' block ``w`` or else evaluated, are summed on
+    it, and that block's weights, evaluated here with the bits they have in any array, are summed on
     from the prefix before it. The crossing found there is kept only when the computed cumulative
     weights on both sides of it lie farther from the target than the margin derived in
     _quantile_batch; -1 marks every other pair.
@@ -289,8 +289,7 @@ def _two_level(prep: _QuantilePrep, summaries: np.ndarray, rows: np.ndarray, poi
     seg[:, 0] = np.where(block > 0, summaries[rows, block - 1], 0.0)
     # a partial last block reads its row's last weight again; the length check below rejects those columns
     cols = np.minimum(starts[block, None] + np.arange(B), m - 1)
-    seg[:, 1:] = (w.ravel()[rows[:, None] * m + cols] if w is not None
-                  else _kernel(np.subtract(prep.x[cols], points[:, None]), prep.bandwidth, prep.kernel))
+    seg[:, 1:] = _kernel(np.subtract(prep.x[cols], points[:, None]), prep.bandwidth, prep.kernel)
     cw = np.cumsum(seg, axis=1)  # cw[:, k] sums the block's first k weights onto its prefix
     k = (cw[:, 1:] < target[:, None]).sum(axis=1)  # nondecreasing, so the first entry >= target
     pick = np.arange(len(rows))
@@ -318,7 +317,7 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, kee
     cumulative-weight knot, a target past the last block sum, where the clamp acts) takes its
     row's exact cumsum and a bisection, as does every pair of a row whose pair count times B
     exceeds m, for which one exact cumsum is cheaper. That rule keeps step one's single row at y0
-    on the exact scan, and bounds the target-block weights read by about the weight block's cells.
+    on the exact scan, and bounds the target-block weights evaluated by about the row's own cells.
 
     With ``keep``, a row evaluated at a response leaves its summary (cumsum of its nb block sums,
     pairwise sum, maximum) in a ``prep.memo`` slot while ``_CHUNK_CELLS`` cells last. A later row with
@@ -355,7 +354,7 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, kee
         r, row = inverse[at], pos[at] - lo
         search = few[r] & ~served[r]  # a served row's open pairs were searched on its slot
         if search.any():
-            idx[at[search]] = _two_level(prep, summary, row[search], distinct[r[search]], alphas[at[search]], w)
+            idx[at[search]] = _two_level(prep, summary, row[search], distinct[r[search]], alphas[at[search]])
         exact = idx[at] < 0
         if exact.any():
             scanned, p = np.unique(row[exact], return_inverse=True)

@@ -169,6 +169,9 @@ class Dar1(_LocationScale):
 
     params: DarParams
 
+    def __post_init__(self) -> None:
+        _instance(DarParams, "a DarParams")("params", self.params)
+
     @classmethod
     def of(cls, rho: float, alpha: float, beta: float) -> "Dar1":
         return cls(DarParams(rho, alpha, beta))

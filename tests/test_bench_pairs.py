@@ -1,7 +1,8 @@
-"""The pair summary of ``tools/bench_pairs.py`` on synthetic result lines; no benchmark runs."""
+"""The pair summary and run handling of ``tools/bench_pairs.py``, on synthetic result lines and a stub runner."""
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,25 @@ def test_summary_flags_a_gap_wider_than_the_iqr_and_beyond_the_bound():
         assert summary[name]["median_gap_exceeds_parent_iqr"]
         assert not summary[name]["within_bound"]  # 1.75 / 1.15 and 71.5 / 101.5 are both beyond 25%
 
+
+def test_a_failed_run_names_its_workload_side_seed_and_stderr(tmp_path):
+    runner = tmp_path / "perfbench" / "run.py"
+    runner.parent.mkdir()
+    runner.write_text("import sys\nprint('setting up')\nsys.stderr.write('early line\\nKeyError: boom\\n')\nsys.exit(3)\n")
+    with pytest.raises(bench_pairs.RunFailed) as err:
+        bench_pairs.run_once(tmp_path, "change", "local_projection", 5207, 1)
+    message = str(err.value)
+    assert message.startswith("local_projection on the change side, seed 5207, exited 3:")
+    assert message.endswith("early line\nKeyError: boom")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_blas_threads_follow_the_runner_rule(monkeypatch):
+    usable = len(os.sched_getaffinity(0))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert bench_pairs.blas_threads() == usable
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert bench_pairs.blas_threads() == 1
+    for other in ("0", str(usable + 1), "x"):  # the runner replaces these by the usable CPUs
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", other)
+        assert bench_pairs.blas_threads() == usable

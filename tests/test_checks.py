@@ -159,6 +159,8 @@ BAD_CALLS = {
         "observations"),
     "cond_gaussian_drift_float": (lambda: CondGaussian(drift=1.0, scale=np.cosh), "drift"),
     "cond_gaussian_scale_str": (lambda: CondGaussian(drift=np.tanh, scale="x"), "scale"),
+    "dar1_params_tuple": (lambda: Dar1((0.5, 1.0, 0.5)), "params"),
+    "dar1_params_str": (lambda: Dar1("x"), "params"),
 }
 
 

@@ -15,7 +15,7 @@ from nlirf.identify import (
     recover_mixing_from_acf,
 )
 from nlirf.kernels import _nw_fit, silverman_bandwidth
-from nlirf.models import GaussianAr1, TimeSeries, simulate
+from nlirf.models import Dar1, GaussianAr1, TimeSeries, simulate
 
 A_TRUE = np.array([[1.0, 0.5], [0.3, 1.0]])
 
@@ -295,6 +295,34 @@ def test_markov_test_uses_one_bandwidth_and_one_weight_block(monkeypatch):
     res = markov_moment_test(ts, B=50)
     assert counts == {"bandwidth": 1, "blocks": 1}
     assert res.bandwidth == silverman_bandwidth(ts.y)
+
+
+def test_markov_residuals_read_the_targets_evaluated_once(monkeypatch):
+    # the default basis works pointwise, so rows 1: of a(y[1:]) and :-1 of b(y[:-1]) are a(y[2:]) and
+    # b(y[:-2]): the residuals, and so every moment, have the bits of the former second evaluation
+    fits, contribs = [], []
+
+    def recording_fit(*args, **kwargs):
+        fits.append(_nw_fit(*args, **kwargs)[0])
+        return fits[-1], None, None
+
+    def recording_means(contrib, *args):
+        contribs.append(contrib)
+        return means(contrib, *args)
+
+    means = identify._block_bootstrap_means
+    monkeypatch.setattr(identify, "_nw_fit", recording_fit)
+    monkeypatch.setattr(identify, "_block_bootstrap_means", recording_means)
+    ts = simulate(Dar1.of(0.5, 1.0, 0.5), T=2000, y0=0.3, seed=9011)
+    y, basis = ts.y, default_markov_basis(ts)
+    res = markov_moment_test(ts, B=50, seed=2)
+    ((fwd_fit, bwd_fit),) = fits
+    ra = np.column_stack([fa(y[2:]) for fa, _, _ in basis]) - fwd_fit
+    rb = np.column_stack([fb(y[:-2]) for _, fb, _ in basis]) - bwd_fit
+    contrib = ra * rb * np.column_stack([fc(y[1:-1]) for _, _, fc in basis])
+    (got,) = contribs
+    assert got.tobytes() == contrib.tobytes()
+    assert res.moments.tobytes() == contrib.mean(axis=0).tobytes()
 
 
 def _ref_gather_means(contrib, block_len, B, seed):

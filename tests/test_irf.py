@@ -126,6 +126,22 @@ class _Simulated(Exception):
     pass
 
 
+def test_paths_layout_has_one_home():
+    # both routes fill the (2, S, H) simulation that step one allocates: no other function in irf.py
+    # builds a PathSimulation or allocates an array from a three-axis shape
+    tree = ast.parse(Path(irf_module.__file__).read_text())
+    allocators = {"full", "empty", "zeros", "ones"}
+    homes = set()
+    for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+        for call in (node for node in ast.walk(fn) if isinstance(node, ast.Call)):
+            builds = isinstance(call.func, ast.Name) and call.func.id == "PathSimulation"
+            allocates = (isinstance(call.func, ast.Attribute) and call.func.attr in allocators and call.args
+                         and isinstance(call.args[0], ast.Tuple) and len(call.args[0].elts) == 3)
+            if builds or allocates:
+                homes.add(fn.name)
+    assert homes == {"_simulate_step1"}
+
+
 @pytest.mark.parametrize("fn", [irf_lp, decompose_lp_irf])
 def test_lp_short_series_rejected_before_simulation(monkeypatch, fn):
     def simulated(*args):

@@ -572,7 +572,8 @@ def test_quantile_batch_at_one_point_matches_single_point_scan(small_dar, chunki
 @pytest.mark.parametrize("seed", [118, 119])
 def test_step_one_states_match_single_point_scan(small_dar, seed):
     req = IrfRequest(y0=0.3, horizons=1, delta=0.7, S=300, seed=seed)
-    prep, _, eps1, (base1, shock1) = irf._simulate_step1(small_dar, req)
+    prep, _, sim = irf._simulate_step1(small_dar, req)
+    eps1, (base1, shock1) = sim.eps1, sim.paths[:, :, 0]
     alphas = np.concatenate([irf._rank(eps1), irf._rank(eps1 + req.delta)])
     values, ok, _ = _ref_quantile_at_point(prep, req.y0, alphas)
     assert ok.all()
@@ -653,6 +654,47 @@ def test_two_level_search_matches_reference_where_most_pairs_fall_back(T, kern, 
     assert 6 * len(idx) // 8 <= fell_back < 7 * len(idx) // 8
 
 
+def _gathered_two_level(prep, summaries, rows, levels, w):
+    """``_two_level`` as it was on a freshly evaluated block: the target block's weights gathered from ``w``."""
+    m, B = len(prep.x), kernels._SCAN_BLOCK
+    starts, sum_w = np.arange(0, m, B), summaries[rows, -2]
+    target, margin = levels * sum_w, 2 * (kernels._gamma(m) + kernels._gamma(2 * B + len(starts))) * sum_w
+    block = np.minimum(kernels._crossings(summaries, rows, target, len(starts)), len(starts) - 1)
+    seg = np.empty((len(rows), B + 1))
+    seg[:, 0] = np.where(block > 0, summaries[rows, block - 1], 0.0)
+    cols = np.minimum(starts[block, None] + np.arange(B), m - 1)
+    seg[:, 1:] = w.ravel()[rows[:, None] * m + cols]
+    cw = np.cumsum(seg, axis=1)
+    k = (cw[:, 1:] < target[:, None]).sum(axis=1)
+    pick = np.arange(len(rows))
+    below, above = cw[pick, k], cw[pick, np.minimum(k + 1, B)]
+    certified = (k < np.minimum(B, m - starts[block])) & (target - below > margin) & (above - target > margin)
+    return np.where(certified, starts[block] + k, -1)
+
+
+@pytest.mark.parametrize("T", [600, 641])  # 599 columns with a partial last block, 640 = 10 blocks
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+def test_two_level_search_evaluates_the_gathered_indices(T, kern):
+    # on a fresh weight block, the target blocks' weights evaluated by _two_level have the bits of the same
+    # cells gathered from the block, so knot levels fall back and uniform levels are certified as before
+    series = simulate(DAR, T=T, y0=0.2, seed=132)
+    prep = kernels._QuantilePrep.from_series(series, KernelConfig(kernel=kern))
+    m, distinct = T - 1, np.append(0.2, _points(29))
+    ((_, _, w),) = kernels._weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel)
+    summary = np.empty((len(distinct), len(range(0, m, kernels._SCAN_BLOCK)) + 2))
+    np.cumsum(np.add.reduceat(w, np.arange(0, m, kernels._SCAN_BLOCK), axis=1), axis=1, out=summary[:, :-2])
+    summary[:, -2], summary[:, -1] = w.sum(axis=1), w.max(axis=1)
+    good = np.flatnonzero(kernels._mass_ok(summary[:, -2], summary[:, -1], None))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        knots = np.cumsum(w, axis=1)[good][:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / summary[good, -2:-1]
+    levels = np.column_stack([knots, np.full(len(good), np.nextafter(1.0, 0.0)),
+                              np.random.default_rng(133).uniform(0.01, 0.99, (len(good), 6))])
+    rows = np.repeat(good, levels.shape[1])
+    got = kernels._two_level(prep, summary, rows, distinct[rows], levels.ravel())
+    assert_same_bits(got, _gathered_two_level(prep, summary, rows, levels.ravel(), w))
+    assert (got < 0).sum() >= 5 * len(good) and (got >= 0).sum() >= 5 * len(good)
+
+
 @pytest.mark.parametrize("T", [600, 641])  # 599 columns with a partial last block, 640 = 10 blocks
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)
 def test_two_level_search_on_memo_slots_matches_reference(T, chunking, kern, mass, monkeypatch):
@@ -680,8 +722,8 @@ def test_two_level_search_on_memo_slots_matches_reference(T, chunking, kern, mas
     searched, blocks = [], []
     search = kernels._two_level
 
-    def recorded(prep, summaries, rows, points, levels, w=None):
-        searched.append((summaries is prep.memo, points, search(prep, summaries, rows, points, levels, w)))
+    def recorded(prep, summaries, rows, points, levels):
+        searched.append((summaries is prep.memo, points, search(prep, summaries, rows, points, levels)))
         return searched[-1][2]
 
     monkeypatch.setattr(kernels, "_two_level", recorded)
@@ -742,8 +784,8 @@ def _traced_simulation(series, req, monkeypatch):
         steps[-1]["full"].append(points.copy())
         return blocks(x, points, *args)
 
-    def traced_search(prep, summaries, rows, points, levels, w=None):
-        idx = search(prep, summaries, rows, points, levels, w)
+    def traced_search(prep, summaries, rows, points, levels):
+        idx = search(prep, summaries, rows, points, levels)
         steps[-1]["search"].append((summaries is prep.memo, points.copy(), idx))
         return idx
 
@@ -1021,7 +1063,8 @@ def _ref_lp_predictions(series, req, points, bandwidth, distinct):
 
 
 def _ref_irf_lp(series, req, bandwidth=None, distinct=True):
-    _, _, eps1, (base1, shock1) = irf._simulate_step1(series, req)
+    _, _, sim = irf._simulate_step1(series, req)
+    eps1, (base1, shock1) = sim.eps1, sim.paths[:, :, 0]
     fits = _ref_lp_predictions(series, req, np.concatenate([base1, shock1]), bandwidth, distinct)
     outcomes = np.column_stack([np.where(ok, v, np.nan) for v, ok in fits])  # NaN where a fit fails
     sim = irf.PathSimulation(np.stack([outcomes[: req.S], outcomes[req.S :]]), eps1, bandwidth)
@@ -1029,7 +1072,8 @@ def _ref_irf_lp(series, req, bandwidth=None, distinct=True):
 
 
 def _ref_decompose_lp(series, req, bandwidth=None, distinct=True):
-    _, _, eps1, (base1, _) = irf._simulate_step1(series, req)
+    _, _, sim = irf._simulate_step1(series, req)
+    eps1, base1 = sim.eps1, sim.base[:, 0]
     fits = _ref_lp_predictions(series, req, base1, bandwidth, distinct)
     return [decompose_irf(v[ok], eps1[ok], req.delta, J=4, h=h) for h, (v, ok) in enumerate(fits, start=1)]
 
@@ -1037,8 +1081,8 @@ def _ref_decompose_lp(series, req, bandwidth=None, distinct=True):
 def _unpaired_lp_decomposition(series, req, J):
     """decompose_lp_irf as it was before it read a zero-shock pair: ``_lp_paths(paired=False)`` fitted the
     S baseline step-one states alone, as a one-row simulation, and ``_decomposition`` reduced it."""
-    prep, _, eps1, step1 = irf._simulate_step1(series, req)
-    points = step1[:1]
+    prep, _, sim = irf._simulate_step1(series, req)
+    eps1, points = sim.eps1, sim.paths[:1, :, 0]
     vals = np.empty((req.horizons, points.size))
     vals[0] = points.ravel()
     if req.horizons > 1:
@@ -1079,7 +1123,7 @@ def test_lp_routes_match_per_lag_reference(small_dar, chunking, kern, mass, band
     curve, decs = irf_lp(small_dar, req), decompose_lp_irf(small_dar, req, J=4)
     b = curve.meta["bandwidth"]
     assert b == (silverman_bandwidth(small_dar.y[:-1]) if bandwidth == "silverman" else bandwidth)
-    _, _, _, (base1, shock1) = irf._simulate_step1(small_dar, req)
+    base1, shock1 = irf._simulate_step1(small_dar, req)[2].paths[:, :, 0]
     assert len(np.unique(np.concatenate([base1, shock1]))) < 2 * req.S  # the curve's fit has repeats
     # bitwise at every horizon against per-lag fits of the distinct points at the series bandwidth
     shared = _ref_irf_lp(small_dar, req, b)

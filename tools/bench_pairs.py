@@ -38,9 +38,21 @@ SIDES = ("parent", "change")
 PAIRS = 10  # per workload, the fewest that can show "no regression" on a noisy box
 
 
+class RunFailed(RuntimeError):
+    """A benchmark run that exited nonzero."""
+
+
+def blas_threads() -> int:
+    """The BLAS threads the runs use: ``perfbench/run.py`` keeps an OPENBLAS_NUM_THREADS within the usable CPUs
+    and sets any other to their count."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    current = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    return int(current) if current.isdigit() and 1 <= int(current) <= usable else usable
+
+
 def environment() -> Dict:
-    """Interpreter, numeric stack and CPU dispatch of this process, which the runs inherit; the dispatch
-    fingerprint is the one ``tests/test_golden.py`` keys its digests by."""
+    """Interpreter, numeric stack, BLAS threads and CPU dispatch of the runs, which inherit this process's; the
+    dispatch fingerprint is the one ``tests/test_golden.py`` keys its digests by."""
     try:  # the private module's home since numpy 2.0
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:
@@ -50,7 +62,8 @@ def environment() -> Dict:
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]}, "nproc": os.cpu_count(),
+            "blas": {"name": blas["name"], "version": blas["version"], "threads": blas_threads()},
+            "nproc": os.cpu_count(),
             "machine": platform.machine(), "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
             "dispatch_fingerprint": _dispatch()}
 
@@ -97,10 +110,14 @@ def prepare(parent: str, scratch: Path) -> Dict[str, Path]:
     return trees
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> Dict:
+def run_once(tree: Path, side: str, workload: str, seed: int, seconds: int) -> Dict:
+    """One run of ``side``'s tree; a run that exits nonzero raises RunFailed with the tail of its stderr."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise RunFailed(f"{workload} on the {side} side, seed {seed}, exited {proc.returncode}:\n{tail}")
     return parse_result(proc.stdout.strip().splitlines()[-1])
 
 
@@ -124,7 +141,7 @@ def main(argv=None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"pair": i, "seed": first + i, "first": order[0]}
             for side in order:
-                pair[side] = run_once(trees[side], workload, first + i, seconds)
+                pair[side] = run_once(trees[side], side, workload, first + i, seconds)
                 print(workload, i, side, json.dumps(pair[side]), flush=True)
             pairs.append(pair)
         workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, metrics),
