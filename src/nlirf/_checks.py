@@ -34,10 +34,11 @@ def _finite(name: str, value):
     return value
 
 
-def _positive_finite(name: str, value):
-    """``value``, if it is a positive finite real number."""
-    if not (_real(value) and 0 < value < math.inf):
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+def _positive_finite(name: str, value, lo: float = 0.0, hi: float = math.inf):
+    """``value``, if it is a real number in (lo, hi), by default a positive finite one."""
+    if not (_real(value) and lo < value < hi):
+        span = "" if (lo, hi) == (0.0, math.inf) else f" in ({lo:.3g}, {hi:.3g})"
+        raise ValueError(f"{name} must be a positive finite number{span}, got {value!r}")
     return value
 
 

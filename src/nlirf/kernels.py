@@ -7,14 +7,14 @@ inverting the estimated conditional distribution at a Gaussian rank.
 Every weight comes from one chunked primitive that evaluates (points x T)
 kernel blocks in place, in a buffer allocated per call of ``_CHUNK_CELLS`` cells
 (8 MB) or 16 rows, whichever is more, so concurrent calls share no scratch memory.
-Every weight block is evaluated here, by three batch passes (density,
-weighted-quantile scan, NW fit); the scan and the fit take one row per
-distinct conditioning point. The scan finds a row's crossings from
-64-column block sums when the row has few of them, and keeps only the
-crossings certified equal, bitwise, to those of the row's sequential
-cumulative sum, which serves every other one. A simulation keeps each
-response row's sums and maximum, the same bits as a fresh row's, in a memo
-of at most ``_CHUNK_CELLS`` cells, so it evaluates the row in full once.
+Weights omit the kernel's constant, which cancels in every ratio; the density, an explicit
+``min_weight_sum`` and a reported kernel mass apply it once. Three batch passes evaluate every
+weight block (density, weighted-quantile scan, NW fit); the scan and the fit take one row per
+distinct conditioning point. The scan takes a row's total from its 64-column block sums, finds
+the row's crossings from them when it has few, and keeps only the crossings certified equal,
+bitwise, to those of the row's sequential cumulative sum, which serves every other one. A
+simulation keeps each response row's block-sum cumsum and maximum, the same bits as a fresh
+row's, in a memo of at most ``_CHUNK_CELLS`` cells, so it evaluates the row in full once.
 Single-point estimators are one-row calls; the conditional CDF reads its row.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
@@ -64,6 +64,7 @@ _CHUNK_CELLS = 1_000_000  # max weight-matrix cells held at once: 8 MB of float6
 
 _SCAN_BLOCK = 64  # columns per block sum in the two-level quantile search
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_BANDWIDTHS = (np.finfo(float).tiny ** 0.5, np.finfo(float).tiny ** -0.5)  # b^2 and 1 / b^2 stay normal floats
 
 
 class InsufficientLocalData(ValueError):
@@ -75,26 +76,23 @@ class ClampedShockWarning(UserWarning):
 
 
 _KERNELS = ["gaussian", "epanechnikov"]
+# each kernel's constant: K(u / b) = _MASS[kernel] * _kernel(u, b, kernel); it cancels in every ratio
+_MASS = {"gaussian": 1 / math.sqrt(2 * math.pi), "epanechnikov": 0.75}
 
 
 def _kernel(u: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
-    """``K(u / bandwidth)`` in place on differences ``u = x - point``, in the plain formulas' operation order."""
-    np.divide(u, bandwidth, out=u)
+    """``K(u / bandwidth) / _MASS[kernel]`` in place on differences ``u = x - point``, dividing no cell:
+    ``exp(u u (-0.5 / b^2))``, or ``max(u u (-1 / b^2) + 1, 0)``, which is 0 off the support and for NaN."""
     np.multiply(u, u, out=u)
+    np.multiply(u, (-0.5 if kernel == "gaussian" else -1.0) / bandwidth**2, out=u)
     if kernel == "gaussian":
-        np.multiply(u, -0.5, out=u)
-        np.exp(u, out=u)
-        np.divide(u, math.sqrt(2 * math.pi), out=u)
-    else:
-        # 1 - u u < 0 exactly when |u| > 1; fmax also maps NaN to 0 like where
-        np.subtract(1.0, u, out=u)
-        np.multiply(u, 0.75, out=u)
-        np.fmax(u, 0.0, out=u)
-    return u
+        return np.exp(u, out=u)
+    np.add(u, 1.0, out=u)
+    return np.fmax(u, 0.0, out=u)
 
 
 def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str):
-    """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth)``.
+    """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth) / _MASS[kernel]``.
 
     Blocks of ``max(16, _CHUNK_CELLS // len(x))`` rows, at most ``_CHUNK_CELLS`` cells (8 MB) up to 62,500
     columns and 16 rows beyond (12.8 MB at 100,000), are evaluated in place by _kernel into one buffer per call,
@@ -112,7 +110,7 @@ def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -
     """Kernel density ``(1/(T*b)) * sum_t K((x_t - p)/b)`` at each of ``points``, in one chunked pass."""
     dens = np.empty(len(points))
     for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
-        dens[lo:hi] = w.sum(axis=1) / (x.size * bandwidth)
+        dens[lo:hi] = w.sum(axis=1) * (_MASS[kernel] / (x.size * bandwidth))
     return dens
 
 
@@ -134,7 +132,7 @@ class KernelConfig:
         if isinstance(self.bandwidth, str):
             _one_of(["silverman"])("bandwidth", self.bandwidth)
         else:
-            _positive_finite("bandwidth", self.bandwidth)
+            _positive_finite("bandwidth", self.bandwidth, *_BANDWIDTHS)
         if self.min_weight_sum is not None:
             _positive_finite("min_weight_sum", self.min_weight_sum)
 
@@ -174,7 +172,7 @@ def silverman_bandwidth(data: Sequence[float]) -> float:
     sd = float(np.std(x, ddof=1))
     if sd == 0.0:
         raise ValueError("data is constant; bandwidth undefined")
-    return 1.06 * sd * x.size ** (-0.2)
+    return _positive_finite("bandwidth", 1.06 * sd * x.size ** (-0.2), *_BANDWIDTHS)
 
 
 def _resolve_bandwidth(cfg: KernelConfig, conditioning: np.ndarray) -> float:
@@ -204,15 +202,15 @@ class _QuantilePrep:
 
     ``x`` are conditioning values and ``v`` the responses, jointly sorted
     by response (stable), so a weighted quantile is a cumulative-weight
-    scan. ``memo``, allocated at the first row stored, holds the summaries of weight rows at responses
-    (see _quantile_batch) in ``slots[j]`` for the row at ``v[j]`` (-1: none), within ``_CHUNK_CELLS`` cells.
+    scan; ``threshold`` is ``min_weight_sum`` in _kernel's units. ``memo``, allocated at the first row stored,
+    holds weight rows' summaries (see _quantile_batch) in ``slots[j]`` for the row at ``v[j]`` (-1: none).
     """
 
     x: np.ndarray
     v: np.ndarray
     bandwidth: float
     kernel: str
-    min_weight_sum: Optional[float]
+    threshold: Optional[float]
     slots: np.ndarray
     memo: Optional[np.ndarray] = None
     used: int = 0
@@ -229,7 +227,7 @@ class _QuantilePrep:
             v=np.ascontiguousarray(v[order]),
             bandwidth=_resolve_bandwidth(cfg, x),
             kernel=cfg.kernel,
-            min_weight_sum=cfg.min_weight_sum,
+            threshold=_threshold(cfg),
             slots=np.full(len(v), -1),
         )
 
@@ -245,6 +243,10 @@ class _QuantilePrep:
         self.slots[j[new]] = np.arange(self.used, self.used + len(new))
         self.memo[self.used : self.used + len(new)] = summaries[new]
         self.used += len(new)
+
+
+def _threshold(cfg: KernelConfig) -> Optional[float]:
+    return None if cfg.min_weight_sum is None else cfg.min_weight_sum / _MASS[cfg.kernel]
 
 
 def _mass_ok(sum_w: np.ndarray, max_w: np.ndarray, threshold: Optional[float]) -> np.ndarray:
@@ -301,27 +303,27 @@ def _two_level(prep: _QuantilePrep, summaries: np.ndarray, rows: np.ndarray, poi
 def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, keep: bool = False):
     """Weighted quantiles for paired (conditioning point, level) arrays, one weight row per distinct point.
 
-    Returns (values, ok, sum_w) per pair: the quantile, NaN where the mass rule fails (ok False),
-    and the kernel weight sum at the pair's point. The quantile is the response at the first index
-    of the row's sequential cumsum ``cw`` with ``cw >= alpha * sum_w``, clamped to the last response.
+    Returns (values, ok, sum_w) per pair: the quantile, NaN where the mass rule fails (ok False), and
+    its row's weight total, the last of the block sums' cumsum below. The quantile is the response at
+    the first index of the row's sequential cumsum ``cw`` with ``cw >= alpha * sum_w``, clamped.
 
     A row with few pairs takes no full cumsum. A cumsum of nonnegative weights never decreases,
     so any index i with ``cw[i-1] < target <= cw[i]`` (``cw[-1]`` read as 0) is that first index.
     Block sums over ``_SCAN_BLOCK`` (B) columns, their cumsum over the nb blocks and a cumsum within
     the target's block give each cumulative weight within ``gamma(2B + nb) * S`` of the exact
     prefix sum, S the exact row total, and the sequential cumsum lies within ``gamma(m) * S`` of it.
-    Where both two-level sums around the target lie farther from it than
-    ``2 (gamma(m) + gamma(2B + nb)) * sum_w``, which exceeds both bounds together with the
-    roundings of ``sum_w`` and of the comparison, the sequential cumsum lies on the same sides of
-    the target, so the two-level index is the sequential one. Every other pair (a level on a
-    cumulative-weight knot, a target past the last block sum, where the clamp acts) takes its
-    row's exact cumsum and a bisection, as does every pair of a row whose pair count times B
-    exceeds m, for which one exact cumsum is cheaper. That rule keeps step one's single row at y0
-    on the exact scan, and bounds the target-block weights evaluated by about the row's own cells.
+    ``sum_w`` lies within ``gamma(B + nb) * S`` of S, so ``2 (gamma(m) + gamma(2B + nb)) * sum_w``
+    exceeds both bounds together, with room for its own rounding and the comparison's. Where both
+    two-level sums around the target lie farther from it than that margin, the sequential cumsum
+    lies on the same sides of the target, so the two-level index is the sequential one. Every other
+    pair (a level on a cumulative-weight knot, a target within the margin of the total, where the clamp
+    can act) takes its row's exact cumsum and a bisection, as does every pair of a row whose pair count
+    times B exceeds m, for which one exact cumsum is cheaper. That rule keeps step one's single row at
+    y0 on the exact scan, and bounds the target-block weights evaluated by about the row's own cells.
 
-    With ``keep``, a row evaluated at a response leaves its summary (cumsum of its nb block sums,
-    pairwise sum, maximum) in a ``prep.memo`` slot while ``_CHUNK_CELLS`` cells last. A later row with
-    a slot and few pairs reads them there and evaluates only its pairs' target blocks; its sums and
+    With ``keep``, a row evaluated at a response leaves its summary (the cumsum of its nb block sums,
+    then its maximum) in a ``prep.memo`` slot while ``_CHUNK_CELLS`` cells last. A later row with a
+    slot and few pairs reads them there and evaluates only its pairs' target blocks; its sums and
     cells are the same bits in any block or array. Uncertified pairs take the full row and exact scan.
     """
     distinct, inverse = np.unique(ys, return_inverse=True)
@@ -335,7 +337,7 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, kee
     full = ~served  # the rows evaluated in full
     if served.any():
         sum_w[served] = prep.memo[slot[served], -2]
-        good[served] = _mass_ok(sum_w[served], prep.memo[slot[served], -1], prep.min_weight_sum)
+        good[served] = _mass_ok(sum_w[served], prep.memo[slot[served], -1], prep.threshold)
         at = np.flatnonzero((served & good)[inverse])
         for lo in range(0, len(at), _CHUNK_CELLS // B + 1):  # (pairs, B) arrays within the budget
             a = at[lo : lo + _CHUNK_CELLS // B + 1]
@@ -344,10 +346,10 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, kee
     pos = np.where(full, np.cumsum(full) - 1, -1)[inverse]  # each pair's row among them
     starts = np.arange(0, m, B)
     for lo, hi, w in _weight_blocks(prep.x, distinct[full], prep.bandwidth, prep.kernel):
-        block, summary = np.flatnonzero(full)[lo:hi], np.empty((hi - lo, len(starts) + 2))
-        np.cumsum(np.add.reduceat(w, starts, axis=1), axis=1, out=summary[:, :-2])
-        summary[:, -2], summary[:, -1] = w.sum(axis=1), w.max(axis=1)
-        sum_w[block], good[block] = summary[:, -2], _mass_ok(summary[:, -2], summary[:, -1], prep.min_weight_sum)
+        block, summary = np.flatnonzero(full)[lo:hi], np.empty((hi - lo, len(starts) + 1))
+        np.cumsum(np.add.reduceat(w, starts, axis=1), axis=1, out=summary[:, :-1])
+        np.max(w, axis=1, out=summary[:, -1])
+        sum_w[block], good[block] = summary[:, -2], _mass_ok(summary[:, -2], summary[:, -1], prep.threshold)
         if keep:
             prep.store(np.where(slot[block] < 0, point[block], -1), summary)
         at = np.flatnonzero(good[inverse] & (pos >= lo) & (pos < hi) & (idx < 0))
@@ -424,7 +426,7 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
     windows = [(slice(None, T - lag), y[lag:]) for lag in lags]
     distinct, inverse = np.unique(points, return_inverse=True)  # fit each distinct point once
     values, sum_w, max_w = (a[:, inverse] for a in _nw_fit(x, distinct, b, cfg.kernel, windows))
-    ok = _mass_ok(sum_w, max_w, cfg.min_weight_sum)
+    ok = _mass_ok(sum_w, max_w, _threshold(cfg))
     values[~ok] = np.nan
     return values, ok, sum_w, b
 
@@ -433,9 +435,12 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
 # public single-point operations
 # ---------------------------------------------------------------------------
 
-def _refuse_thin(ok: bool, mass: float, y: float) -> None:
+def _kernel_mass(ok: bool, sum_w: float, y: float, kernel: str) -> float:
+    """The kernel mass of weights summing to ``sum_w`` at y; InsufficientLocalData unless ``ok``."""
+    mass = float(sum_w) * _MASS[kernel]
     if not ok:
         raise InsufficientLocalData(f"kernel mass {mass:.3g} at y={y:.6g} is below the local-data threshold")
+    return mass
 
 
 def cond_cdf(
@@ -455,12 +460,12 @@ def cond_cdf(
     max_w = float(w.max())
     cw = np.cumsum(w, out=w)
     sum_w = float(cw[-1])
-    _refuse_thin(_mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum), sum_w, y)
+    mass = _kernel_mass(_mass_ok(np.array(sum_w), np.array(max_w), prep.threshold), sum_w, y, prep.kernel)
     # count strictly smaller responses on the cumulative scale: bounds in
     # [0, 1] and monotonicity in z then hold exactly, not just in theory
     idx = int(np.searchsorted(prep.v, z, side="left"))
     value = 0.0 if idx == 0 else float(cw[idx - 1] / sum_w)
-    return ConditionalEstimate(value=value, effective_weight=sum_w, bandwidth_used=prep.bandwidth)
+    return ConditionalEstimate(value=value, effective_weight=mass, bandwidth_used=prep.bandwidth)
 
 
 def cond_quantile(
@@ -477,9 +482,9 @@ def cond_quantile(
     _a_series("series", series)
     _a_config("cfg", cfg)
     prep = _QuantilePrep.from_series(series, cfg)
-    (value,), (good,), (mass,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
-    _refuse_thin(good, mass, y)
-    return ConditionalEstimate(value=float(value), effective_weight=float(mass), bandwidth_used=prep.bandwidth)
+    (value,), (good,), (sum_w,) = _quantile_batch(prep, np.array([y], dtype=float), np.array([alpha], dtype=float))
+    mass = _kernel_mass(good, sum_w, y, prep.kernel)
+    return ConditionalEstimate(value=float(value), effective_weight=mass, bandwidth_used=prep.bandwidth)
 
 
 def g_hat(
@@ -513,5 +518,5 @@ def nadaraya_watson(
     _a_series("series", series)
     _a_config("cfg", cfg)
     values, ok, weights, b = _nw_lags(series, cfg, np.array([float(y)]), [h])
-    _refuse_thin(ok.item(), weights.item(), y)
-    return ConditionalEstimate(value=values.item(), effective_weight=weights.item(), bandwidth_used=b)
+    mass = _kernel_mass(ok.item(), weights.item(), y, cfg.kernel)
+    return ConditionalEstimate(value=values.item(), effective_weight=mass, bandwidth_used=b)

@@ -79,3 +79,56 @@ def test_blas_threads_follow_the_runner_rule(monkeypatch):
     for other in ("0", str(usable + 1), "x"):  # the runner replaces these by the usable CPUs
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", other)
         assert bench_pairs.blas_threads() == usable
+
+
+BENCHMARK = {"end_to_end": METRICS, "workloads": [{"name": "direct_paths"}, {"name": "local_projection"}]}
+
+
+def _claim_summary(parent, change):
+    return bench_pairs.summarize(_pairs(parent, change), METRICS)
+
+
+def test_a_claim_is_met_by_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    parent = [(1.0 + 0.01 * i, 100.0) for i in range(10)]
+    change = [(0.7 + 0.01 * i, 100.0) for i in range(9)] + [(1.2, 100.0)]  # the last pair a loss
+    claim = bench_pairs.parse_claim("run_s@direct_paths", BENCHMARK, ["direct_paths"])
+    got = bench_pairs.verdict(claim, _claim_summary(parent, change))
+    assert got == {"metric": "run_s", "workload": "direct_paths", "change_wins": 9, "pairs": 10,
+                   "median_change_rel": pytest.approx(0.745 / 1.045 - 1), "median_gap_exceeds_parent_iqr": True,
+                   "met": True}
+
+
+@pytest.mark.parametrize("case", ["eight_wins", "gap_within_iqr", "worse"])
+def test_a_claim_is_not_met_without_nine_wins_a_wide_gap_and_the_better_side(case):
+    parent = [(1.0 + 0.1 * i, 100.0) for i in range(10)]  # quartiles 1.225 and 1.675
+    change = {"eight_wins": [(0.5, 100.0)] * 8 + [(3.0, 100.0)] * 2,  # median 0.5, 8 of 10 pairs
+              "gap_within_iqr": [(0.9 + 0.1 * i, 100.0) for i in range(10)],  # 10 wins, a gap of 0.1
+              "worse": [(1.0 + 0.1 * i, 80.0) for i in range(10)]}[case]  # rate: lower, by 20 > IQR 0
+    metric = "rep_horizons_per_s" if case == "worse" else "run_s"
+    claim = bench_pairs.parse_claim(f"{metric}@local_projection", BENCHMARK, ["local_projection"])
+    got = bench_pairs.verdict(claim, _claim_summary(parent, change))
+    assert not got["met"]
+    assert (got["change_wins"], got["median_gap_exceeds_parent_iqr"]) == {
+        "eight_wins": (8, True), "gap_within_iqr": (10, False), "worse": (0, True)}[case]
+
+
+@pytest.mark.parametrize("claim, unknown", [("wall_s@direct_paths", "metric 'wall_s'"),
+                                            ("run_s", "metric 'run_s'"),
+                                            ("run_s@big_paths", "workload 'big_paths'"),
+                                            ("run_s@local_projection", "workload 'local_projection'")])
+def test_a_claim_on_an_unknown_metric_or_workload_is_refused_before_any_run(claim, unknown):
+    # the last is in BENCHMARK.json but gets no seeds, so it would not run
+    with pytest.raises(ValueError, match=unknown):
+        bench_pairs.parse_claim(claim, BENCHMARK, ["direct_paths"])
+
+
+def test_a_claim_is_checked_before_the_trees_are_prepared(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "prepare", lambda *args: pytest.fail("prepared the trees"))
+    with pytest.raises(ValueError, match="workload 'nowhere'"):
+        bench_pairs.main(["--parent", "HEAD", "--pr", "0", "--scratch", str(tmp_path), "--seeds",
+                          "direct_paths=1", "--change", "nothing", "--claim", "run_s@nowhere"])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_environment_counts_the_usable_cpus():
+    assert bench_pairs.environment()["nproc"] == bench_pairs.usable_cpus() == len(os.sched_getaffinity(0))

@@ -58,24 +58,27 @@ BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 # recorded under BASELINE_DISPATCH, where numpy's exp is libm's: the sums of Gaussian weights (NW fits,
 # density, Markov moments) move in their last bits, while a quantile index, so every direct-route pin and
-# REJECTED, holds; the other 31 pins are the same on both
+# REJECTED, holds; the other 31 pins are the same on both. All ten moved when the weights lost the
+# kernel's constant (formerly, in order: cf6d54ba8e70503a..., 9d07c7b105c91d89..., a25ae19ce67d1d0c...,
+# cb1f2a71b0adb7a6..., 1c47cc42bfeec69c...; a332d3fcd0144c4a..., e1e3b5d36592fbdb...; 7f840ce6c85ce528...,
+# e1e3b5d36592fbdb..., 4fd7549d86f7ccc0...)
 DISPATCH_MOVES = {
     "f9eef7057ffbd19c": {
         "GOLDEN": {
-            "decompose_lp/decompose.csv": "cf6d54ba8e70503a3544bf198493b450ef10bc3cac8de9f4f0724d3d645bef5c",
-            "irf/irf_delta_-1.csv": "9d07c7b105c91d89bcec18c7941f369a4f58aec942b1f9dcd6711cfbe5a89446",
-            "irf/irf_delta_0.5.csv": "a25ae19ce67d1d0c84957083e0cb35461061ad37a95110b453b683d70f1e73a2",
-            "markov-test/markov_test.json": "cb1f2a71b0adb7a671dc8628435a7ac9e2e92257227198a06fa1aa15cdf23b1d",
-            "simulate/density.csv": "1c47cc42bfeec69cdf94833f9c5da0aff9e9c633550a976ba650908f779cef5f",
+            "decompose_lp/decompose.csv": "278807b1693696601b268d0e957d6772b06ba1640a66260c69559156e447cfe2",
+            "irf/irf_delta_-1.csv": "75b3416ffd7beb5f071ef1897289eac0f42d7c039ea35937784ce59c9213e9c3",
+            "irf/irf_delta_0.5.csv": "253fcbf751d3bd545001e967251e2035a0f8cf1f4473f97c26c775f6c8231c1d",
+            "markov-test/markov_test.json": "d5b613bb8c50dc669fe528ef5086df521ab6906570590e29f5ffde8517b761ec",
+            "simulate/density.csv": "fba90df9bb1de649a267dc0e44f637b255380a016422856cfc8bc010c879254d",
         },
         "CURVE_GOLDEN": {
-            "irf_lp/gaussian": "a332d3fcd0144c4aebebdc8b8dd088de512dcc75c192c27c24bcf65b35e78ee1",
-            "decompose_lp_irf/gaussian": "e1e3b5d36592fbdbc7db161eee8e706057986f2a83f3cf7b7a143bbd96a98095",
+            "irf_lp/gaussian": "0bbd348d603f4a51cd62139a8c54d7977fafde13c5ca2846c385b002ca433351",
+            "decompose_lp_irf/gaussian": "47d0c9ed170e2899a3afba74f046c57f6bf6a62369181c7c3977d4ffc87932c1",
         },
         "REJECTION_GOLDEN": {
-            "irf_lp": "7f840ce6c85ce5288cc98a9102aa921148619bc405ac31be421a8772996d6449",
-            "decompose_lp_irf": "e1e3b5d36592fbdbc7db161eee8e706057986f2a83f3cf7b7a143bbd96a98095",
-            "decompose_lp/decompose.csv": "4fd7549d86f7ccc0446c5ff365326fc09e682e4059186a514a9243539c7e9da3",
+            "irf_lp": "e1100ef4eda132a2cfca899749ef3a14b0581f033968936e8db020077cf5e0dc",
+            "decompose_lp_irf": "47d0c9ed170e2899a3afba74f046c57f6bf6a62369181c7c3977d4ffc87932c1",
+            "decompose_lp/decompose.csv": "ca7d5d7e0f66d7c0095bae33c0ceda2a842c8132b4d745e3906c8b8fd1e804af",
         },
     },
 }
@@ -103,27 +106,32 @@ RUNS = [
 
 # recorded under ENVIRONMENT; markov-test/markov_test.json (formerly df68ed20dbd1b53c...)
 # moved when both Markov-test regressions came to share one bandwidth and the bootstrap
-# came to sum block sums
+# came to sum block sums. Six moved in their last bits when the weights lost the kernel's
+# constant, which the density now applies once: decompose_lp/decompose.csv (formerly
+# 28f44d7a00fce0ef...), irf/irf_delta_-1.csv (0e707d9f309da163...) and irf/irf_delta_0.5.csv
+# (d461c540ad531bb9...) through their local-projection rows, irf_epanechnikov/irf_delta_1.csv
+# (751551eb381964b0...) likewise, markov-test/markov_test.json (acf441c05b746fb1...) and
+# simulate/density.csv (93e9f3ab517fd312...)
 GOLDEN = {
     "bench/bench_cells.csv": "ccf4f847fde8c741a6bee85b1814215e3167cab7391c84b6b5f0466524ef71ee",
     "bench/bench_summary.csv": "e9a772b8e362ca996912b02016c1d72ac32adf03bb0c9ebaa24687449e6f5993",
     "bench/manifest.json": "03f3ebcdc32886d1639bbf550876a7f9c3db5f3e0416433d4d4933b3302f8130",
     "decompose_direct/decompose.csv": "346294988e93db7b6366afe99ca356a6014016db2615cc3670f0bc3687b504db",
     "decompose_direct/manifest.json": "97fe6e56261dfa425fe818e8855ef530bfa6ffab0ea7c326a8d4288c38acb075",
-    "decompose_lp/decompose.csv": "28f44d7a00fce0efb094bc175cf4960b79acf6edcab70ff0327b9c596e3b92ab",
+    "decompose_lp/decompose.csv": "7af2b6fea8a8958ddab7a34984165bf554d1a2df23b79e8b698e68ef4e8aa0dc",
     "decompose_lp/manifest.json": "9588a8f2a8f688413ceb31636429889697f93f3b261ff7704a973cf387352141",
     "identify/identify.json": "19cd31b2039c8b14326f799f73a6bfbd9d25a25a4cd98b204793f36a7324666f",
     "identify/manifest.json": "43c74396718b3ae831f3ad87576fd7691a8b9206f9184f78bbeab648386af914",
-    "irf/irf_delta_-1.csv": "0e707d9f309da163ce920f246157dff243384295eb2b90b8a9b2949c86c7fd94",
-    "irf/irf_delta_0.5.csv": "d461c540ad531bb990e9a4404b882b43ae84730e597cc0b0e464085fec9b3284",
+    "irf/irf_delta_-1.csv": "58d995c680c74c58ee21c502336fb32afafb054865b205a27092030249d1521a",
+    "irf/irf_delta_0.5.csv": "f557776d8cdb857e672b40f1f253569530210ee45ff01fc3b24f5be527e500d3",
     "irf/manifest.json": "0961a45373123260221afdc3b030ee79a3fbdf21e18d27f4057da8843337787f",
-    "irf_epanechnikov/irf_delta_1.csv": "751551eb381964b04599ad2d66340b8f20ab769e1b053225bc2b1b644e1fed97",
+    "irf_epanechnikov/irf_delta_1.csv": "34f19853df096b137bd60d5d2ad0d92bc6c6bf36426121f61c106608f4fec1e2",
     "irf_epanechnikov/manifest.json": "70082ab82d342be10cc8abb8fbfea0cb55fd55a863ddd9a48991877847d9b8e2",
     "markov-test/manifest.json": "36adfacded49251288301e803d3c401e8b169ea7ff5a9b0daca275a7348e22d0",
-    "markov-test/markov_test.json": "acf441c05b746fb175fdb8a594b41e115ffd4d1890a86f9e781bf004ba54843a",
+    "markov-test/markov_test.json": "8e4da9bdf82130ed37b102e30d9df7dc0ad32df8ebfcb78d17804c0d4801ef69",
     "qmle/manifest.json": "d6498b78a12cfec85b7255a695859992668afe393ad37f0a099a73f6132d6499",
     "qmle/qmle.json": "2b9561737de73d763fce93017a493b4b518e5b538f62cf743ab94f9738eb8719",
-    "simulate/density.csv": "93e9f3ab517fd3122b51b32ff2f88efeec9277bc3e89cdc211e03d55d9c90be8",
+    "simulate/density.csv": "05c07261fdf34885f7afc1a82aa2b019733156d6c4819c48b3b44eb69087c78a",
     "simulate/manifest.json": "f0282e5176068c067241f9c7d0f63de1244b84c949c9a18a5698bdb2970e2241",
     "simulate/trajectory.csv": "af1c577083138f5a1091618a43da6c57efb2029b235a3d0caee68debbde57a16",
 }
@@ -150,12 +158,14 @@ def _square(u):
 # and irf_lp/epanechnikov (formerly 930f1bea82f7f93d...) moved in their last bits when the local
 # projection came to fit each distinct step-one state once, since the matvec's row count changed;
 # decompose_direct_irf (formerly cf051281c049eb02...) moved when it came to read the baselines of a
-# zero-shock pair, which keeps the replications whose shocked partner left
+# zero-shock pair, which keeps the replications whose shocked partner left; the four local-projection
+# pins moved in their last bits when the weights lost the kernel's constant (formerly 88e172b35668ac77...,
+# 58c16a71da816d02..., 5e797583fa7cc6bf... and 7c5072419f364460..., in order)
 CURVE_GOLDEN = {
-    "irf_lp/gaussian": "88e172b35668ac77fcdc29d9dda7a8e7aaca477b243cab27f1ea36c55f6f4cdc",
-    "decompose_lp_irf/gaussian": "58c16a71da816d02420d088e87f9ecfa94459cc8b96290c9eae54daf9629c010",
-    "irf_lp/epanechnikov": "5e797583fa7cc6bf1d024a7352543de1f4666cff05fad5f3e5d7a81f04e96c07",
-    "decompose_lp_irf/epanechnikov": "7c5072419f3644603c108a78fbc0f891373ecc312b4ae2844aecd74d839e1a9f",
+    "irf_lp/gaussian": "16f3f5cca02586b41ba6899db24188142e36458345cc2cac0f57ce424f005585",
+    "decompose_lp_irf/gaussian": "4fb8248869335f40b8ad29f134a3daa183407b8e8bd01c26493d7e5c9545bb57",
+    "irf_lp/epanechnikov": "5103ae9cff7c8d7d53530fdf20bc6108945b0672a411ba1a005a75f101d5c51f",
+    "decompose_lp_irf/epanechnikov": "1c1d8b681c47f3880fdffa997d064bdb4fc3fa4a3106bdf130fd5a5365383bd2",
     "irf_transformed/indicator": "cec9d042de92142f9d1cf43b2c0d0cc2f4987845dc3861ea179d04221b6a2bd4",
     "irf_transformed/quantile_level": "ffb99caff7b99e29de6587807698ac716a87a1526b3c4908566ded021e0b7308",
     "irf_transformed/callable": "5cafca0e243c848e71fc09b861f959672850d8cd01199990081d5c6d4359b3d7",
@@ -205,17 +215,19 @@ REJECTED = {"direct": [0, 0, 3, 11, 18, 24, 27], "local_projection": [0, 3, 3, 3
 # (formerly b9b92bec6f83774b...) and decompose_lp/decompose.csv (formerly 2067c3e1438ff424...)
 # moved in their last bits when the local projection came to fit each distinct state once;
 # decompose_direct_irf (formerly f7ec10ff3ca120b8...) moved when it came to read the baselines of a
-# zero-shock pair, which keeps the replications whose shocked partner left
+# zero-shock pair, which keeps the replications whose shocked partner left; irf_lp, decompose_lp_irf and
+# decompose_lp/decompose.csv moved again in their last bits when the weights lost the kernel's constant
+# (formerly c2def0c538e185d7..., 58c16a71da816d02... and a4d6a2a89ca6dbdc...)
 REJECTION_GOLDEN = {
     "irf_direct": "8354f8d7eecc76c383469f89504b96622881dba7cdaaa4e74ad20585e9fb9571",
     "irf_joint": "0235c28b979d1b540ef683a25ae3b2fa40914e0326d2d11c5b3038947aa4a24c",
     "irf_dynamic": "e3f4646069fcb2dc188ab3e54b1d7db2d3d12291a9e9c70f1e549e013afc2f5a",
     "irf_transformed/indicator": "48d8a82c8c04d2126c607f297a4e16665db5245f27ae816a09bc3dda0ac8dd5e",
     "irf_transformed/quantile_level": "875e584d6008c4bb297ce14f1ab397e24dcbd02a53070a608c6eaaf070932838",
-    "irf_lp": "c2def0c538e185d770e54aa844bcd23e41cc28fde4c8f16a7662da5634c69055",
+    "irf_lp": "83f54396422720a92d306bb47e540eac551057fb9bd992532260545bf38b952a",
     "decompose_direct_irf": "a0304dbff3725f82a8e7ff5b292955869107f5e4e9fe01a50b65333e89fa04e0",
-    "decompose_lp_irf": "58c16a71da816d02420d088e87f9ecfa94459cc8b96290c9eae54daf9629c010",
-    "decompose_lp/decompose.csv": "a4d6a2a89ca6dbdc3b777415a0f4ace4653bd9a6dcff633484edf921214f9776",
+    "decompose_lp_irf": "4fb8248869335f40b8ad29f134a3daa183407b8e8bd01c26493d7e5c9545bb57",
+    "decompose_lp/decompose.csv": "93de56eb48df83ab878902d47cceab06c955c2391a064e22bf281c2ea6a3a117",
     "decompose_lp/manifest.json": "59fc66df972469915a9cedbf06a3dc8a698f2d522c8e8b392e88d13c21ca27b5",
 }
 

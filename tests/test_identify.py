@@ -221,14 +221,15 @@ def _ref_nw_multi(x, targets, points):
     chunk = max(16, 4_000_000 // len(x))
     for lo in range(0, len(points), chunk):
         hi = min(lo + chunk, len(points))
-        w = np.exp(-0.5 * ((x[None, :] - points[lo:hi, None]) / b) ** 2)
+        d = x[None, :] - points[lo:hi, None]
+        w = np.exp(d * d * (-0.5 / b**2))
         out[:, lo:hi] = (targets @ w.T) / w.sum(axis=1)[None, :]
     return out
 
 
 def test_markov_nw_fits_match_former_unnormalised_fit():
-    # the shared primitive divides by sqrt(2 pi), which cancels in the ratio
-    # up to the last bits
+    # the shared primitive's weights are these unnormalised ones; the fits
+    # differ from the transposed product only in the last bits
     ts = simulate(GaussianAr1(0.5, 1.0), T=3000, y0=0.0, seed=9007)
     y = ts.y
     for x, resp in ((y[:-1], y[1:]), (y[1:], y[:-1])):
@@ -242,13 +243,14 @@ def test_markov_nw_fits_match_former_unnormalised_fit():
 # ---------------------------------------------------------------------------
 
 def _ref_window_fit(x, targets, points, b):
-    """A Gaussian NW fit of ``targets`` on ``x`` alone, from its own chunked blocks of the plain expression."""
+    """A Gaussian NW fit of ``targets`` on ``x`` alone, from its own chunked blocks of the plain expression
+    without the kernel's constant."""
     out = np.empty((len(points), targets.shape[1]))
     chunk = max(16, kernels._CHUNK_CELLS // len(x))
     for lo in range(0, len(points), chunk):
         hi = min(lo + chunk, len(points))
-        u = (x[None, :] - points[lo:hi, None]) / b
-        w = np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
+        d = x[None, :] - points[lo:hi, None]
+        w = np.exp(d * d * (-0.5 / b**2))
         out[lo:hi] = (w @ targets) / w.sum(axis=1)[:, None]
     return out
 

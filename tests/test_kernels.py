@@ -355,16 +355,36 @@ def test_cond_cdf_rmse_rate():
 # the chunked in-place weight primitive against the plain expressions
 # ---------------------------------------------------------------------------
 
-def _ref_gaussian(u):
+def _plain_gaussian(u):
     return np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
 
 
-def _ref_epanechnikov(u):
+def _plain_epanechnikov(u):
     out = 0.75 * (1.0 - u * u)
     return np.where(np.abs(u) <= 1.0, out, 0.0)
 
 
+# the normalised kernels K(u) at u = (x - point) / b
+PLAIN_KERNELS = {"gaussian": _plain_gaussian, "epanechnikov": _plain_epanechnikov}
+
+
+def _ref_gaussian(d, b):
+    return np.exp(d * d * (-0.5 / b**2))
+
+
+def _ref_epanechnikov(d, b):
+    t = d * d * (1 / b**2)
+    return np.where(t <= 1.0, 1.0 - t, 0.0)  # a NaN difference gives 0
+
+
+# the weights without their constant, K(d / b) / kernels._MASS[kernel], on differences d = x - point
 REF_KERNELS = {"gaussian": _ref_gaussian, "epanechnikov": _ref_epanechnikov}
+
+
+def _row_total(w):
+    """The scan's row total: the last entry of the cumsum of the row's 64-column block sums."""
+    starts = np.arange(0, w.shape[-1], kernels._SCAN_BLOCK)
+    return np.cumsum(np.add.reduceat(w, starts, axis=-1), axis=-1)[..., -1]
 
 
 def _ref_quantile_batch(prep, ys, alphas):
@@ -376,10 +396,10 @@ def _ref_quantile_batch(prep, ys, alphas):
     k = REF_KERNELS[prep.kernel]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        w = k((prep.x[None, :] - ys[lo:hi, None]) / prep.bandwidth)
-        sum_w = w.sum(axis=1)
+        w = k(prep.x[None, :] - ys[lo:hi, None], prep.bandwidth)
+        sum_w = _row_total(w)
         max_w = w.max(axis=1)
-        good = kernels._mass_ok(sum_w, max_w, prep.min_weight_sum)
+        good = kernels._mass_ok(sum_w, max_w, prep.threshold)
         cw = np.cumsum(w, axis=1)
         ge = cw >= (alphas[lo:hi] * sum_w)[:, None]
         idx = ge.argmax(axis=1)
@@ -394,8 +414,8 @@ def _ref_quantile_batch(prep, ys, alphas):
 def _ref_quantile_at_point(prep, y0, alphas):
     """The single-point scan: one weight row at y0 and a left searchsorted per level."""
     w = next(kernels._weight_blocks(prep.x, np.array([y0], dtype=float), prep.bandwidth, prep.kernel))[2][0]
-    sum_w, max_w = float(w.sum()), float(w.max())
-    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
+    sum_w, max_w = float(_row_total(w)), float(w.max())
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.threshold):
         return np.full(len(alphas), np.nan), np.zeros(len(alphas), bool), sum_w
     cw = np.cumsum(w, out=w)
     idx = np.searchsorted(cw, np.asarray(alphas) * sum_w, side="left")
@@ -415,10 +435,10 @@ def _ref_nw_batch(series, cfg, points, lag):
     chunk = max(16, kernels._CHUNK_CELLS // m)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        w = k((x[None, :] - points[lo:hi, None]) / b)
+        w = k(x[None, :] - points[lo:hi, None], b)
         sum_w = w.sum(axis=1)
         max_w = w.max(axis=1)
-        good = kernels._mass_ok(sum_w, max_w, cfg.min_weight_sum)
+        good = kernels._mass_ok(sum_w, max_w, kernels._threshold(cfg))
         with np.errstate(invalid="ignore", divide="ignore"):
             vals = (w @ targets) / sum_w
         vals[~good] = np.nan
@@ -430,30 +450,30 @@ def _ref_nw_batch(series, cfg, points, lag):
 
 def _ref_cond_cdf(series, z, y, cfg):
     prep = kernels._QuantilePrep.from_series(series, cfg)
-    w = REF_KERNELS[prep.kernel]((prep.x - y) / prep.bandwidth)
+    w = REF_KERNELS[prep.kernel](prep.x - y, prep.bandwidth)
     cw = np.cumsum(w)
     sum_w, max_w = float(cw[-1]), float(w.max())
-    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), cfg.min_weight_sum):
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.threshold):
         raise InsufficientLocalData("thin")
     idx = int(np.searchsorted(prep.v, z, side="left"))
-    return 0.0 if idx == 0 else float(cw[idx - 1] / sum_w), sum_w
+    return 0.0 if idx == 0 else float(cw[idx - 1] / sum_w), sum_w * kernels._MASS[prep.kernel]
 
 
 def _ref_cond_quantile(series, alpha, y, cfg):
     prep = kernels._QuantilePrep.from_series(series, cfg)
-    w = REF_KERNELS[prep.kernel]((prep.x - y) / prep.bandwidth)
-    sum_w, max_w = float(w.sum()), float(w.max())
-    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.min_weight_sum):
+    w = REF_KERNELS[prep.kernel](prep.x - y, prep.bandwidth)
+    sum_w, max_w = float(_row_total(w)), float(w.max())
+    if not kernels._mass_ok(np.array(sum_w), np.array(max_w), prep.threshold):
         raise InsufficientLocalData("thin")
     cw = np.cumsum(w)
     idx = min(int(np.searchsorted(cw, alpha * sum_w, side="left")), len(cw) - 1)
-    return float(prep.v[idx]), sum_w
+    return float(prep.v[idx]), sum_w * kernels._MASS[prep.kernel]
 
 
 def _ref_kde(data, at, cfg):
     x = np.asarray(data, dtype=float).ravel()
     b = kernels._resolve_bandwidth(cfg, x)
-    return float(np.sum(REF_KERNELS[cfg.kernel]((x - at) / b)) / (x.size * b))
+    return float(np.sum(REF_KERNELS[cfg.kernel](x - at, b)) * (kernels._MASS[cfg.kernel] / (x.size * b)))
 
 
 def assert_same_bits(got, want):
@@ -501,18 +521,98 @@ def test_weight_blocks_match_plain_expressions(small_dar, chunking, kern):
     assert sizes == ([40] if chunking == "one_chunk" else [16, 16, 8])
     assert [lo for lo, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
     got = np.concatenate([w for _, _, w in blocks])
-    assert_same_bits(got, REF_KERNELS[kern]((x[None, :] - points[:, None]) / b))
+    assert_same_bits(got, REF_KERNELS[kern](x[None, :] - points[:, None], b))
+
+
+# ---------------------------------------------------------------------------
+# the weights without their constant still mean the kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("bandwidth", ["silverman", 0.6])
+def test_weights_times_their_constant_are_the_normalised_kernel(small_dar, kern, bandwidth):
+    x = small_dar.y[:-1]
+    b = silverman_bandwidth(x) if bandwidth == "silverman" else bandwidth
+    ((_, _, w),) = kernels._weight_blocks(x, _points(), b, kern)
+    got = w * kernels._MASS[kern]
+    u = (x[None, :] - _points()[:, None]) / b
+    plain = PLAIN_KERNELS[kern](u)
+    if kern == "gaussian":  # where the plain value is a normal float
+        kept = plain >= np.finfo(float).tiny
+        spread = 0.5 * u[kept] ** 2
+    else:  # inside the support, and exact zeros outside it
+        kept = np.abs(u) < 1.0
+        spread = u[kept] ** 2 / (1.0 - u[kept] ** 2)
+        assert (got[~kept] == 0.0).all() and (plain[~kept] == 0.0).all()
+    # 1e-13 relative, widened where the last step scales its input's few-ulp rounding: exp by its
+    # exponent, and 1 - t, near the support's edge, by t / (1 - t)
+    rel = np.abs(got[kept] - plain[kept]) / plain[kept]
+    assert (rel <= np.maximum(1e-13, 1e-15 * spread)).all()
+    assert kept.sum() > 0.15 * kept.size and rel.max() > 0.0
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("mass", [1.0, 4.0, 20.0])
+def test_explicit_mass_threshold_decides_as_the_plain_kernel(small_dar, kern, mass):
+    # min_weight_sum is a mass of the normalised kernel: the scan and the NW fit accept and refuse
+    # the points of a grid as the plain kernel's sums do
+    cfg = KernelConfig(kernel=kern, min_weight_sum=mass)
+    prep = kernels._QuantilePrep.from_series(small_dar, cfg)
+    grid = np.linspace(-10.0, 10.0, 201)
+    want = PLAIN_KERNELS[kern]((small_dar.y[:-1][None, :] - grid[:, None]) / prep.bandwidth).sum(axis=1) >= mass
+    assert want.any() and not want.all()
+    assert_same_bits(kernels._quantile_batch(prep, grid, np.full(len(grid), 0.5))[1], want)
+    assert_same_bits(kernels._nw_lags(small_dar, cfg, grid, [1])[1][0], want)
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+def test_kernel_masses_match_the_plain_formulas(small_dar, kern):
+    # the density and each reported effective weight carry the kernel's constant again
+    cfg = KernelConfig(kernel=kern)
+    y, x = small_dar.y, small_dar.y[:-1]
+    b, b_all = silverman_bandwidth(x), silverman_bandwidth(y)
+    for at in (-0.8, 0.1, 1.3):
+        mass = PLAIN_KERNELS[kern]((x - at) / b).sum()
+        estimates = (cond_cdf(small_dar, 0.3, at, cfg), cond_quantile(small_dar, 0.5, at, cfg),
+                     nadaraya_watson(small_dar, 1, at, cfg))
+        np.testing.assert_allclose([e.effective_weight for e in estimates], mass, rtol=1e-13, atol=0)
+        density = PLAIN_KERNELS[kern]((y - at) / b_all).sum() / (y.size * b_all)
+        np.testing.assert_allclose(kde(y, at, cfg), density, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_bandwidths_whose_square_is_not_a_normal_float_are_refused(small_dar, kern, scale):
+    # at b = 1e-160, -0.5 / b^2 is -inf and an exact match would weigh 0 * -inf = NaN; at 1e160, b^2
+    # overflows: such bandwidths are refused by name, explicit or by Silverman's rule on data of that
+    # scale (data whose rule gives more than 6.7e153 overflow np.std's squares first)
+    with pytest.raises(ValueError, match="bandwidth must be a positive finite number in"):
+        KernelConfig(kernel=kern, bandwidth=scale)
+    if scale < 1.0:
+        data = small_dar.y * scale
+        series, cfg = TimeSeries(values=data), KernelConfig(kernel=kern)
+        for call in (lambda: silverman_bandwidth(data), lambda: kde(data, 0.0, cfg),
+                     lambda: cond_quantile(series, 0.5, data[3], cfg),
+                     lambda: nadaraya_watson(series, 1, data[3], cfg)):
+            with pytest.raises(ValueError, match="bandwidth must be a positive finite number in"):
+                call()
+    # bandwidths just inside the range keep finite weights: an exact match alone at the lower end, all at the upper
+    x = small_dar.y[:-1]
+    ((_, _, narrow),) = kernels._weight_blocks(x, x[:5], 1e-150, kern)
+    assert_same_bits(narrow, (x[None, :] == x[:5, None]).astype(float))
+    ((_, _, wide),) = kernels._weight_blocks(x, x[:5], 1e150, kern)
+    assert (wide == 1.0).all()
 
 
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)
 def test_quantile_batch_matches_reference(small_dar, chunking, kern, mass):
     prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
     alphas = np.random.default_rng(106).uniform(0.01, 0.99, 40)
-    # even rows sit on a cumulative-weight knot, where only the pairwise row
-    # sum of the reference gives the reference's crossing
-    w = REF_KERNELS[kern]((prep.x[None, :] - _points()[:, None]) / prep.bandwidth)
+    # even rows sit on a cumulative-weight knot, where only the row total
+    # of the reference gives the reference's crossing
+    w = REF_KERNELS[kern](prep.x[None, :] - _points()[:, None], prep.bandwidth)
     with np.errstate(invalid="ignore"):
-        knots = np.cumsum(w, axis=1)[:, 299] / w.sum(axis=1)
+        knots = np.cumsum(w, axis=1)[:, 299] / _row_total(w)
     alphas[::2] = np.where(np.isfinite(knots), knots, 0.5)[::2]
     got, want = kernels._quantile_batch(prep, _points(), alphas), _ref_quantile_batch(prep, _points(), alphas)
     assert not got[1].all() and got[1].any()
@@ -530,8 +630,8 @@ def test_quantile_batch_with_repeated_points_matches_reference(small_dar, chunki
     # the reference's blocks of pairs and the deduplicated blocks of rows both split the repeats
     prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
     distinct = np.append(_points(20), np.nan)
-    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
-    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    w = REF_KERNELS[kern](prep.x[None, :] - distinct[:, None], prep.bandwidth)
+    sum_w, cw = _row_total(w), np.cumsum(w, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         knots = cw[:, [0, 299, -1]] / sum_w[:, None]
     near_one = np.nextafter(1.0, 0.0)  # its target passes the last cumulative weight on some rows
@@ -542,7 +642,7 @@ def test_quantile_batch_with_repeated_points_matches_reference(small_dar, chunki
     got, want = kernels._quantile_batch(prep, ys, alphas), _ref_quantile_batch(prep, ys, alphas)
     for g, r in zip(got, want):
         assert_same_bits(g, r)
-    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    good = kernels._mass_ok(sum_w, w.max(axis=1), prep.threshold)
     assert not good.all() and good.sum() >= 15 and not good[-1]
     assert np.any(near_one * sum_w[good] > cw[good, -1])
 
@@ -552,11 +652,11 @@ def test_quantile_batch_at_one_point_matches_single_point_scan(small_dar, chunki
     # one repeated point is one weight row: bitwise the single-row searchsorted scan, its sum repeated
     prep = kernels._QuantilePrep.from_series(small_dar, KernelConfig(kernel=kern, min_weight_sum=mass))
     near_one, passed_last = np.nextafter(1.0, 0.0), False  # its target can pass the last cumulative weight
-    for y0 in (-0.8, 0.1, 1.3, -9.0):  # the last lacks mass
-        w = REF_KERNELS[kern]((prep.x - y0) / prep.bandwidth)
+    for y0 in (-0.8, 0.1, 1.3, 0.7, -9.0):  # the last lacks mass; 0.7 passes the last Epanechnikov weight
+        w = REF_KERNELS[kern](prep.x - y0, prep.bandwidth)
         cw = np.cumsum(w)
         with np.errstate(invalid="ignore"):
-            knots = cw[[0, 299, -2]] / w.sum()
+            knots = cw[[0, 299, -2]] / _row_total(w)
         alphas = np.concatenate([np.where(np.isfinite(knots), knots, 0.5), [near_one],
                                  np.random.default_rng(117).uniform(0.01, 0.99, 40)])
         for n in (1, len(alphas)):  # one level (S=1), then all of them
@@ -621,8 +721,8 @@ def test_two_level_search_matches_reference_where_most_pairs_fall_back(T, kern, 
     series = simulate(DAR, T=T, y0=0.2, seed=120)
     prep = kernels._QuantilePrep.from_series(series, KernelConfig(kernel=kern, min_weight_sum=mass))
     m, distinct = T - 1, np.append(0.2, _points(29))  # the last two lack mass
-    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
-    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    w = REF_KERNELS[kern](prep.x[None, :] - distinct[:, None], prep.bandwidth)
+    sum_w, cw = _row_total(w), np.cumsum(w, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         knots = cw[:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / sum_w[:, None]
     # per row: five knot levels, nextafter(1, 0) and two uniform levels, eight pairs in all, and
@@ -640,7 +740,7 @@ def test_two_level_search_matches_reference_where_most_pairs_fall_back(T, kern, 
     for g, r in zip(got, want):
         assert_same_bits(g, r)
     assert_same_bits(got[2], sum_w[rows])
-    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    good = kernels._mass_ok(sum_w, w.max(axis=1), prep.threshold)
     assert good[0] and not good[-2:].any()
     if m < kernels._SCAN_BLOCK:  # one pair per row already exceeds m / 64
         assert searched == []
@@ -681,9 +781,9 @@ def test_two_level_search_evaluates_the_gathered_indices(T, kern):
     prep = kernels._QuantilePrep.from_series(series, KernelConfig(kernel=kern))
     m, distinct = T - 1, np.append(0.2, _points(29))
     ((_, _, w),) = kernels._weight_blocks(prep.x, distinct, prep.bandwidth, prep.kernel)
-    summary = np.empty((len(distinct), len(range(0, m, kernels._SCAN_BLOCK)) + 2))
-    np.cumsum(np.add.reduceat(w, np.arange(0, m, kernels._SCAN_BLOCK), axis=1), axis=1, out=summary[:, :-2])
-    summary[:, -2], summary[:, -1] = w.sum(axis=1), w.max(axis=1)
+    summary = np.empty((len(distinct), len(range(0, m, kernels._SCAN_BLOCK)) + 1))  # block cumsums, then maximum
+    np.cumsum(np.add.reduceat(w, np.arange(0, m, kernels._SCAN_BLOCK), axis=1), axis=1, out=summary[:, :-1])
+    summary[:, -1] = w.max(axis=1)
     good = np.flatnonzero(kernels._mass_ok(summary[:, -2], summary[:, -1], None))
     with np.errstate(invalid="ignore", divide="ignore"):
         knots = np.cumsum(w, axis=1)[good][:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / summary[good, -2:-1]
@@ -708,8 +808,8 @@ def test_two_level_search_on_memo_slots_matches_reference(T, chunking, kern, mas
         monkeypatch.setattr(kernels, "_CHUNK_CELLS", 16 * m)
     picks = np.random.default_rng(128).choice(np.arange(1, m - 1), 28, replace=False)
     distinct = prep.v[np.concatenate([picks, [0, m - 1]])]  # the extreme responses lack mass in some cases
-    w = REF_KERNELS[kern]((prep.x[None, :] - distinct[:, None]) / prep.bandwidth)
-    sum_w, cw = w.sum(axis=1), np.cumsum(w, axis=1)
+    w = REF_KERNELS[kern](prep.x[None, :] - distinct[:, None], prep.bandwidth)
+    sum_w, cw = _row_total(w), np.cumsum(w, axis=1)
     knots = cw[:, [0, m // 4, m // 2, 3 * m // 4, m - 2]] / sum_w[:, None]
     uniform = np.random.default_rng(129).uniform(0.01, 0.99, (30, 8))
     levels = np.where(np.arange(30)[:, None] < 15, np.column_stack([knots, np.full(30, np.nextafter(1.0, 0.0)),
@@ -737,7 +837,7 @@ def test_two_level_search_on_memo_slots_matches_reference(T, chunking, kern, mas
             assert_same_bits(blocks[0][1], np.sort(distinct))
             assert prep.used == 30 and not any(on_memo for on_memo, _, _ in searched)
             del searched[:]
-    good = kernels._mass_ok(sum_w, w.max(axis=1), mass)
+    good = kernels._mass_ok(sum_w, w.max(axis=1), prep.threshold)
     assert good[0] and good[1:15].sum() >= 10 and good[15:].sum() >= 10
     # the second call searched every pair of the uncrowded rows with mass on their slots; the knot
     # levels' pairs fall back, and only the crowded row and the rows of such pairs are evaluated again
@@ -856,23 +956,23 @@ def test_memo_stays_within_its_budget(small_dar, monkeypatch):
     req = IrfRequest(y0=0.2, horizons=5, delta=0.5, S=200, seed=126)
     want = _ref_simulate_paths(small_dar, req)
     assert_same_bits(irf.simulate_paths(small_dar, req).paths, want)
-    budget = 5 * (10 + 2)  # five summaries of a 599-column row: sum, maximum, ten block prefixes
+    budget = 5 * (10 + 1)  # five summaries of a 599-column row: ten block prefixes, the last its total, and maximum
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", budget)
     sim, steps = _traced_simulation(small_dar, req, monkeypatch)
     assert_same_bits(sim.paths, want)
     prep = steps[0]["prep"]
-    assert prep.memo.shape == (5, 12) and prep.used == 5 and (prep.slots >= 0).sum() == 5
+    assert prep.memo.shape == (5, 11) and prep.used == 5 and (prep.slots >= 0).sum() == 5
     assert all(step["memo_cells"] <= budget for step in steps)
     # rows beyond the five slots are evaluated in full at every step
     _assert_full_rows_are_the_unserved_states(small_dar, req, steps)
     assert all(len(step["full"][0]) >= len(np.unique(step["ys"])) - 5 for step in steps[1:])
     assert any((step["slot"] >= 0).any() for step in steps[1:])
-    # at T=50,000 the default budget holds 1275 of the 49,999 rows' 784-cell summaries (8 MB, not 313 MB)
+    # at T=50,000 the default budget holds 1277 of the 49,999 rows' 783-cell summaries (8 MB, not 313 MB)
     monkeypatch.setattr(kernels, "_CHUNK_CELLS", 1_000_000)
     v = np.arange(49_999.0)
     big = kernels._QuantilePrep(v, v, 1.0, "gaussian", None, slots=np.full(len(v), -1))
-    big.store(np.array([7]), np.zeros((1, 784)))
-    assert big.memo.shape == (1275, 784) and big.memo.size <= 1_000_000 and big.slots[7] == 0
+    big.store(np.array([7]), np.zeros((1, 783)))
+    assert big.memo.shape == (1277, 783) and big.memo.size <= 1_000_000 and big.slots[7] == 0
 
 
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)
@@ -933,7 +1033,7 @@ def _ref_window_fit(x, targets, points, b, kern):
     chunk = max(16, kernels._CHUNK_CELLS // len(x))
     for lo in range(0, len(points), chunk):
         hi = min(lo + chunk, len(points))
-        w = REF_KERNELS[kern]((x[None, :] - points[lo:hi, None]) / b)
+        w = REF_KERNELS[kern](x[None, :] - points[lo:hi, None], b)
         sums[lo:hi], maxima[lo:hi] = w.sum(axis=1), w.max(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             out[lo:hi] = (w @ targets) / sums[lo:hi].reshape((-1,) + (1,) * (targets.ndim - 1))

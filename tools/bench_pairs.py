@@ -3,7 +3,8 @@
 Usage, from the repository root:
 
     python3 tools/bench_pairs.py --parent <sha> --pr 21 --scratch DIR \\
-        --seeds direct_paths=5101 local_projection=5201 cli_diagnostics=5301 --change "what changed"
+        --seeds direct_paths=5101 local_projection=5201 cli_diagnostics=5301 --change "what changed" \\
+        [--claim run_s@direct_paths]
 
 The parent commit is exported with ``git archive <sha> | tar -x`` into ``DIR/parent`` and the
 working tree's ``src/`` and ``perfbench/`` are copied into ``DIR/change``, so each side runs from
@@ -14,7 +15,11 @@ even pairs, and reads each run's last output line. The summary gives per end-to-
 ``BENCHMARK.json`` both sides' medians and quartiles (numpy.quantile, linear), the pairs the change
 wins (ties count for neither side), the median relative change, whether that gap exceeds the
 parent's interquartile range, and whether the change's median is within the metric's bound of the
-parent's. The report claims no gain. The benchmark itself is a black box.
+parent's. With ``--claim METRIC@WORKLOAD``, both names checked against ``BENCHMARK.json`` and the
+seeds before any run, the report's ``claim`` says whether that metric improved on that workload:
+``met`` when the change wins at least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range. Without it the report claims no gain
+(``claim`` is null). The benchmark itself is a black box.
 """
 
 from __future__ import annotations
@@ -42,10 +47,15 @@ class RunFailed(RuntimeError):
     """A benchmark run that exited nonzero."""
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, counted as ``perfbench/run.py`` counts them."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def blas_threads() -> int:
     """The BLAS threads the runs use: ``perfbench/run.py`` keeps an OPENBLAS_NUM_THREADS within the usable CPUs
     and sets any other to their count."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    usable = usable_cpus()
     current = os.environ.get("OPENBLAS_NUM_THREADS", "")
     return int(current) if current.isdigit() and 1 <= int(current) <= usable else usable
 
@@ -63,7 +73,7 @@ def environment() -> Dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
             "blas": {"name": blas["name"], "version": blas["version"], "threads": blas_threads()},
-            "nproc": os.cpu_count(),
+            "nproc": usable_cpus(),
             "machine": platform.machine(), "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
             "dispatch_fingerprint": _dispatch()}
 
@@ -94,6 +104,30 @@ def summarize(pairs: List[Dict], metrics: List[Dict]) -> Dict:
             "bound": m["bound"], "within_bound": -sign * rel <= m["bound"],
         }
     return out
+
+
+def parse_claim(claim: str, benchmark: Dict, workloads) -> Dict[str, str]:
+    """``METRIC@WORKLOAD`` as ``{metric, workload}``, if BENCHMARK.json has that end-to-end metric and workload
+    and ``workloads`` (those to be run) includes it; otherwise a ValueError naming what is unknown."""
+    metric, sep, workload = claim.partition("@")
+    metrics = [m["name"] for m in benchmark["end_to_end"]]
+    known = [w["name"] for w in benchmark["workloads"]]
+    if not sep or metric not in metrics:
+        raise ValueError(f"claim {claim!r}: unknown end-to-end metric {metric!r}, expected one of {metrics}")
+    if workload not in known or workload not in workloads:
+        raise ValueError(f"claim {claim!r}: workload {workload!r} is not among those run, {list(workloads)}")
+    return {"metric": metric, "workload": workload}
+
+
+def verdict(claim: Dict[str, str], summary: Dict) -> Dict:
+    """The claim with the pairs' verdict on it, from its workload's summary: met when the change wins at least
+    nine tenths of the pairs and its median is better by more than the parent's interquartile range."""
+    s = summary[claim["metric"]]
+    rel = s["median_change_rel"]
+    improved = rel > 0 if s["better"] == "higher" else rel < 0
+    met = 10 * s["change_wins"] >= 9 * s["pairs"] and improved and s["median_gap_exceeds_parent_iqr"]
+    keys = ("change_wins", "pairs", "median_change_rel", "median_gap_exceeds_parent_iqr")
+    return {**claim, **{k: s[k] for k in keys}, "met": bool(met)}
 
 
 def prepare(parent: str, scratch: Path) -> Dict[str, Path]:
@@ -128,10 +162,12 @@ def main(argv=None) -> int:
     p.add_argument("--scratch", required=True, type=Path, help="directory for the two sides' trees")
     p.add_argument("--seeds", nargs="+", required=True, help="WORKLOAD=FIRST_SEED, in the order to run")
     p.add_argument("--change", required=True, help="what the change does")
+    p.add_argument("--claim", help="METRIC@WORKLOAD: the end-to-end metric the change claims to improve there")
     args = p.parse_args(argv)
     first_seeds = {w: int(s) for w, s in (item.split("=") for item in args.seeds)}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    claim = parse_claim(args.claim, benchmark, first_seeds) if args.claim else None
     trees = prepare(args.parent, args.scratch)
 
     workloads = {}
@@ -151,7 +187,7 @@ def main(argv=None) -> int:
     report = {
         "change": args.change,
         "parent_commit": args.parent,
-        "claim": None,
+        "claim": verdict(claim, workloads[claim["workload"]]["summary"]) if claim else None,
         "method": {
             "command": f"python3 perfbench/run.py --workload W --seed SEED --seconds {seconds} --trace 0",
             "sides": "the parent commit exported by git archive, and the change's src/ and perfbench/, "
