@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .irf import _ROUTES, IrfRequest, _route_irf
 from ._checks import _finite, _instance, _integer, _level, _nonempty_list
+from ._normal import _ndtr
 from .kernels import KernelConfig, _a_config, cond_cdf, cond_quantile
 from .models import ModelSpec, TimeSeries, simulate, true_irf
 
@@ -78,7 +78,7 @@ class CondCdfTarget:
 
     def oracle(self, model: ModelSpec) -> float:
         m, s = _conditional_moments(model, self.y)
-        return float(ndtr((self.z - m) / s))
+        return float(_ndtr((self.z - m) / s))
 
     def estimate(self, series: TimeSeries, cfg: KernelConfig, route: str, seed: int) -> float:
         return cond_cdf(series, self.z, self.y, cfg).value
@@ -95,6 +95,8 @@ class CondQuantileTarget:
         _finite("y", self.y)
 
     def oracle(self, model: ModelSpec) -> float:
+        from scipy.special import ndtri  # loaded by this call alone: scipy.special is most of an import's cost
+
         m, s = _conditional_moments(model, self.y)
         return float(m + s * ndtri(self.alpha))
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from ._checks import _as_reals, _instance, _integer, _level, _triples
 from .kernels import _a_series, _nw_fit, silverman_bandwidth
@@ -284,6 +283,8 @@ def markov_moment_test(
             "bootstrap covariance of the moments is singular; some basis triple "
             "gives a degenerate moment"
         ) from None
+    from scipy.special import gammaincinv  # loaded by this call alone: scipy.special is most of an import's cost
+
     crit = float(2 * gammaincinv(len(basis) / 2, 1 - level))  # the chi-square quantile, as scipy.stats computes it
     return MarkovTestResult(
         moments=moments,

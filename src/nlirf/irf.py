@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._checks import _as_reals, _finite, _instance, _integer, _level, _number
+from ._normal import _ndtr
 from .hermite import DEFAULT_J, HermiteDecomposition, decompose_irf
 from .kernels import (EPS_CLAMP, InsufficientLocalData, KernelConfig, _a_config, _a_series, _nw_lags, _QuantilePrep,
                       _quantile_batch)
@@ -126,7 +126,7 @@ class PathSimulation:
 
 def _rank(eps: np.ndarray) -> np.ndarray:
     """Gaussian rank of a shock, clamped so it stays inside (0, 1)."""
-    return ndtr(np.clip(eps, -EPS_CLAMP, EPS_CLAMP))
+    return _ndtr(np.clip(eps, -EPS_CLAMP, EPS_CLAMP))
 
 
 def _check_rejections(rejected: np.ndarray, S: int) -> None:
@@ -157,11 +157,11 @@ def simulate_paths(series: TimeSeries, req: IrfRequest) -> PathSimulation:
     """Simulate S paired (baseline, shocked) paths of length H through g_hat; each path steps until it leaves."""
     _check_inputs(series, req)
     prep, rng, sim = _simulate_step1(series, req)
+    ranks = _rank(rng.standard_normal((req.horizons - 1, req.S)))  # the stream of one draw of S per step
     for k in range(1, req.horizons):
-        eps_k = rng.standard_normal(req.S)
         row, rep = np.nonzero(np.isfinite(sim.paths[:, :, k - 1]))  # either row's outcomes, each on its own path
         keep = k + 1 < req.horizons  # the rows that a later step reads
-        sim.paths[row, rep, k] = _quantile_batch(prep, sim.paths[row, rep, k - 1], _rank(eps_k)[rep], keep)[0]
+        sim.paths[row, rep, k] = _quantile_batch(prep, sim.paths[row, rep, k - 1], ranks[k - 1, rep], keep)[0]
     return sim
 
 

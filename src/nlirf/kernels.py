@@ -35,9 +35,9 @@ from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._checks import _as_reals, _finite, _instance, _integer, _level, _number, _object, _one_of, _positive_finite
+from ._normal import _ndtr
 from .models import TimeSeries
 
 __all__ = [
@@ -169,7 +169,11 @@ def silverman_bandwidth(data: Sequence[float]) -> float:
     x = _as_reals(data, "data").ravel()
     if x.size < 2:
         raise ValueError("need at least 2 observations for a bandwidth")
-    sd = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a spread past ~1e154 overflows the squares
+        sd = float(np.std(x, ddof=1))
+    if not math.isfinite(sd):
+        lo, hi = float(x.min()), float(x.max())
+        raise ValueError(f"data spread [{lo:.3g}, {hi:.3g}] overflows its standard deviation; rescale the data")
     if sd == 0.0:
         raise ValueError("data is constant; bandwidth undefined")
     return _positive_finite("bandwidth", 1.06 * sd * x.size ** (-0.2), *_BANDWIDTHS)
@@ -506,7 +510,7 @@ def g_hat(
             stacklevel=2,
         )
         eps = math.copysign(EPS_CLAMP, eps)
-    return cond_quantile(series, float(ndtr(eps)), y, cfg).value
+    return cond_quantile(series, float(_ndtr(eps)), y, cfg).value
 
 
 def nadaraya_watson(

@@ -9,7 +9,7 @@ from scipy.stats import norm
 import nlirf.irf as irf
 import nlirf.kernels as kernels
 from nlirf.hermite import decompose_irf
-from nlirf.irf import IrfRequest, decompose_lp_irf, irf_lp
+from nlirf.irf import IrfRequest, decompose_lp_irf, irf_direct, irf_lp
 from nlirf.kernels import (
     ClampedShockWarning,
     ConditionalEstimate,
@@ -585,7 +585,7 @@ def test_kernel_masses_match_the_plain_formulas(small_dar, kern):
 def test_bandwidths_whose_square_is_not_a_normal_float_are_refused(small_dar, kern, scale):
     # at b = 1e-160, -0.5 / b^2 is -inf and an exact match would weigh 0 * -inf = NaN; at 1e160, b^2
     # overflows: such bandwidths are refused by name, explicit or by Silverman's rule on data of that
-    # scale (data whose rule gives more than 6.7e153 overflow np.std's squares first)
+    # scale (data whose rule gives more than 6.7e153 overflow np.std's squares first, refused below)
     with pytest.raises(ValueError, match="bandwidth must be a positive finite number in"):
         KernelConfig(kernel=kern, bandwidth=scale)
     if scale < 1.0:
@@ -602,6 +602,15 @@ def test_bandwidths_whose_square_is_not_a_normal_float_are_refused(small_dar, ke
     assert_same_bits(narrow, (x[None, :] == x[:5, None]).astype(float))
     ((_, _, wide),) = kernels._weight_blocks(x, x[:5], 1e150, kern)
     assert (wide == 1.0).all()
+
+
+def test_data_whose_spread_overflows_the_standard_deviation_is_refused_by_name(small_dar):
+    # np.std squares the deviations, which overflow once the spread passes about 1.3e154
+    data = small_dar.y * 1e160
+    req = IrfRequest(y0=float(data[3]), horizons=3, delta=1e160, S=50, seed=1)
+    for call in (lambda: silverman_bandwidth(data), lambda: irf_direct(TimeSeries(values=data), req)):
+        with pytest.raises(ValueError, match=r"data spread \[-1e\+161, 8\.72e\+160\] overflows its standard deviation"):
+            call()
 
 
 @pytest.mark.parametrize("kern, mass", KERNEL_CASES)

@@ -20,6 +20,12 @@ seeds before any run, the report's ``claim`` says whether that metric improved o
 ``met`` when the change wins at least nine tenths of the pairs and its median is better than the
 parent's by more than the parent's interquartile range. Without it the report claims no gain
 (``claim`` is null). The benchmark itself is a black box.
+
+The runs need the machine to themselves: run nothing else beside them, not a test suite and not a
+second benchmark. ``perfbench/run.py`` gives OpenBLAS a thread per usable CPU, and those threads
+spin for a CPU that another process holds, so BLAS-bound requests (``irf_lp``'s ``_nw_fit``) take
+several times as long (on 2 CPUs, 20 ``irf_lp`` calls at T=5000, S=200 went from 0.18 s alone to
+1.8 s beside a second such process), and a pair would compare the load, not the commits.
 """
 
 from __future__ import annotations
