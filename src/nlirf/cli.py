@@ -29,6 +29,7 @@ import inspect
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -71,12 +72,29 @@ def derive_seed(master_seed: int, subcommand: str) -> int:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+def _loadtxt(lines: List[str], fields: int) -> Optional[np.ndarray]:
+    """The values of a valid file's data lines, read in one numpy pass, or None when the line
+    loop must read them or name their error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None, ndmin=1,
+                               dtype=[("t", np.int64), ("y", np.float64, (fields - 1,))])
+    except Exception:
+        return None
+    t, y = table["t"], table["y"]
+    # int64 differences wrap, so the first and last t are also compared as Python ints
+    ok = len(t) >= 2 and np.isfinite(y).all() and (np.diff(t) == 1).all() and int(t[-1]) - int(t[0]) == len(t) - 1
+    return y if ok else None
+
+
 def ingest_csv(path) -> TimeSeries:
     """Read a series CSV with header ``t,y1[,y2,...]`` into a TimeSeries.
 
     Leading ``#`` comment lines are skipped; t must be consecutive
     ascending integers and all values finite. Errors name the offending
-    line.
+    line. The data lines of a valid file are read in one numpy pass;
+    the line loop reads any other file and names its error.
     """
     path = Path(path)
     if not path.exists():
@@ -85,7 +103,8 @@ def ingest_csv(path) -> TimeSeries:
     header: Optional[List[str]] = None
     prev_t: Optional[int] = None
     with open(path, "r", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        lines = fh.readlines()
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -97,6 +116,9 @@ def ingest_csv(path) -> TimeSeries:
                         f"line {lineno}: header must be 't,y1[,y2,...]', got {line!r}"
                     )
                 header = parts
+                values = _loadtxt(lines[lineno:], len(header)) if len(header) > 1 else None
+                if values is not None:
+                    return TimeSeries(values=values, origin=str(path))
                 continue
             if len(parts) != len(header):
                 raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(parts)}")
@@ -191,7 +213,8 @@ def _run_simulate(config: Dict, seed: int, w: _Writer) -> None:
 
 
 def _run_qmle(config: Dict, seed: int, w: _Writer) -> None:
-    res = qmle_grid_search(ingest_csv(config["input"]), GridSpec(**config["grid"]))
+    grid = GridSpec(**config["grid"])  # a bad grid fails before the input is read
+    res = qmle_grid_search(ingest_csv(config["input"]), grid)
     w.json("qmle.json", {**dataclasses.asdict(res.params), "loglik": res.loglik,
                          "grid_argmax_on_boundary": res.grid_argmax_on_boundary})
 

@@ -5,8 +5,9 @@ Nadaraya-Watson regression estimators, plus the estimated nonlinear
 autoregressive map ``g_hat(y, eps) = Q_hat(Phi(eps) | y)`` obtained by
 inverting the estimated conditional distribution at a Gaussian rank.
 Every weight comes from one chunked primitive that evaluates (points x T)
-kernel blocks in place, in a buffer allocated per call of ``_CHUNK_CELLS`` cells
-(8 MB) or 16 rows, whichever is more, so concurrent calls share no scratch memory.
+kernel blocks in place, in a buffer of ``_CHUNK_CELLS`` cells (8 MB) or 16 rows, whichever is more.
+Each thread keeps that buffer in an anonymous mapping between calls, so threads share no scratch
+memory and the allocator's heap never holds, frees and re-places an 8 MB block, which fragments it.
 Weights omit the kernel's constant, which cancels in every ratio; the density, an explicit
 ``min_weight_sum`` and a reported kernel mass apply it once. Three batch passes evaluate every
 weight block (density, weighted-quantile scan, NW fit); the scan and the fit take one row per
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import threading
 import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, Union
@@ -61,6 +63,7 @@ EPS_CLAMP = 6.0
 _DEFAULT_MASS_MULTIPLE = 5.0
 
 _CHUNK_CELLS = 1_000_000  # max weight-matrix cells held at once: 8 MB of float64
+_SCRATCH = threading.local()  # .buf: the thread's idle weight-block buffer, or None
 
 _SCAN_BLOCK = 64  # columns per block sum in the two-level quantile search
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -95,15 +98,25 @@ def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: 
     """Yield ``(lo, hi, w)`` with ``w[i, j] = K((x[j] - points[lo + i]) / bandwidth) / _MASS[kernel]``.
 
     Blocks of ``max(16, _CHUNK_CELLS // len(x))`` rows, at most ``_CHUNK_CELLS`` cells (8 MB) up to 62,500
-    columns and 16 rows beyond (12.8 MB at 100,000), are evaluated in place by _kernel into one buffer per call,
+    columns and 16 rows beyond (12.8 MB at 100,000), are evaluated in place by _kernel into one buffer,
     which the next block overwrites. A row costs T cells whether or not its point repeats, so pass distinct points.
+    The buffer is the thread's scratch, taken for the call and given back when the generator closes; a call
+    made while it is out, or wider than it, maps its own. A block stays valid until the thread's next call.
     """
     m, n = len(x), len(points)
     chunk = max(1, min(n, max(16, _CHUNK_CELLS // m)))
-    buf = np.empty((chunk, m))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        yield lo, hi, _kernel(np.subtract(x[None, :], points[lo:hi, None], out=buf[: hi - lo]), bandwidth, kernel)
+    scratch, _SCRATCH.buf = getattr(_SCRATCH, "buf", None), None
+    if scratch is None or len(scratch) < chunk * m:
+        scratch = np.frombuffer(mmap.mmap(-1, 8 * chunk * m))
+    buf = scratch[: chunk * m].reshape(chunk, m)
+    try:
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            yield lo, hi, _kernel(np.subtract(x[None, :], points[lo:hi, None], out=buf[: hi - lo]), bandwidth, kernel)
+    finally:
+        kept = getattr(_SCRATCH, "buf", None)
+        if kept is None or len(kept) <= len(scratch):
+            _SCRATCH.buf = scratch
 
 
 def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:

@@ -132,3 +132,41 @@ def test_a_claim_is_checked_before_the_trees_are_prepared(tmp_path, monkeypatch)
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
 def test_environment_counts_the_usable_cpus():
     assert bench_pairs.environment()["nproc"] == bench_pairs.usable_cpus() == len(os.sched_getaffinity(0))
+
+
+def _record(tree, workload, seed, latencies):
+    """The record ``perfbench/run.py`` writes in the tree it runs in, cut to the per-request latencies."""
+    path = tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"workload": workload, "seed": seed, "request_latency_s": latencies}))
+
+
+def test_request_medians_come_from_the_run_record_in_its_tree(tmp_path):
+    _record(tmp_path, "cli_diagnostics", 7, {"cli_qmle": [0.30, 0.10, 0.20], "cli_simulate": [0.04, 0.02]})
+    got = bench_pairs.request_medians(tmp_path, "cli_diagnostics", 7)
+    assert got == {"cli_qmle": 0.20, "cli_simulate": pytest.approx(0.03)}
+
+
+def test_a_run_carries_its_request_medians(tmp_path):
+    runner = tmp_path / "perfbench" / "run.py"
+    runner.parent.mkdir()
+    runner.write_text("import json, pathlib\n"
+                      "p = pathlib.Path('.perfbench/results/cli_diagnostics-seed3-trace0.json')\n"
+                      "p.parent.mkdir(parents=True)\n"
+                      "p.write_text(json.dumps({'request_latency_s': {'cli_qmle': [0.2, 0.4, 0.3]}}))\n"
+                      f"print({_line(0.5, 100.0)!r})\n")
+    got = bench_pairs.run_once(tmp_path, "change", "cli_diagnostics", 3, 1)
+    assert got["request_median_s"] == {"cli_qmle": 0.3} and got["run_s"] == 0.5
+
+
+def test_request_summary_gives_both_sides_medians_over_the_pairs(tmp_path):
+    def run(qmle, simulate):
+        return {"request_median_s": {"cli_qmle": qmle, "cli_simulate": simulate}}
+
+    pairs = [{"parent": run(0.30, 0.020), "change": run(0.20, 0.021)},
+             {"parent": run(0.32, 0.022), "change": run(0.22, 0.020)},
+             {"parent": run(0.28, 0.021), "change": run(0.18, 0.022)}]
+    got = bench_pairs.summarize_requests(pairs)
+    assert got["cli_qmle"] == {"parent": 0.30, "change": 0.20, "median_change_rel": pytest.approx(-1 / 3)}
+    assert got["cli_simulate"]["parent"] == got["cli_simulate"]["change"] == 0.021
+    assert got["cli_simulate"]["median_change_rel"] == pytest.approx(0.0)

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlirf.bench
 import nlirf.cli as cli
@@ -68,6 +70,75 @@ def test_ingest_skips_comment_lines(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("# manifest: abc\nt,y1\n1,0.5\n2,1.0\n")
     assert ingest_csv(path).T == 2
+
+
+DEFECTS = [None, "quote", "underscore", "inf", "nan", "mid-line #", "blank line", "comment line", "gap", "swap",
+           "fields", "header", "float t", "wrapped t", "crlf", "leading comments", "spaces", "header only", "one row"]
+
+
+def _ingest_outcome(path):
+    """The values' bytes and shape, or the error message."""
+    try:
+        values = ingest_csv(path).values
+    except ValueError as err:
+        return str(err)
+    return values.tobytes(), values.shape
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ingest_numpy_pass_matches_the_line_loop(tmp_path_factory, data):
+    # the one-pass read must return the loop's array bit for bit on a valid file and hand every
+    # other file to the loop, which names its error
+    n = data.draw(st.integers(1, 3))
+    t0 = data.draw(st.integers(-5, 5) | st.just(2**63 - 2))  # the last overflows int64 inside the file
+    rows = data.draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+                              min_size=2, max_size=6))
+    fmt = data.draw(st.sampled_from([repr, "{:.6g}".format, "{:.17e}".format]))
+    defect = data.draw(st.sampled_from(DEFECTS))
+    fields = [[str(t0 + i)] + [fmt(v) for v in row] for i, row in enumerate(rows)]
+    i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(1, n))
+    header = "t," + ",".join(f"y{k}" for k in range(1, n + 1))
+    edit = {"quote": lambda f: f'"{f}"', "underscore": lambda f: "1_0", "inf": lambda f: "inf",
+            "nan": lambda f: "nan", "mid-line #": lambda f: f + "#x", "fields": lambda f: f + ",1.5",
+            "spaces": lambda f: f"  {f} "}.get(defect)
+    if edit:
+        fields[i][j] = edit(fields[i][j])
+    if defect == "gap":  # t skips one value
+        for k in range(max(i, 1), len(fields)):
+            fields[k][0] = str(t0 + k + 1)
+    if defect == "swap":  # t keeps its first and last value but steps back once
+        k = (i + 1) % len(fields)
+        fields[i][0], fields[k][0] = fields[k][0], fields[i][0]
+    if defect == "float t":
+        fields[i][0] += ".0"
+    if defect == "wrapped t":  # t runs up to 2^63 - 1 and on from -2^63, consecutive only modulo 2^64
+        for k, f in enumerate(fields):
+            f[0] = str((2**63 - 1 + k - i + 2**63) % 2**64 - 2**63)
+    lines = [",".join(f) for f in fields]
+    if defect in ("blank line", "comment line"):
+        lines.insert(i, "   " if defect == "blank line" else "# note")
+    if defect == "header":
+        header = header.replace("y1", "y0")
+    if defect in ("header only", "one row"):
+        lines = lines[:0 if defect == "header only" else 1]
+    if defect == "leading comments":
+        header = "# made by hand\n\n#, t,y1\n" + header
+    newline = "\r\n" if defect == "crlf" else "\n"
+    path = tmp_path_factory.mktemp("ingest") / "s.csv"
+    path.write_bytes(newline.join([header, *lines, ""]).encode())
+    with mock.patch.object(cli, "_loadtxt", return_value=None):
+        loop = _ingest_outcome(path)
+    assert _ingest_outcome(path) == loop
+
+
+def test_ingest_reads_a_valid_file_in_one_numpy_pass(tmp_path, monkeypatch):
+    path = tmp_path / "s.csv"
+    series = write_series_csv(path, T=50)
+    got, loadtxt = [], cli._loadtxt
+    monkeypatch.setattr(cli, "_loadtxt", lambda *args: got.append(loadtxt(*args)) or got[-1])
+    assert ingest_csv(path).values.tobytes() == series.values.tobytes()
+    assert len(got) == 1 and got[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +560,17 @@ def test_irf_and_decompose_reject_unknown_route_before_simulating(tmp_path, monk
     monkeypatch.setattr("nlirf.cli.simulate", lambda *a, **k: pytest.fail("simulated"))
     with pytest.raises(ValueError, match=message):
         run(subcommand, config, tmp_path, 0)
+
+
+@pytest.mark.parametrize("lower, message", [
+    ([0.1, 0.5, -0.2], "lower: the beta axis must start at 0 or above"),
+    ([0.1, 0.0, 0.1], "lower: the alpha axis must start above 0"),
+])
+def test_qmle_rejects_a_bad_grid_before_reading_the_input(tmp_path, monkeypatch, lower, message):
+    monkeypatch.setattr("nlirf.cli.ingest_csv", lambda *a, **k: pytest.fail("read the input"))
+    config = {"input": "missing.csv", "grid": {"lower": lower, "upper": [0.9, 1.5, 0.9], "step": 0.1}}
+    with pytest.raises(ValueError, match=message):
+        run("qmle", config, tmp_path, 0)
 
 
 def test_decompose_rejects_J_below_one_before_simulating(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import mmap
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -522,6 +524,31 @@ def test_weight_blocks_match_plain_expressions(small_dar, chunking, kern):
     assert [lo for lo, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
     got = np.concatenate([w for _, _, w in blocks])
     assert_same_bits(got, REF_KERNELS[kern](x[None, :] - points[:, None], b))
+
+
+def test_weight_block_buffer_is_a_mapping_kept_per_thread_and_never_shared(small_dar):
+    x, points = small_dar.y[:-1], _points()
+    b = silverman_bandwidth(x)
+    want = REF_KERNELS["gaussian"](x[None, :] - points[:, None], b)
+    list(kernels._weight_blocks(x, points, b, "gaussian"))
+    kept = kernels._SCRATCH.buf
+    assert isinstance(kept.base.obj, mmap.mmap)  # off the allocator's heap
+    # a second call reuses it; a call made while it is out maps its own
+    outer = kernels._weight_blocks(x, points, b, "gaussian")
+    (_, _, w_outer) = next(outer)
+    assert np.shares_memory(w_outer, kept)
+    ((_, _, w_inner),) = kernels._weight_blocks(x, points[::-1], b, "gaussian")
+    assert not np.shares_memory(w_inner, w_outer)
+    assert_same_bits(w_outer, want)
+    assert_same_bits(w_inner, want[::-1])
+    outer.close()
+    assert kernels._SCRATCH.buf is kept
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(next(kernels._weight_blocks(x, points, b, "gaussian"))[2]))
+    worker.start()
+    worker.join()
+    assert not np.shares_memory(seen[0], kept)
+    assert_same_bits(seen[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nlirf.qmle as qmle
 from nlirf.models import Dar1, DarParams, GaussianAr1, TimeSeries, simulate
@@ -154,22 +157,143 @@ class _ArgmaxRecorder:
         return getattr(np, name)
 
 
+def _exact_alphas(monkeypatch):
+    """The alpha of every slice the search evaluates exactly, in order, recorded from now on."""
+    seen, exact_slice = [], qmle._exact_slice
+    monkeypatch.setattr(qmle, "_exact_slice", lambda a, *rest: seen.append(a) or exact_slice(a, *rest))
+    return seen
+
+
+def _former_result(series, grid):
+    """The former search's QmleResult."""
+    _, (_, ir, ia, ib) = _former_grid_search(series, grid)
+    axes = [grid.axis(i) for i in range(3)]
+    params = DarParams(rho=float(axes[0][ir]), alpha=float(axes[1][ia]), beta=float(axes[2][ib]))
+    edge = any(i in (0, len(ax) - 1) for i, ax in zip((ir, ia, ib), axes))
+    return QmleResult(params=params, loglik=dar_quasi_loglik(params, series), grid_argmax_on_boundary=edge)
+
+
+@pytest.mark.parametrize("screened", [True, False])
 @pytest.mark.parametrize("seed, T, grid", [
     (31, 2000, DEFAULT_GRID),
     (32, 800, GridSpec(lower=(0.2, 0.5, 0.2), upper=(0.8, 1.5, 0.8), step=0.02)),
 ])
-def test_grid_search_matches_former_slice_allocation(monkeypatch, seed, T, grid):
-    # the slices now reuse two buffers; the ops and their order are the same, so every ll
-    # slice, the argmax and the log-likelihood are bitwise the former ones
+def test_grid_search_matches_former_slice_allocation(monkeypatch, seed, T, grid, screened):
+    # every slice the search evaluates exactly has the former slice's ops and order, so its ll
+    # slice, its argmax and the log-likelihood are bitwise the former ones; without the screen
+    # every slice is exact
     series = simulate(DAR, T=T, y0=0.0, seed=seed)
     slices, (ll, ir, ia, ib) = _former_grid_search(series, grid)
+    if not screened:
+        monkeypatch.setattr(qmle, "_screen", lambda *args: None)
+    alphas = _exact_alphas(monkeypatch)
     recorder = _ArgmaxRecorder()
     monkeypatch.setattr(qmle, "np", recorder)
     res = qmle_grid_search(series, grid)
     monkeypatch.undo()
-    assert len(recorder.seen) == len(slices) == len(grid.axis(1))
-    for got, want in zip(recorder.seen, slices):
+    assert len(recorder.seen) == len(alphas)
+    if not screened:
+        assert len(alphas) == len(slices)
+    assert grid.axis(1)[ia] in alphas  # the former argmax slice is among the exact ones
+    for a, got in zip(alphas, recorder.seen):
+        want = slices[int(np.flatnonzero(grid.axis(1) == a)[0])]
         assert got.tobytes() == want.tobytes()
     former = DarParams(rho=float(grid.axis(0)[ir]), alpha=float(grid.axis(1)[ia]), beta=float(grid.axis(2)[ib]))
     assert res.params == former
     assert res.loglik == dar_quasi_loglik(former, series)
+
+
+def test_grid_spec_refuses_a_negative_beta_axis():
+    with pytest.raises(ValueError, match="lower: the beta axis must start at 0 or above"):
+        GridSpec(lower=(0.1, 0.5, -0.2), upper=(0.9, 1.5, 0.9))
+    assert GridSpec(lower=(0.1, 0.5, 0.0)).axis(2)[0] == 0.0
+
+
+SCREEN_GRIDS = [DEFAULT_GRID, GridSpec(lower=(0.1, 0.5, 0.1), upper=(0.9, 1.5, 0.9), step=0.05),
+                GridSpec(lower=(-0.9, 0.02, 0.0), upper=(0.9, 2.0, 1.5), step=(0.1, 0.04, 0.03))]
+SCREEN_MODELS = [DAR, GaussianAr1(rho=0.6, sigma=1.0), Dar1.of(0.3, 0.05, 0.8)]  # the last: alpha near 0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(model=st.sampled_from(SCREEN_MODELS), T=st.sampled_from([12, 150, 1200]),
+       grid=st.sampled_from(SCREEN_GRIDS), seed=st.integers(0, 2**16))
+def test_screened_search_equals_the_former_search(model, T, grid, seed):
+    series = simulate(model, T=T, y0=0.2, seed=seed)
+    assert qmle_grid_search(series, grid) == _former_result(series, grid)
+
+
+@pytest.mark.parametrize("grid", SCREEN_GRIDS)
+@pytest.mark.parametrize("kind", ["ridge", "zero regressors"])
+def test_screened_search_on_ties_across_slices(monkeypatch, grid, kind):
+    # +-1 values make v = alpha + beta for every t, so the lattice has a ridge along alpha + beta
+    # whose points tie up to rounding across slices; zero regressors make rho and beta free
+    rng = np.random.default_rng(41)
+    values = rng.choice([-1.0, 1.0], size=600) if kind == "ridge" else np.r_[np.zeros(599), 1.5]
+    series = TimeSeries(values=values)
+    alphas = _exact_alphas(monkeypatch)
+    assert qmle_grid_search(series, grid) == _former_result(series, grid)
+    if kind == "ridge" and grid is DEFAULT_GRID:
+        assert len(alphas) > 50  # the certificate keeps every slice the ridge can cross
+
+
+def test_screen_falls_back_to_every_slice_when_products_could_leave_the_normal_range(monkeypatch):
+    # |ln v| reaches about 360 here, so no k >= 2 keeps k |ln v| below 700
+    series = TimeSeries(values=1e77 * simulate(DAR, T=400, y0=0.2, seed=42).values)
+    grid = GridSpec(lower=(0.1, 0.5, 0.1), upper=(0.9, 1.5, 0.9), step=0.05)
+    alphas = _exact_alphas(monkeypatch)
+    assert qmle_grid_search(series, grid) == _former_result(series, grid)
+    assert list(alphas) == list(grid.axis(1))
+
+
+def test_screen_near_the_range_limits_warns_of_nothing_and_matches():
+    # |ln v| just under 350 keeps k = 2, while syy and sxx near 1e292 would overflow their product
+    series = TimeSeries(values=1e69 * simulate(DAR, T=300, y0=0.2, seed=3).values)
+    grid = GridSpec(lower=(0.1, 1e-152, 0.0), upper=(0.9, 0.9, 0.9), step=0.1)
+    assert qmle_grid_search(series, grid) == _former_result(series, grid)
+    y = series.y
+    x, yy = y[:-1], y[1:]
+    assert qmle._screen(x * x, yy * yy, x * yy, *(grid.axis(i) for i in range(3))) is not None  # certified
+
+
+@pytest.mark.parametrize("grid", SCREEN_GRIDS[1:])
+@pytest.mark.parametrize("kind", ["dar", "ar", "ridge"])
+def test_certificate_bounds_the_screen_at_every_lattice_point(grid, kind):
+    rng = np.random.default_rng(43)
+    series = {"dar": simulate(DAR, T=700, y0=0.2, seed=43),
+              "ar": simulate(GaussianAr1(rho=0.6, sigma=1.0), T=700, y0=0.2, seed=43),
+              "ridge": TimeSeries(values=rng.choice([-1.0, 1.0], size=700))}[kind]
+    y = series.y
+    x, yy = y[:-1], y[1:]
+    rhos, alphas, betas = (grid.axis(i) for i in range(3))
+    top, bound, sums = qmle._screen(x * x, yy * yy, x * yy, rhos, alphas, betas)
+    slices, _ = _former_grid_search(series, grid)
+    for ia, exact in enumerate(slices):
+        screen = qmle._loglik(*(s[ia] for s in sums), rhos[:, None])
+        assert np.abs(screen - exact).max() <= bound[ia]
+        assert abs(top[ia] - exact.max()) <= bound[ia]
+
+
+def test_screen_leaves_at_most_two_exact_slices(monkeypatch):
+    # ordinary data puts the runner-up slice far beyond the certificate, so a fallback to every
+    # slice, which gives the same result, shows here
+    series = simulate(DAR, T=5000, y0=0.2, seed=44)
+    alphas = _exact_alphas(monkeypatch)
+    qmle_grid_search(series)
+    assert 1 <= len(alphas) <= 2
+
+
+@pytest.mark.parametrize("T", [5000, 20_000])
+def test_search_memory_is_one_beta_by_t_array_plus_tiles(T):
+    # one (n_beta, T - 1) buffer for the exact slices, and for the screen a few tiles and the
+    # lattice's (4, n_alpha, n_beta) sums (about one tile on the default lattice); the former
+    # search held three (n_beta, T - 1) arrays
+    series = simulate(DAR, T=T, y0=0.2, seed=45)
+    tracemalloc.start()
+    try:
+        qmle_grid_search(series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = 8 * len(DEFAULT_GRID.axis(2)) * (T - 1)
+    assert peak <= one + 8 * (6 * qmle._TILE_CELLS + 16 * T)
+    assert peak < 2 * one

@@ -11,7 +11,8 @@ working tree's ``src/`` and ``perfbench/`` are copied into ``DIR/change``, so ea
 its own copy (the runner writes ``.perfbench/results/`` into the tree it runs in). For each
 workload, pair i of 10 runs ``python3 perfbench/run.py --workload W --seed S+i --seconds N
 --trace 0`` once per side, N being the ``run_seconds`` of ``BENCHMARK.json``, the parent first in
-even pairs, and reads each run's last output line. The summary gives per end-to-end metric of
+even pairs, and reads each run's last output line and, from the record the run writes in its tree,
+each request's median latency over the run's passes. The summary gives per end-to-end metric of
 ``BENCHMARK.json`` both sides' medians and quartiles (numpy.quantile, linear), the pairs the change
 wins (ties count for neither side), the median relative change, whether that gap exceeds the
 parent's interquartile range, and whether the change's median is within the metric's bound of the
@@ -36,6 +37,7 @@ import math
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,21 @@ def parse_result(line: str) -> Dict:
     result = json.loads(line)
     return {"failed": result["failed"], "attempted": result["attempted"],
             **{k: m["value"] for k, m in result["metrics"].items()}}
+
+
+def request_medians(tree: Path, workload: str, seed: int) -> Dict[str, float]:
+    """Each request's median latency over the passes of one run, from the record the runner writes in its tree."""
+    record = json.loads((tree / ".perfbench" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {name: statistics.median(latencies) for name, latencies in record["request_latency_s"].items()}
+
+
+def summarize_requests(pairs: List[Dict]) -> Dict:
+    """Per request, both sides' median over the pairs of their per-run medians, and the relative change."""
+    out = {}
+    for name in pairs[0]["parent"]["request_median_s"]:
+        parent, change = (float(np.median([p[side]["request_median_s"][name] for p in pairs])) for side in SIDES)
+        out[name] = {"parent": parent, "change": change, "median_change_rel": change / parent - 1 if parent else None}
+    return out
 
 
 def summarize(pairs: List[Dict], metrics: List[Dict]) -> Dict:
@@ -158,7 +175,8 @@ def run_once(tree: Path, side: str, workload: str, seed: int, seconds: int) -> D
     if proc.returncode:
         tail = "\n".join(proc.stderr.splitlines()[-20:])
         raise RunFailed(f"{workload} on the {side} side, seed {seed}, exited {proc.returncode}:\n{tail}")
-    return parse_result(proc.stdout.strip().splitlines()[-1])
+    return {**parse_result(proc.stdout.strip().splitlines()[-1]),
+            "request_median_s": request_medians(tree, workload, seed)}
 
 
 def main(argv=None) -> int:
@@ -187,6 +205,7 @@ def main(argv=None) -> int:
                 print(workload, i, side, json.dumps(pair[side]), flush=True)
             pairs.append(pair)
         workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, metrics),
+                               "requests": summarize_requests(pairs),
                                "failed_total": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES}}
 
     seeds = ", ".join(f"{first}-{first + PAIRS - 1} ({w})" for w, first in first_seeds.items())
@@ -201,6 +220,9 @@ def main(argv=None) -> int:
             "order": "pairs alternate which side runs first, parent first in pair 0",
             "metrics": "the end-to-end metrics of BENCHMARK.json from each run's last output line; 'failed' and "
                        "'attempted' are the run's operation counts",
+            "requests": "request_median_s: each request's median latency over a run's passes, read from the record "
+                        "the runner writes in that side's tree (.perfbench/results/W-seedS-trace0.json); a workload's "
+                        "'requests' gives per request both sides' median of those over the pairs",
             "quartiles": "numpy.quantile, linear interpolation",
             "wins": "pairs in which the change is better; equal values are ties and count for neither side",
             "within_bound": "the change's median is worse than the parent's by at most the metric's bound",
