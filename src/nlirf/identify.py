@@ -13,9 +13,9 @@ Two tools live here:
 * :func:`markov_moment_test` checks first-order Markov dynamics through
   the conditional-covariance restrictions
   E[Cov(a(y_t), b(y_{t-2}) | y_{t-1}) c(y_{t-1})] = 0. Sample moments use
-  Nadaraya-Watson centered residuals from one kernel-weight block at one
-  bandwidth (the forward and backward regressions are two column windows of
-  it); their covariance is estimated by a circular block bootstrap, each
+  Nadaraya-Watson centered residuals at one bandwidth, whose fits and weight sums
+  come from one product of the series' kernel matrix, evaluated on its upper triangle
+  alone; their covariance is estimated by a circular block bootstrap, each
   replication a sum of precomputed block sums, and combined into a Wald
   statistic against a chi-square with one degree of freedom per basis triple.
 """
@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._checks import _as_reals, _instance, _integer, _level, _triples
-from .kernels import _a_series, _nw_fit, silverman_bandwidth
+from .kernels import _a_series, _kernel_matrix_product, silverman_bandwidth
 from .models import TimeSeries
 
 __all__ = [
@@ -210,7 +210,8 @@ def _block_bootstrap_means(contrib: np.ndarray, block_len: int, B: int, rng) -> 
     """Circular-block-bootstrap means (B, k) of the rows of ``contrib`` (n, k), as sums of block sums.
 
     A replication keeps the first n rows of ``ceil(n / block_len)`` blocks at uniform circular
-    starts: full blocks, then a shorter one. Each block sum adds one window of the wrapped rows.
+    starts: full blocks, then a shorter one. Each block sum adds one window of the wrapped rows, and
+    the replications add them one block at a time, so no (B, blocks, k) gather is held.
     """
     n = len(contrib)
     nblocks = int(math.ceil(n / block_len))
@@ -218,7 +219,10 @@ def _block_bootstrap_means(contrib: np.ndarray, block_len: int, B: int, rng) -> 
     windows = np.lib.stride_tricks.sliding_window_view(ext, block_len, axis=0)
     full, last = windows[:n].sum(axis=-1), windows[:n, :, : n - (nblocks - 1) * block_len].sum(axis=-1)
     starts = rng.integers(0, n, size=(B, nblocks))
-    return (full[starts[:, :-1]].sum(axis=1) + last[starts[:, -1]]) / n
+    total = last[starts[:, -1]]
+    for j in range(nblocks - 1):
+        total += full[starts[:, j]]
+    return total / n
 
 
 def markov_moment_test(
@@ -235,8 +239,8 @@ def markov_moment_test(
     [a(y_t) - E_hat(a | y_{t-1})] [b(y_{t-2}) - E_hat(b | y_{t-1})] c(y_{t-1})
     over t, which has mean zero under the Markov property. Basis functions must work
     elementwise, as a(y_t) means, since each is evaluated once, on the series. Both conditional
-    means are Gaussian Nadaraya-Watson fits at the Silverman bandwidth of y,
-    read as two column windows of one kernel-weight block. The moment vector is
+    means are Gaussian Nadaraya-Watson fits at the Silverman bandwidth of y, read
+    with their weight sums from one product of the kernel matrix over y. The moment vector is
     studentized with a circular-block-bootstrap covariance (``B`` replications,
     blocks of ``block_len`` < T - 2) and referred to a chi-square with one
     degree of freedom per triple at size ``level`` in (0, 1).
@@ -257,21 +261,24 @@ def markov_moment_test(
     if block_len >= n:
         raise ValueError(f"block_len must be below T - 2 = {n}, got {block_len}")
 
-    # forward fits E[a(y_t) | y_{t-1}] on x = y[:-1] and backward fits E[b(y_{t-2}) | y_{t-1}] on
-    # x = y[1:] at the points y_{t-1}, t = 3..T: columns [:-1] and [1:] of one block against y
-    points = y[1:-1]
-    fwd_targets = np.column_stack([fa(y[1:]) for fa, _, _ in basis])
-    bwd_targets = np.column_stack([fb(y[:-1]) for _, fb, _ in basis])
-    cvals = np.column_stack([fc(points) for _, _, fc in basis])
-    if not all(np.isfinite(v).all() for v in (fwd_targets, bwd_targets, cvals)):
+    # forward fits E[a(y_t) | y_{t-1}] on x = y[:-1] and backward fits E[b(y_{t-2}) | y_{t-1}] on x = y[1:]
+    # at the points y_{t-1}, t = 3..T: rows 1:-1 of K @ targets for the kernel matrix K over y, whose zero
+    # rows make each column read its regressors alone: [a(y[1:]), 1; 0] and [0; b(y[:-1]), 1]
+    q = len(basis)
+    targets = np.zeros((series.T, 2 * q + 2))
+    targets[:-1, :q] = np.column_stack([fa(y[1:]) for fa, _, _ in basis])
+    targets[1:, q + 1 : -1] = np.column_stack([fb(y[:-1]) for _, fb, _ in basis])
+    targets[:-1, q] = targets[1:, -1] = 1.0
+    cvals = np.column_stack([fc(y[1:-1]) for _, _, fc in basis])
+    if not (np.isfinite(targets).all() and np.isfinite(cvals).all()):
         raise ValueError("basis functions produced non-finite values")
     # points are sample values of both regressors: each weight sum >= the point's own weight
     bandwidth = silverman_bandwidth(y)
-    windows = [(slice(None, -1), fwd_targets), (slice(1, None), bwd_targets)]
-    fwd_fit, bwd_fit = _nw_fit(y, points, bandwidth, "gaussian", windows, maxima=False)[0]
+    sums = _kernel_matrix_product(y, targets, bandwidth, "gaussian")[1:-1]
 
-    ra = fwd_targets[1:] - fwd_fit  # a(y_t) and b(y_{t-2}), t = 3..T: pointwise, so rows of the targets
-    rb = bwd_targets[:-1] - bwd_fit
+    # a(y_t) and b(y_{t-2}), t = 3..T: pointwise, so rows of the targets
+    ra = targets[1:-1, :q] - sums[:, :q] / sums[:, q, None]
+    rb = targets[1:-1, q + 1 : -1] - sums[:, q + 1 : -1] / sums[:, -1, None]
     contrib = ra * rb * cvals
     moments = contrib.mean(axis=0)
     boot_means = _block_bootstrap_means(contrib, block_len, B, np.random.default_rng(seed))

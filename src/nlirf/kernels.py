@@ -9,13 +9,14 @@ kernel blocks in place, in a buffer of ``_CHUNK_CELLS`` cells (8 MB) or 16 rows,
 Each thread keeps that buffer in an anonymous mapping between calls, so threads share no scratch
 memory and the allocator's heap never holds, frees and re-places an 8 MB block, which fragments it.
 Weights omit the kernel's constant, which cancels in every ratio; the density, an explicit
-``min_weight_sum`` and a reported kernel mass apply it once. Three batch passes evaluate every
-weight block (density, weighted-quantile scan, NW fit); the scan and the fit take one row per
-distinct conditioning point. The scan takes a row's total from its 64-column block sums, finds
-the row's crossings from them when it has few, and keeps only the crossings certified equal,
-bitwise, to those of the row's sequential cumulative sum, which serves every other one. A
-simulation keeps each response row's block-sum cumsum and maximum, the same bits as a fresh
-row's, in a memo of at most ``_CHUNK_CELLS`` cells, so it evaluates the row in full once.
+``min_weight_sum`` and a reported kernel mass apply it once. Four batch passes evaluate every weight
+block (density, weighted-quantile scan, NW fit, and the Markov test's strips of the upper triangle of a
+series' symmetric kernel matrix); the scan and the fit take one row per distinct conditioning point.
+The scan takes a row's total from its 64-column block sums, finds the row's crossings from them when
+it has few, and keeps only the crossings certified equal, bitwise, to those of the row's sequential
+cumulative sum, which serves every other one. A simulation keeps each response row's block-sum
+cumsum and maximum, the same bits as a fresh row's, in a memo of at most ``_CHUNK_CELLS`` cells, so
+it evaluates the row in full once.
 Single-point estimators are one-row calls; the conditional CDF reads its row.
 
 All conditional estimators pair the regressor ``y_{t-1}`` with the
@@ -117,6 +118,26 @@ def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: 
         kept = getattr(_SCRATCH, "buf", None)
         if kept is None or len(kept) <= len(scratch):
             _SCRATCH.buf = scratch
+
+
+def _kernel_matrix_product(y: np.ndarray, targets: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
+    """``K @ targets`` for the symmetric (T, T) matrix ``K[i, j] = K((y[j] - y[i]) / bandwidth) / _MASS[kernel]``.
+
+    Only the upper triangle is evaluated: strips of ``max(16, min(64, _CHUNK_CELLS // T))`` rows
+    [i0, i1) by columns [i0, T), each one _weight_blocks block, about T^2 / 2 + 32 T cells in all. A lower
+    cell has the bits of its mirror, since ``-u`` squares to the bits of ``u``, so each strip adds
+    ``targets[i0:].T @ w.T`` to its own rows and ``targets[i0:i1].T @ w[:, i1 - i0:]`` to the rows below,
+    in transposed products: ``w[:, i1 - i0:].T @ targets[i0:i1]`` made OpenBLAS's second thread pack 8 MB.
+    """
+    T = len(y)
+    rows = max(16, min(64, _CHUNK_CELLS // T))  # 64 rows beat 32, 128 and 200 at T=5000
+    tt, out = np.ascontiguousarray(targets.T), np.zeros((targets.shape[1], T))
+    for i0 in range(0, T, rows):
+        i1 = min(i0 + rows, T)
+        ((_, _, w),) = _weight_blocks(y[i0:], y[i0:i1], bandwidth, kernel)
+        out[:, i0:i1] += tt[:, i0:] @ w.T
+        out[:, i1:] += tt[:, i0:i1] @ w[:, i1 - i0 :]
+    return out.T
 
 
 def _density(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str) -> np.ndarray:
@@ -383,7 +404,9 @@ def _quantile_batch(prep: _QuantilePrep, ys: np.ndarray, alphas: np.ndarray, kee
 
 
 def _prefix_sums(w: np.ndarray, ends) -> dict:
-    """``{n: w[:, :n].sum(axis=1)}`` for prefix lengths ``ends`` of unit-stride rows, bitwise; see _nw_fit."""
+    """``{n: w[:, :n].sum(axis=1)}`` for prefix lengths ``ends`` of unit-stride rows, bitwise: numpy sums a row
+    pairwise, ``sum(:n) = sum(:n2) + sum(n2:n)`` for n > 128, ``n2 = n//2 - (n//2) % 8``, so prefixes with one
+    n2 sum that left part once."""
     groups = {}
     for n in set(ends):  # by numpy's split point; a row of at most 128 values is a group of its own
         groups.setdefault(n // 2 - n // 2 % 8 if n > 128 else -n, []).append(n)
@@ -395,32 +418,20 @@ def _prefix_sums(w: np.ndarray, ends) -> dict:
     return sums
 
 
-def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows, maxima: bool = True):
-    """NW fits at ``points`` for ``windows`` of ``(columns, targets)``: ``targets`` on ``x[columns]``.
-
-    Each weight block is evaluated once on all of ``x`` and window i reads its column slice
-    ``w[:, columns]``. The targets are all (m_i,) or all (m_i, q). Returns the fits (windows, points) or
-    (windows, points, q), the weight sums (windows, points), and the maxima likewise, or None unless ``maxima``.
-    Prefix windows ``w[:, :n]`` share row reductions, bitwise equal to their own: maxima extend over
-    the extra columns, and sums follow numpy's pairwise rule ``sum(:n) = sum(:n2) + sum(n2:n)`` for
-    n > 128, ``n2 = n//2 - (n//2) % 8``, so prefixes with one n2 sum that left part once.
-    """
+def _nw_fit(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: str, windows):
+    """NW fits at ``points`` for prefix ``windows`` of ``(n, targets)``: ``targets`` (all (n,) or all (n, q)) on
+    ``x[:n]``, read as ``w[:, :n]`` of one block. Returns the fits (windows, points[, q]), and the weight sums
+    and maxima (windows, points). Windows share row reductions, bitwise equal to their own: maxima extend over
+    the extra columns, and sums share their left parts (_prefix_sums)."""
     shape = (len(windows), len(points))
-    fits = np.empty(shape + windows[0][1].shape[1:])
-    sum_w, max_w = np.empty(shape), np.empty(shape) if maxima else None
-    spans = [columns.indices(len(x)) for columns, _ in windows]
-    prefix = {i: stop for i, (start, stop, step) in enumerate(spans) if (start, step) == (0, 1)}
-    ends = sorted(set(prefix.values()))
+    fits, sum_w, max_w = np.empty(shape + windows[0][1].shape[1:]), np.empty(shape), np.empty(shape)
+    ends = sorted({n for n, _ in windows})
     for lo, hi, w in _weight_blocks(x, points, bandwidth, kernel):
         sums = _prefix_sums(w, ends)
-        if maxima:  # each prefix's maximum extends the shorter one's over its new columns
-            tops = dict(zip(ends, np.maximum.accumulate([w[:, a:b].max(axis=1) for a, b in zip([0] + ends, ends)])))
-        for i, (columns, targets) in enumerate(windows):
-            wi = w[:, columns]
-            sum_w[i, lo:hi] = sums[prefix[i]] if i in prefix else wi.sum(axis=1)
-            if maxima:
-                max_w[i, lo:hi] = tops[prefix[i]] if i in prefix else wi.max(axis=1)
-            np.matmul(wi, targets, out=fits[i, lo:hi])
+        tops = dict(zip(ends, np.maximum.accumulate([w[:, a:b].max(axis=1) for a, b in zip([0] + ends, ends)])))
+        for i, (n, targets) in enumerate(windows):
+            sum_w[i, lo:hi], max_w[i, lo:hi] = sums[n], tops[n]
+            np.matmul(w[:, :n], targets, out=fits[i, lo:hi])
     with np.errstate(invalid="ignore", divide="ignore"):
         np.divide(fits.T, sum_w.T, out=fits.T)
     return fits, sum_w, max_w
@@ -440,7 +451,7 @@ def _nw_lags(series: TimeSeries, cfg: KernelConfig, points: np.ndarray, lags: Se
         raise ValueError(f"series too short (T={T}) for lag {lags[-1]}")
     x = y[: T - lags[0]]
     b = _resolve_bandwidth(cfg, x) if bandwidth is None else bandwidth
-    windows = [(slice(None, T - lag), y[lag:]) for lag in lags]
+    windows = [(T - lag, y[lag:]) for lag in lags]
     distinct, inverse = np.unique(points, return_inverse=True)  # fit each distinct point once
     values, sum_w, max_w = (a[:, inverse] for a in _nw_fit(x, distinct, b, cfg.kernel, windows))
     ok = _mass_ok(sum_w, max_w, _threshold(cfg))

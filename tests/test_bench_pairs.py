@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,3 +172,25 @@ def test_request_summary_gives_both_sides_medians_over_the_pairs(tmp_path):
     assert got["cli_qmle"] == {"parent": 0.30, "change": 0.20, "median_change_rel": pytest.approx(-1 / 3)}
     assert got["cli_simulate"]["parent"] == got["cli_simulate"]["change"] == 0.021
     assert got["cli_simulate"]["median_change_rel"] == pytest.approx(0.0)
+
+
+def test_a_second_pairs_run_is_refused_naming_the_lock_and_its_holder(tmp_path, monkeypatch, capsys):
+    lock = tmp_path / "pairs.lock"
+    monkeypatch.setattr(bench_pairs, "LOCK", lock)
+    monkeypatch.setattr(bench_pairs, "prepare", lambda *args: pytest.fail("exported a tree beside another run"))
+    holder = subprocess.Popen([sys.executable, "-c", "import fcntl, os, sys\n"
+                               f"f = open({str(lock)!r}, 'a+'); fcntl.flock(f, fcntl.LOCK_EX)\n"
+                               "f.write(str(os.getpid())); f.flush(); print('held', flush=True); sys.stdin.read()"],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline() == "held\n"
+        code = bench_pairs.main(["--parent", "HEAD", "--pr", "0", "--scratch", str(tmp_path / "trees"),
+                                 "--seeds", "direct_paths=1", "--change", "nothing"])
+    finally:
+        holder.communicate("")
+    assert code != 0
+    assert f"{lock} (PID {holder.pid})" in capsys.readouterr().err
+    assert not (tmp_path / "trees").exists()
+    # once the holder is gone the lock is free, and the one who takes it writes its own PID
+    with bench_pairs.hold_lock(lock):
+        assert lock.read_text() == str(os.getpid())

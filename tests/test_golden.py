@@ -15,8 +15,8 @@ recorded in ``ENVIRONMENT`` and for the two SIMD dispatches of ``np.exp`` record
 ``DISPATCH_MOVES``, and the tests skip, naming the mismatch, under any other. A CPU with AVX-512
 checks numpy's baseline dispatch too, in a subprocess that turns those features off. The digests
 hold at any BLAS thread count, as their runs are too small for OpenBLAS to split a product; larger
-local-projection and Markov runs do not yet (an expected failure where two CPUs are usable, until
-ROADMAP item 2 lands).
+local-projection and Markov runs do not (an expected failure where two CPUs are usable: ROADMAP
+item 2 would mend the local projection's, while the Markov test's strip products keep BLAS).
 """
 
 import hashlib
@@ -61,14 +61,16 @@ BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 # REJECTED, holds; the other 31 pins are the same on both. All ten moved when the weights lost the
 # kernel's constant (formerly, in order: cf6d54ba8e70503a..., 9d07c7b105c91d89..., a25ae19ce67d1d0c...,
 # cb1f2a71b0adb7a6..., 1c47cc42bfeec69c...; a332d3fcd0144c4a..., e1e3b5d36592fbdb...; 7f840ce6c85ce528...,
-# e1e3b5d36592fbdb..., 4fd7549d86f7ccc0...)
+# e1e3b5d36592fbdb..., 4fd7549d86f7ccc0...). markov-test/markov_test.json (formerly d5b613bb8c50dc66...)
+# moved in its last bits again when the Markov fits and weight sums came from the upper-triangle strips'
+# products of the kernel matrix and the bootstrap came to add its block sums one block at a time
 DISPATCH_MOVES = {
     "f9eef7057ffbd19c": {
         "GOLDEN": {
             "decompose_lp/decompose.csv": "278807b1693696601b268d0e957d6772b06ba1640a66260c69559156e447cfe2",
             "irf/irf_delta_-1.csv": "75b3416ffd7beb5f071ef1897289eac0f42d7c039ea35937784ce59c9213e9c3",
             "irf/irf_delta_0.5.csv": "253fcbf751d3bd545001e967251e2035a0f8cf1f4473f97c26c775f6c8231c1d",
-            "markov-test/markov_test.json": "d5b613bb8c50dc669fe528ef5086df521ab6906570590e29f5ffde8517b761ec",
+            "markov-test/markov_test.json": "63d45bc0798cd5afcb480f9f613201635fae8c11220833ca63af717d70db9870",
             "simulate/density.csv": "fba90df9bb1de649a267dc0e44f637b255380a016422856cfc8bc010c879254d",
         },
         "CURVE_GOLDEN": {
@@ -111,7 +113,9 @@ RUNS = [
 # 28f44d7a00fce0ef...), irf/irf_delta_-1.csv (0e707d9f309da163...) and irf/irf_delta_0.5.csv
 # (d461c540ad531bb9...) through their local-projection rows, irf_epanechnikov/irf_delta_1.csv
 # (751551eb381964b0...) likewise, markov-test/markov_test.json (acf441c05b746fb1...) and
-# simulate/density.csv (93e9f3ab517fd312...)
+# simulate/density.csv (93e9f3ab517fd312...). markov-test/markov_test.json (formerly 8e4da9bdf82130ed...)
+# moved in its last bits when the Markov fits and weight sums came from the upper-triangle strips'
+# products of the kernel matrix and the bootstrap came to add its block sums one block at a time
 GOLDEN = {
     "bench/bench_cells.csv": "ccf4f847fde8c741a6bee85b1814215e3167cab7391c84b6b5f0466524ef71ee",
     "bench/bench_summary.csv": "e9a772b8e362ca996912b02016c1d72ac32adf03bb0c9ebaa24687449e6f5993",
@@ -128,7 +132,7 @@ GOLDEN = {
     "irf_epanechnikov/irf_delta_1.csv": "34f19853df096b137bd60d5d2ad0d92bc6c6bf36426121f61c106608f4fec1e2",
     "irf_epanechnikov/manifest.json": "70082ab82d342be10cc8abb8fbfea0cb55fd55a863ddd9a48991877847d9b8e2",
     "markov-test/manifest.json": "36adfacded49251288301e803d3c401e8b169ea7ff5a9b0daca275a7348e22d0",
-    "markov-test/markov_test.json": "8e4da9bdf82130ed37b102e30d9df7dc0ad32df8ebfcb78d17804c0d4801ef69",
+    "markov-test/markov_test.json": "4c661d2a6283396287a742f3e3f7a9085ff6b950b464d0e1b36636b903c9bf45",
     "qmle/manifest.json": "d6498b78a12cfec85b7255a695859992668afe393ad37f0a099a73f6132d6499",
     "qmle/qmle.json": "2b9561737de73d763fce93017a493b4b518e5b538f62cf743ab94f9738eb8719",
     "simulate/density.csv": "05c07261fdf34885f7afc1a82aa2b019733156d6c4819c48b3b44eb69087c78a",
@@ -332,7 +336,8 @@ def _usable_cpus() -> int:
 
 @pytest.mark.skipif(_usable_cpus() < 2, reason="one usable CPU: OpenBLAS runs one thread")
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: _nw_fit's matmul rounds a row by how OpenBLAS splits the product")
+                   reason="ROADMAP item 2: _nw_lags' matmul, and the GEMMs of the Markov test's kernel-matrix "
+                          "strips, round a row by how OpenBLAS splits the product")
 def test_lp_and_markov_digests_hold_across_blas_threads():
     # the golden runs are too small for OpenBLAS to split a product, so they hold at any thread count;
     # these runs are not, and every digest should still be the same at 1 and 2 threads

@@ -14,7 +14,7 @@ from nlirf.identify import (
     recover_mixing,
     recover_mixing_from_acf,
 )
-from nlirf.kernels import _nw_fit, silverman_bandwidth
+from nlirf.kernels import silverman_bandwidth
 from nlirf.models import Dar1, GaussianAr1, TimeSeries, simulate
 
 A_TRUE = np.array([[1.0, 0.5], [0.3, 1.0]])
@@ -214,9 +214,8 @@ def test_default_basis_shape():
         assert np.isfinite(c(ts.y)).all()
 
 
-def _ref_nw_multi(x, targets, points):
+def _ref_nw_multi(x, targets, points, b):
     """The Markov test's former NW fit: unnormalised Gaussian weights, (q, m) targets."""
-    b = silverman_bandwidth(x)
     out = np.empty((targets.shape[0], len(points)))
     chunk = max(16, 4_000_000 // len(x))
     for lo in range(0, len(points), chunk):
@@ -227,19 +226,39 @@ def _ref_nw_multi(x, targets, points):
     return out
 
 
-def test_markov_nw_fits_match_former_unnormalised_fit():
-    # the shared primitive's weights are these unnormalised ones; the fits
-    # differ from the transposed product only in the last bits
+def _recording_product(monkeypatch):
+    """Hook identify's kernel-matrix product; the returned list gets each call's (arguments, result)."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, kernels._kernel_matrix_product(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(identify, "_kernel_matrix_product", recording)
+    return calls
+
+
+def _fits(sums, q):
+    """Forward and backward fits at y[1:-1] from the product's rows: each target block over its ones column."""
+    rows = sums[1:-1]
+    return rows[:, :q] / rows[:, q, None], rows[:, q + 1 : -1] / rows[:, -1, None]
+
+
+def test_markov_nw_fits_match_former_unnormalised_fit(monkeypatch):
+    # the product's weights are these unnormalised ones; the fits differ from the former transposed
+    # product only in the last bits
+    calls = _recording_product(monkeypatch)
     ts = simulate(GaussianAr1(0.5, 1.0), T=3000, y0=0.0, seed=9007)
-    y = ts.y
-    for x, resp in ((y[:-1], y[1:]), (y[1:], y[:-1])):
-        targets = np.column_stack([f(resp) for f, _, _ in default_markov_basis(ts)])
-        got = _nw_fit(x, y[1:-1], silverman_bandwidth(x), "gaussian", [(slice(None), targets)])[0][0]
-        np.testing.assert_allclose(got.T, _ref_nw_multi(x, targets.T, y[1:-1]), rtol=1e-12, atol=0)
+    y, basis = ts.y, default_markov_basis(ts)
+    markov_moment_test(ts, B=50)
+    (((_, _, b, _), sums),) = calls
+    for got, (x, resp, f) in zip(_fits(sums, len(basis)), ((y[:-1], y[1:], 0), (y[1:], y[:-1], 1))):
+        targets = np.column_stack([triple[f](resp) for triple in basis])
+        np.testing.assert_allclose(got.T, _ref_nw_multi(x, targets.T, y[1:-1], b), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
-# one weight block for both regressions, and the block-sum bootstrap
+# one product of the kernel matrix for both regressions, and the block-sum bootstrap
 # ---------------------------------------------------------------------------
 
 def _ref_window_fit(x, targets, points, b):
@@ -257,32 +276,31 @@ def _ref_window_fit(x, targets, points, b):
 
 @pytest.mark.parametrize("cells", [None, 1])
 def test_markov_fits_are_column_windows_of_one_block(monkeypatch, cells):
-    # 598 points: one block by default; a one-cell budget gives the 16-row floor, 37 x 16 + 6
+    # 600 observations: 64-row strips by default, 9 x 64 + 24; a one-cell budget gives the 16-row floor, 37 x 16 + 8
     if cells is not None:
         monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
-    recorded_fits = []
-
-    def recording(*args, **kwargs):
-        recorded_fits.append(_nw_fit(*args, **kwargs))
-        return recorded_fits[-1]
-
-    monkeypatch.setattr(identify, "_nw_fit", recording)
+    calls = _recording_product(monkeypatch)
     ts = simulate(GaussianAr1(0.5, 1.0), T=600, y0=0.0, seed=9009)
     y, b = ts.y, silverman_bandwidth(ts.y)
     res = markov_moment_test(ts, B=50, seed=2)
     assert res.bandwidth == b
-    ((fits, _, max_w),) = recorded_fits
-    assert max_w is None  # the test reads no row maxima, so none are taken
+    (((got_y, targets, got_b, kern), sums),) = calls
+    assert (got_y.tobytes(), got_b, kern) == (y.tobytes(), b, "gaussian")
+    # the zero rows make each column read its own window: forward targets and ones on y[:-1], backward on y[1:]
     basis = default_markov_basis(ts)
-    fwd = _ref_window_fit(y[:-1], np.column_stack([fa(y[1:]) for fa, _, _ in basis]), y[1:-1], b)
-    bwd = _ref_window_fit(y[1:], np.column_stack([fb(y[:-1]) for _, fb, _ in basis]), y[1:-1], b)
-    assert fits.shape == (2, 598, 4)
-    assert fits[0].tobytes() == fwd.tobytes()
-    assert fits[1].tobytes() == bwd.tobytes()
+    fwd_targets = np.column_stack([fa(y[1:]) for fa, _, _ in basis])
+    bwd_targets = np.column_stack([fb(y[:-1]) for _, fb, _ in basis])
+    ones, zero = np.ones((599, 1)), np.zeros((1, 5))
+    want = np.hstack([np.vstack([np.hstack([fwd_targets, ones]), zero]),
+                      np.vstack([zero, np.hstack([bwd_targets, ones])])])
+    assert targets.tobytes() == want.tobytes()
+    fwd, bwd = _fits(sums, len(basis))
+    np.testing.assert_allclose(fwd, _ref_window_fit(y[:-1], fwd_targets, y[1:-1], b), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(bwd, _ref_window_fit(y[1:], bwd_targets, y[1:-1], b), rtol=1e-12, atol=0)
 
 
 def test_markov_test_uses_one_bandwidth_and_one_weight_block(monkeypatch):
-    counts = {"bandwidth": 0, "blocks": 0}
+    counts = {"bandwidth": 0, "blocks": 0, "products": 0, "cells": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -290,35 +308,42 @@ def test_markov_test_uses_one_bandwidth_and_one_weight_block(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def cells(u, *args):
+        counts["cells"] += u.size
+        return kernel(u, *args)
+
+    kernel = kernels._kernel
     monkeypatch.setattr(identify, "silverman_bandwidth", counting("bandwidth", identify.silverman_bandwidth))
     monkeypatch.setattr(kernels, "silverman_bandwidth", counting("bandwidth", kernels.silverman_bandwidth))
     monkeypatch.setattr(kernels, "_weight_blocks", counting("blocks", kernels._weight_blocks))
+    monkeypatch.setattr(identify, "_kernel_matrix_product", counting("products", kernels._kernel_matrix_product))
+    monkeypatch.setattr(kernels, "_kernel", cells)
     ts = simulate(GaussianAr1(0.5, 1.0), T=500, y0=0.0, seed=9010)
     res = markov_moment_test(ts, B=50)
-    assert counts == {"bandwidth": 1, "blocks": 1}
+    # one product, of 8 strips of 64 rows [i0, i0 + 64) by columns [i0, 500), a weight block each: the upper
+    # triangle and its diagonal blocks
+    upper = sum(min(64, 500 - i0) * (500 - i0) for i0 in range(0, 500, 64))
+    assert counts == {"bandwidth": 1, "blocks": 8, "products": 1, "cells": upper}
     assert res.bandwidth == silverman_bandwidth(ts.y)
 
 
 def test_markov_residuals_read_the_targets_evaluated_once(monkeypatch):
-    # the default basis works pointwise, so rows 1: of a(y[1:]) and :-1 of b(y[:-1]) are a(y[2:]) and
-    # b(y[:-2]): the residuals, and so every moment, have the bits of the former second evaluation
-    fits, contribs = [], []
-
-    def recording_fit(*args, **kwargs):
-        fits.append(_nw_fit(*args, **kwargs)[0])
-        return fits[-1], None, None
+    # the default basis works pointwise, so rows 1:-1 of the targets are a(y[2:]) and b(y[:-2]): the
+    # residuals, and so every moment, have the bits of a second evaluation on those windows
+    contribs = []
 
     def recording_means(contrib, *args):
         contribs.append(contrib)
         return means(contrib, *args)
 
     means = identify._block_bootstrap_means
-    monkeypatch.setattr(identify, "_nw_fit", recording_fit)
+    calls = _recording_product(monkeypatch)
     monkeypatch.setattr(identify, "_block_bootstrap_means", recording_means)
     ts = simulate(Dar1.of(0.5, 1.0, 0.5), T=2000, y0=0.3, seed=9011)
     y, basis = ts.y, default_markov_basis(ts)
     res = markov_moment_test(ts, B=50, seed=2)
-    ((fwd_fit, bwd_fit),) = fits
+    ((_, sums),) = calls
+    fwd_fit, bwd_fit = _fits(sums, len(basis))
     ra = np.column_stack([fa(y[2:]) for fa, _, _ in basis]) - fwd_fit
     rb = np.column_stack([fb(y[:-2]) for _, fb, _ in basis]) - bwd_fit
     contrib = ra * rb * np.column_stack([fc(y[1:-1]) for _, _, fc in basis])

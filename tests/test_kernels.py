@@ -1079,28 +1079,80 @@ def _ref_window_fit(x, targets, points, b, kern):
 @pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
 @pytest.mark.parametrize("q", [None, 3])
 def test_nw_fit_windows_match_per_window_reference(small_dar, chunking, kern, q):
-    # the Markov test's windows: forward on columns [:T-1], backward on [1:], at one bandwidth
+    # the local projection's windows: lag L reads the prefix [:T-L] of one block, at one bandwidth
     y = small_dar.y
     b = silverman_bandwidth(y)
     resp = np.column_stack([y, y * y, np.abs(y)]) if q else y
-    windows = [(slice(None, -1), resp[1:]), (slice(1, None), resp[:-1])]
-    fits, sum_w, max_w = kernels._nw_fit(y, _points(), b, kern, windows)
-    for i, (x, targets) in enumerate(((y[:-1], resp[1:]), (y[1:], resp[:-1]))):
-        want = _ref_window_fit(x, targets, _points(), b, kern)
+    windows = [(len(y) - lag, resp[lag:]) for lag in (1, 3)]
+    fits, sum_w, max_w = kernels._nw_fit(y[:-1], _points(), b, kern, windows)
+    for i, (n, targets) in enumerate(windows):
+        want = _ref_window_fit(y[:n], targets, _points(), b, kern)
         for g, w in zip((fits[i], sum_w[i], max_w[i]), want):
             assert_same_bits(g, w)
 
 
+# ---------------------------------------------------------------------------
+# the symmetric kernel matrix from its upper triangle
+# ---------------------------------------------------------------------------
+
+def _product_cases():
+    rng = np.random.default_rng(114)
+    repeated = np.repeat(rng.normal(size=150), rng.integers(1, 4, size=150))  # runs of equal values
+    return {"repeated_values": repeated, "ragged_last_strip": rng.normal(size=1000), "one_strip": rng.normal(size=40)}
+
+
+@pytest.mark.parametrize("case", ["repeated_values", "ragged_last_strip", "one_strip"])
+@pytest.mark.parametrize("cells", [None, 1])
 @pytest.mark.parametrize("kern", ["gaussian", "epanechnikov"])
-def test_nw_fit_without_maxima_keeps_fits_and_sums(small_dar, chunking, kern):
-    # the Markov test reads no maxima; skipping them leaves the fits and sums as they were
-    y, b = small_dar.y, silverman_bandwidth(small_dar.y)
-    windows = [(slice(None, -1), y[1:]), (slice(1, None), y[:-1]), (slice(None, -3), y[3:])]
-    fits, sum_w, _ = kernels._nw_fit(y, _points(), b, kern, windows)
-    got_fits, got_sums, got_max = kernels._nw_fit(y, _points(), b, kern, windows, maxima=False)
-    assert got_max is None
-    assert_same_bits(got_fits, fits)
-    assert_same_bits(got_sums, sum_w)
+def test_kernel_matrix_product_matches_dense_product(monkeypatch, case, cells, kern):
+    # 64-row strips by default, 16 under a one-cell budget: 1000 rows end on a short strip either way, and
+    # 40 rows fit one strip by default
+    if cells is not None:
+        monkeypatch.setattr(kernels, "_CHUNK_CELLS", cells)
+    y = _product_cases()[case]
+    b = 0.5 * silverman_bandwidth(y)
+    rng = np.random.default_rng(115)
+    positive = np.column_stack([np.ones(len(y)), y * y, rng.exponential(size=len(y))])
+    signed, zero = rng.normal(size=(len(y), 2)), np.zeros((len(y), 1))
+    got = kernels._kernel_matrix_product(y, np.hstack([positive, signed, zero]), b, kern)
+    K = REF_KERNELS[kern](y[None, :] - y[:, None], b)
+    np.testing.assert_allclose(got[:, :3], K @ positive, rtol=1e-12, atol=0)
+    # a signed column may cancel, so its error is bounded by the magnitudes summed
+    assert (np.abs(got[:, 3:5] - K @ signed) <= 1e-12 * (K @ np.abs(signed))).all()
+    assert (got[:, 5] == 0.0).all() and not np.signbit(got[:, 5]).any()
+
+
+def test_kernel_matrix_product_evaluates_upper_strips_in_the_thread_scratch(small_dar, monkeypatch):
+    list(kernels._weight_blocks(small_dar.y, _points(), 0.3, "gaussian"))
+    kept = kernels._SCRATCH.buf  # 40 x 600 cells, room for 64 x 300
+    y, blocks, kernel = np.random.default_rng(116).normal(size=300), [], kernels._kernel
+
+    def recording(u, *args):
+        blocks.append((u.shape, np.shares_memory(u, kept)))
+        return kernel(u, *args)
+
+    monkeypatch.setattr(kernels, "_kernel", recording)
+    kernels._kernel_matrix_product(y, np.ones((300, 1)), 0.3, "gaussian")
+    assert blocks == [((min(64, 300 - i0), 300 - i0), True) for i0 in range(0, 300, 64)]
+    assert kernels._SCRATCH.buf is kept
+
+
+def test_kernel_matrix_product_keeps_the_block_budget_on_long_series(monkeypatch):
+    # at T=100,000 a strip takes the 16-row floor's cells, as a _weight_blocks block does (12.8 MB)
+    class FirstStrip(Exception):
+        pass
+
+    def first_strip(u, *args):
+        shapes.append(u.shape)
+        raise FirstStrip
+
+    shapes = []
+    monkeypatch.setattr(kernels._SCRATCH, "buf", None, raising=False)  # the thread's own buffer comes back after
+    monkeypatch.setattr(kernels, "_kernel", first_strip)
+    with pytest.raises(FirstStrip):
+        kernels._kernel_matrix_product(np.zeros(100_000), np.ones((100_000, 10)), 0.1, "gaussian")
+    assert shapes == [(16, 100_000)]
+    assert len(kernels._SCRATCH.buf) <= max(kernels._CHUNK_CELLS, 16 * 100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -1155,17 +1207,15 @@ def test_nw_fit_prefix_reductions_match_plain_reductions(chunking, kern):
     points[5] = np.nan
     b = 0.4
     lengths = [1300, 1299, 1297, 1294, 700, 129, 128, 9]
-    windows = [(slice(None, n), np.sin(np.arange(n))) for n in lengths]
-    windows.append((slice(2, None), np.ones(1298)))  # not a prefix: reduces its own slice
-    fits, sum_w, max_w = kernels._nw_fit(x, points, b, kern, windows)
+    fits, sum_w, max_w = kernels._nw_fit(x, points, b, kern, [(n, np.sin(np.arange(n))) for n in lengths])
     w = np.concatenate([blk.copy() for _, _, blk in kernels._weight_blocks(x, points, b, kern)])
     if kern == "gaussian":
         assert np.isnan(max_w[:, 5]).all() and np.isnan(sum_w[:, 5]).all()
     else:
         assert (max_w[:, [5, -2, -1]] == 0.0).all()
-    for i, (columns, _) in enumerate(windows):
-        assert_same_bits(sum_w[i], w[:, columns].sum(axis=1))
-        assert_same_bits(max_w[i], w[:, columns].max(axis=1))
+    for i, n in enumerate(lengths):
+        assert_same_bits(sum_w[i], w[:, :n].sum(axis=1))
+        assert_same_bits(max_w[i], w[:, :n].max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,15 @@ The runs need the machine to themselves: run nothing else beside them, not a tes
 second benchmark. ``perfbench/run.py`` gives OpenBLAS a thread per usable CPU, and those threads
 spin for a CPU that another process holds, so BLAS-bound requests (``irf_lp``'s ``_nw_fit``) take
 several times as long (on 2 CPUs, 20 ``irf_lp`` calls at T=5000, S=200 went from 0.18 s alone to
-1.8 s beside a second such process), and a pair would compare the load, not the commits.
+1.8 s beside a second such process), and a pair would compare the load, not the commits. So a run
+first takes an exclusive lock on ``LOCK`` in the temporary directory, and refuses to start, exporting
+nothing, while another pairs run holds it; the message names the lock file and the holder's PID.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import math
 import os
@@ -40,6 +43,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Dict, List
 
@@ -49,10 +53,33 @@ import scipy
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 PAIRS = 10  # per workload, the fewest that can show "no regression" on a noisy box
+LOCK = Path(tempfile.gettempdir()) / "nlirf-bench-pairs.lock"  # held by the one pairs run on this machine
 
 
 class RunFailed(RuntimeError):
     """A benchmark run that exited nonzero."""
+
+
+class PairsRunning(RuntimeError):
+    """Another pairs run holds the lock."""
+
+
+def hold_lock(path: Path):
+    """The open lock file ``path``, flock-ed exclusively and holding this process's PID until it is closed; a
+    PairsRunning naming the file and the PID written in it when another process holds the lock."""
+    f = open(path, "a+")
+    try:
+        fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        f.seek(0)
+        holder = f.read().strip() or "unknown"
+        f.close()
+        raise PairsRunning(f"another pairs run holds the lock {path} (PID {holder}); benchmark runs need the "
+                           "machine to themselves") from None
+    f.truncate(0)
+    f.write(str(os.getpid()))
+    f.flush()
+    return f
 
 
 def usable_cpus() -> int:
@@ -190,8 +217,20 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     first_seeds = {w: int(s) for w, s in (item.split("=") for item in args.seeds)}
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     claim = parse_claim(args.claim, benchmark, first_seeds) if args.claim else None
+    try:
+        lock = hold_lock(LOCK)
+    except PairsRunning as refused:
+        print(refused, file=sys.stderr)
+        return 1
+    with lock:
+        run_pairs(args, first_seeds, benchmark, claim)
+    return 0
+
+
+def run_pairs(args, first_seeds: Dict[str, int], benchmark: Dict, claim) -> None:
+    """Every workload's pairs, written as BENCH_<pr>.json."""
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     trees = prepare(args.parent, args.scratch)
 
     workloads = {}
@@ -234,7 +273,6 @@ def main(argv=None) -> int:
         "diagnostic_runs": [],
     }
     (ROOT / f"BENCH_{args.pr}.json").write_text(json.dumps(report, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":
