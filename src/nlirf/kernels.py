@@ -113,7 +113,14 @@ def _weight_blocks(x: np.ndarray, points: np.ndarray, bandwidth: float, kernel: 
     try:
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
-            yield lo, hi, _kernel(np.subtract(x[None, :], points[lo:hi, None], out=buf[: hi - lo]), bandwidth, kernel)
+            # below about 2,700 columns numpy buffers this broadcast through 8,192-element chunks at 1-1.8 ns a
+            # cell, against 0.4-0.6 ns with a 64-element buffer; the size is restored before the block is handed out
+            old = np.setbufsize(64)
+            try:
+                np.subtract(x[None, :], points[lo:hi, None], out=buf[: hi - lo])
+            finally:
+                np.setbufsize(old)
+            yield lo, hi, _kernel(buf[: hi - lo], bandwidth, kernel)
     finally:
         kept = getattr(_SCRATCH, "buf", None)
         if kept is None or len(kept) <= len(scratch):

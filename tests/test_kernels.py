@@ -551,6 +551,35 @@ def test_weight_block_buffer_is_a_mapping_kept_per_thread_and_never_shared(small
     assert_same_bits(seen[0], want)
 
 
+@pytest.mark.parametrize("width", [499, 1999, 2999, 4999])
+def test_weight_blocks_keep_their_bits_and_the_buffer_size_at_every_width(width):
+    # the subtract runs under a 64-element ufunc buffer; numpy's own size is back before each block
+    x = simulate(DAR, T=width, y0=0.2, seed=106).y
+    points, b = _points(), silverman_bandwidth(x)
+    size = np.getbufsize()
+    for lo, hi, w in kernels._weight_blocks(x, points, b, "gaussian"):
+        assert np.getbufsize() == size
+        assert_same_bits(w, REF_KERNELS["gaussian"](x[None, :] - points[lo:hi, None], b))
+
+
+def test_weight_blocks_restore_the_buffer_size_when_closed_early_or_failing(monkeypatch):
+    x, size = simulate(DAR, T=499, y0=0.2, seed=106).y, np.getbufsize()
+    blocks = kernels._weight_blocks(x, _points(), 0.3, "gaussian")
+    next(blocks)
+    blocks.close()
+    assert np.getbufsize() == size
+
+    def failing(*args, **kwargs):
+        assert np.getbufsize() == 64
+        raise FloatingPointError("subtract")
+
+    monkeypatch.setattr(kernels.np, "subtract", failing)
+    with pytest.raises(FloatingPointError, match="subtract"):
+        next(kernels._weight_blocks(x, _points(), 0.3, "gaussian"))
+    monkeypatch.undo()
+    assert np.getbufsize() == size
+
+
 # ---------------------------------------------------------------------------
 # the weights without their constant still mean the kernel
 # ---------------------------------------------------------------------------

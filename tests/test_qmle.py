@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import nlirf.qmle as qmle
 from nlirf.models import Dar1, DarParams, GaussianAr1, TimeSeries, simulate
@@ -210,15 +210,32 @@ def test_grid_spec_refuses_a_negative_beta_axis():
 
 
 SCREEN_GRIDS = [DEFAULT_GRID, GridSpec(lower=(0.1, 0.5, 0.1), upper=(0.9, 1.5, 0.9), step=0.05),
-                GridSpec(lower=(-0.9, 0.02, 0.0), upper=(0.9, 2.0, 1.5), step=(0.1, 0.04, 0.03))]
+                GridSpec(lower=(-0.9, 0.02, 0.0), upper=(0.9, 2.0, 1.5), step=(0.1, 0.04, 0.03)),
+                GridSpec(lower=(-0.5, 1e-6, 0.0), upper=(0.9, 0.6, 1.2), step=(0.1, 0.05, 0.1))]
 SCREEN_MODELS = [DAR, GaussianAr1(rho=0.6, sigma=1.0), Dar1.of(0.3, 0.05, 0.8)]  # the last: alpha near 0
+
+
+def _screen_series(kind, model, T, seed):
+    """A simulated series, or one whose x^2 span more than ten decades (with alpha_min near 1e-6, many
+    bins, the sparse ones holding one point), or a simulated one with every third value exactly zero."""
+    if kind == "decades":
+        rng = np.random.default_rng(seed)
+        return TimeSeries(values=rng.choice([-1.0, 1.0], T) * 10.0 ** rng.normal(-1.5, 1.5, T))
+    values = simulate(model, T=T, y0=0.2, seed=seed).values.copy()
+    if kind == "zeros":
+        values[::3] = 0.0
+    return TimeSeries(values=values)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(model=st.sampled_from(SCREEN_MODELS), T=st.sampled_from([12, 150, 1200]),
-       grid=st.sampled_from(SCREEN_GRIDS), seed=st.integers(0, 2**16))
-def test_screened_search_equals_the_former_search(model, T, grid, seed):
-    series = simulate(model, T=T, y0=0.2, seed=seed)
+       grid=st.sampled_from(SCREEN_GRIDS), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["simulated", "decades", "zeros"]))
+@example(model=DAR, T=20_000, grid=SCREEN_GRIDS[2], seed=46, kind="simulated")
+@example(model=DAR, T=1200, grid=SCREEN_GRIDS[3], seed=47, kind="decades")
+@example(model=DAR, T=1200, grid=SCREEN_GRIDS[2], seed=48, kind="zeros")
+def test_screened_search_equals_the_former_search(model, T, grid, seed, kind):
+    series = _screen_series(kind, model, T, seed)
     assert qmle_grid_search(series, grid) == _former_result(series, grid)
 
 
@@ -237,16 +254,21 @@ def test_screened_search_on_ties_across_slices(monkeypatch, grid, kind):
 
 
 def test_screen_falls_back_to_every_slice_when_products_could_leave_the_normal_range(monkeypatch):
-    # |ln v| reaches about 360 here, so no k >= 2 keeps k |ln v| below 700
-    series = TimeSeries(values=1e77 * simulate(DAR, T=400, y0=0.2, seed=42).values)
+    # x^2 and y^2 up to 8e307: a bin's sum of them overflows, so the screen has no finite sums, while
+    # the exact path's terms y^2 / v stay finite
+    series = TimeSeries(values=1e153 * simulate(DAR, T=400, y0=0.2, seed=42).values)
     grid = GridSpec(lower=(0.1, 0.5, 0.1), upper=(0.9, 1.5, 0.9), step=0.05)
     alphas = _exact_alphas(monkeypatch)
     assert qmle_grid_search(series, grid) == _former_result(series, grid)
     assert list(alphas) == list(grid.axis(1))
+    y = series.y
+    x, yy = y[:-1], y[1:]
+    assert qmle._screen(x * x, yy * yy, x * yy, *(grid.axis(i) for i in range(3))) is None
 
 
 def test_screen_near_the_range_limits_warns_of_nothing_and_matches():
-    # |ln v| just under 350 keeps k = 2, while syy and sxx near 1e292 would overflow their product
+    # the alpha = 1e-152, beta = 0 row puts |ln v| near 350 and syy and sxx near 1e292, whose product
+    # would overflow; its 1/A near 1e152 times bin moments up to 2e140 stays finite
     series = TimeSeries(values=1e69 * simulate(DAR, T=300, y0=0.2, seed=3).values)
     grid = GridSpec(lower=(0.1, 1e-152, 0.0), upper=(0.9, 0.9, 0.9), step=0.1)
     assert qmle_grid_search(series, grid) == _former_result(series, grid)
@@ -256,21 +278,42 @@ def test_screen_near_the_range_limits_warns_of_nothing_and_matches():
 
 
 @pytest.mark.parametrize("grid", SCREEN_GRIDS[1:])
-@pytest.mark.parametrize("kind", ["dar", "ar", "ridge"])
+@pytest.mark.parametrize("kind", ["dar", "ar", "ridge", "dar T=20000", "decades", "zeros"])
 def test_certificate_bounds_the_screen_at_every_lattice_point(grid, kind):
     rng = np.random.default_rng(43)
-    series = {"dar": simulate(DAR, T=700, y0=0.2, seed=43),
-              "ar": simulate(GaussianAr1(rho=0.6, sigma=1.0), T=700, y0=0.2, seed=43),
-              "ridge": TimeSeries(values=rng.choice([-1.0, 1.0], size=700))}[kind]
+    series = {"dar": lambda: simulate(DAR, T=700, y0=0.2, seed=43),
+              "ar": lambda: simulate(GaussianAr1(rho=0.6, sigma=1.0), T=700, y0=0.2, seed=43),
+              "ridge": lambda: TimeSeries(values=rng.choice([-1.0, 1.0], size=700)),
+              "dar T=20000": lambda: simulate(DAR, T=20_000, y0=0.2, seed=43),
+              "decades": lambda: _screen_series("decades", DAR, 700, 43),
+              "zeros": lambda: _screen_series("zeros", DAR, 700, 43)}[kind]()
     y = series.y
     x, yy = y[:-1], y[1:]
     rhos, alphas, betas = (grid.axis(i) for i in range(3))
+    if kind == "decades" and alphas[0] < 1e-5:  # many bins, some of a single point
+        counts = qmle._bin_moments(x * x, yy * yy, x * yy, alphas[0] / betas[-1])[3][0, :, 0]
+        assert len(counts) >= 30 and (counts == 1).any()
     top, bound, sums = qmle._screen(x * x, yy * yy, x * yy, rhos, alphas, betas)
     slices, _ = _former_grid_search(series, grid)
     for ia, exact in enumerate(slices):
         screen = qmle._loglik(*(s[ia] for s in sums), rhos[:, None])
         assert np.abs(screen - exact).max() <= bound[ia]
         assert abs(top[ia] - exact.max()) <= bound[ia]
+
+
+def test_screen_splits_an_alpha_slice_wider_than_a_chunk(monkeypatch):
+    # a budget of 7 lattice points per chunk cuts each 120-point slice into beta runs; only the
+    # summation order of a run's GEMMs can move, so the sums and bounds agree to rounding
+    series = simulate(DAR, T=700, y0=0.2, seed=43)
+    y = series.y
+    x, yy = y[:-1], y[1:]
+    args = (x * x, yy * yy, x * yy, *(DEFAULT_GRID.axis(i) for i in range(3)))
+    whole = qmle._screen(*args)
+    bins = len(qmle._bin_moments(*args[:3], args[4][0] / args[5][-1])[0])
+    monkeypatch.setattr(qmle, "_TILE_CELLS", 7 * (qmle._K + 1) * bins)
+    for got, want in zip(qmle._screen(*args), whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert qmle_grid_search(series) == _former_result(series, DEFAULT_GRID)
 
 
 def test_screen_leaves_at_most_two_exact_slices(monkeypatch):
@@ -284,9 +327,9 @@ def test_screen_leaves_at_most_two_exact_slices(monkeypatch):
 
 @pytest.mark.parametrize("T", [5000, 20_000])
 def test_search_memory_is_one_beta_by_t_array_plus_tiles(T):
-    # one (n_beta, T - 1) buffer for the exact slices, and for the screen a few tiles and the
-    # lattice's (4, n_alpha, n_beta) sums (about one tile on the default lattice); the former
-    # search held three (n_beta, T - 1) arrays
+    # one (n_beta, T - 1) buffer for the exact slices, and for the screen a few T-long arrays for the
+    # bin moments, one chunk and the lattice's (4, n_alpha, n_beta) sums (about one tile on the default
+    # lattice); the former search held three (n_beta, T - 1) arrays
     series = simulate(DAR, T=T, y0=0.2, seed=45)
     tracemalloc.start()
     try:
